@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success (or positive verdict), 1 negative verdict,
-2 usage or precondition error.  Structured output is CSV with a single
-header row or JSON lines with one object per line; integers are always
-printed as plain decimal strings.
+Exit codes: 0 success (or positive verdict, or a reader that closed
+stdout early), 1 negative verdict, 2 usage or precondition error.
+Structured output is CSV with a single header row or JSON lines with one
+object per line; integers are always printed as plain decimal strings.
 
 Environment: ISOSQUARE_CHECKPOINT_DIR prefixes relative checkpoint
 paths, ISOSQUARE_FORMAT sets the default output format.
@@ -52,6 +52,28 @@ def _default_format(fallback: str) -> str:
     return os.environ.get("ISOSQUARE_FORMAT", fallback)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _default_workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _require_writable(path: str, what: str) -> None:
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(target, os.W_OK)):
+        raise ValueError(f"{what} location not writable: {path}")
+
+
 def _checkpoint_path(path: str | None) -> str | None:
     if path is None:
         return None
@@ -83,15 +105,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     checkpoint = _checkpoint_path(args.checkpoint)
     if checkpoint is not None:
-        parent = os.path.dirname(os.path.abspath(checkpoint))
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-            raise ValueError(f"checkpoint location not writable: {checkpoint}")
+        _require_writable(checkpoint, "checkpoint")
     fmt = args.format or _default_format("plain")
+    out = sys.stdout
     if fmt == "csv":
-        print("n")
-    for m in enumeration.sieve(limit, workers=args.workers,
-                               checkpoint=checkpoint):
-        print(m)
+        out.write("n\n")
+    # Flushed before the generator resumes, which is when it records the
+    # chunk in the checkpoint: a recorded member has left the process.
+    for _, members in enumeration.sieve_chunks(limit, workers=args.workers,
+                                               checkpoint=checkpoint):
+        if members:
+            out.write("\n".join(map(str, members)) + "\n")
+        out.flush()
     return 0
 
 
@@ -136,9 +161,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     if limit < 1 << 12:
         raise ValueError(f"limit must be >= 2^12, got {limit}")
-    members = list(enumeration.sieve(limit, workers=args.workers))
+    _require_writable(args.out, "--out")
     grid = analysis.geometric_grid(1 << 10, limit)
-    samples = enumeration.counting(limit, grid, members=members)
+    samples = enumeration.counting(limit, grid, workers=args.workers)
     fit_from = args.fit_from if args.fit_from else limit // DEFAULT_FIT_WINDOW
     fit_samples = [s for s in samples if s.n >= fit_from]
     fit = analysis.fit_exponent(fit_samples)
@@ -182,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", required=True)
     p.add_argument("--format", choices=["plain", "csv"])
     p.add_argument("--checkpoint")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=positive_int,
+                   default=_default_workers())
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="counting function p(n) on a grid")
@@ -206,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-from", type=parse_limit, default=None,
                    help="fit only grid points with n >= this "
                         "(default: limit/10)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=positive_int,
+                   default=_default_workers())
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("props", help="run verification suites")
@@ -222,6 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader left (as `enumerate | head` does): not an error.  Send
+        # what is still buffered to devnull so the exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

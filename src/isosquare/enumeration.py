@@ -1,9 +1,10 @@
 """High-throughput enumeration of isosquare numbers.
 
-The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^31
-squares fit in 64 bits and chunks are vectorized with numpy popcounts;
-above that each element falls back to exact big-integer arithmetic.
-The range is split into contiguous chunks and merged in chunk order, so
+The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^32
+squares fit in 64 bits, so the test runs on numpy popcounts in blocks of
+2^16 integers, small enough that every temporary stays in cache; from
+2^32 on each element falls back to exact big-integer arithmetic.  The
+range is split into contiguous chunks and merged in chunk order, so
 output is identical whatever the worker count.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -19,8 +21,9 @@ import numpy as np
 
 from .membership import is_isosquare
 
-FAST_LIMIT = 1 << 31  # squares of smaller m fit in an unsigned 64-bit word
+FAST_LIMIT = 1 << 32  # (2^32 - 1)^2 < 2^64: squares below fit in a uint64
 DEFAULT_CHUNK = 1 << 22
+BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,15 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing."""
     if lo < 1 or hi < lo:
         return []
-    if hi < FAST_LIMIT:
-        a = np.arange(lo, hi + 1, dtype=np.uint64)
-        mask = np.bitwise_count(a) == np.bitwise_count(a * a)
-        return a[mask].tolist()
-    return [m for m in range(lo, hi + 1) if m.bit_count() == (m * m).bit_count()]
+    found: list[int] = []
+    fast_hi = min(hi, FAST_LIMIT - 1)
+    for start in range(lo, fast_hi + 1, BLOCK):
+        a = np.arange(start, min(fast_hi, start + BLOCK - 1) + 1,
+                      dtype=np.uint64)
+        found += a[np.bitwise_count(a) == np.bitwise_count(a * a)].tolist()
+    found += [m for m in range(max(lo, FAST_LIMIT), hi + 1)
+              if m.bit_count() == (m * m).bit_count()]
+    return found
 
 
 def _chunks(limit: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -73,49 +80,96 @@ def read_checkpoint(path: str) -> tuple[int, int]:
     return last_end, last_count
 
 
-def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
-          checkpoint: str | None = None) -> Iterator[int]:
-    """Yield every member m <= limit in increasing order.
+def _members_in_order(ranges: list[tuple[int, int]],
+                      workers: int) -> Iterator[list[int]]:
+    """members_in_range of each range, in order.
 
-    With a checkpoint path, one line "chunk_end count" is appended per
-    finished chunk and a later run resumes after the last recorded
-    chunk (already-emitted members are not repeated).
+    With several workers at most 2 * workers chunks are queued ahead of
+    the consumer, so memory stays bounded however long the run.
+    """
+    if workers <= 1 or len(ranges) <= 1:
+        for lo, hi in ranges:
+            yield members_in_range(lo, hi)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        queued: deque = deque()
+        for lo, hi in ranges:
+            queued.append(pool.submit(members_in_range, lo, hi))
+            if len(queued) > 2 * workers:
+                yield queued.popleft().result()
+        while queued:
+            yield queued.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def sieve_chunks(limit: int, workers: int = 1,
+                 chunk_size: int = DEFAULT_CHUNK,
+                 checkpoint: str | None = None
+                 ) -> Iterator[tuple[int, list[int]]]:
+    """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
+
+    Each chunk's members are increasing, and chunks come in order.  With
+    a checkpoint path, the line "chunk_end count" is appended only when
+    the consumer resumes the generator after receiving that chunk, so a
+    recorded chunk was handed out in full.  A later run resumes after the
+    last recorded chunk; a chunk handed out but not recorded is produced
+    again.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     done, count = (0, 0) if checkpoint is None else read_checkpoint(checkpoint)
-    chunks = [c for c in _chunks(limit, chunk_size) if c[1] > done]
+    ranges = [(max(lo, done + 1), hi) for lo, hi in _chunks(limit, chunk_size)
+              if hi > done]
+    results = _members_in_order(ranges, workers)
+    try:
+        for (_, hi), members in zip(ranges, results):
+            yield hi, members
+            count += len(members)
+            if checkpoint is not None:
+                with open(checkpoint, "a") as fh:
+                    fh.write(f"{hi} {count}\n")
+    finally:
+        results.close()
 
-    def emit(chunk_end: int, members: list[int]) -> Iterator[int]:
-        nonlocal count
-        count += len(members)
-        if checkpoint is not None:
-            with open(checkpoint, "a") as fh:
-                fh.write(f"{chunk_end} {count}\n")
+
+def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
+          checkpoint: str | None = None) -> Iterator[int]:
+    """Yield every member m <= limit in increasing order.
+
+    The members of sieve_chunks, flattened; checkpoints behave as there.
+    """
+    for _, members in sieve_chunks(limit, workers, chunk_size, checkpoint):
         yield from members
-
-    if workers <= 1 or len(chunks) <= 1:
-        for lo, hi in chunks:
-            yield from emit(hi, members_in_range(max(lo, done + 1), hi))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(hi, pool.submit(members_in_range, max(lo, done + 1), hi))
-                       for lo, hi in chunks]
-            for hi, fut in futures:
-                yield from emit(hi, fut.result())
 
 
 def counting(limit: int, grid: Sequence[int],
-             members: Sequence[int] | None = None) -> list[CountSample]:
-    """p(n) at each grid point: members strictly below n (grid points <= limit)."""
+             members: Sequence[int] | None = None,
+             workers: int = 1) -> list[CountSample]:
+    """p(n) at each grid point: members strictly below n (grid points <= limit).
+
+    Without members, the sieve is streamed: a grid point n is answered
+    from the first chunk with chunk_end + 1 >= n and the member counts of
+    the chunks before it, so only one chunk's members are held here.
+    """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 1 or grid[-1] > limit):
         raise ValueError("grid points must lie in [1, limit]")
     if members is None:
-        members = list(sieve(limit))
-    return [CountSample(n=n, count=bisect_left(members, n)) for n in grid]
+        chunks = sieve_chunks(limit, workers=workers)
+    else:
+        chunks = iter([(limit, members)])
+    samples = []
+    below, chunk_end, chunk = 0, 0, []
+    for n in grid:
+        while n > chunk_end + 1:
+            below += len(chunk)
+            chunk_end, chunk = next(chunks)
+        samples.append(CountSample(n=n, count=below + bisect_left(chunk, n)))
+    return samples
 
 
 def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:

@@ -1,10 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from isosquare.cli import main, parse_limit
+from isosquare import enumeration
+from isosquare.cli import build_parser, main, parse_limit
 
 from conftest import oracle_members
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -77,6 +85,67 @@ class TestEnumerate:
         assert code == 0
         assert (tmp_path / "ck.txt").exists()
 
+    def test_checkpoint_never_ahead_of_stdout(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.txt"
+        seen = []  # (count recorded, lines on stdout) at each write/flush
+
+        class Stdout(io.StringIO):
+            def observe(self):
+                recorded = enumeration.read_checkpoint(str(path))[1]
+                seen.append((recorded, self.getvalue().count("\n")))
+
+            def write(self, text):
+                self.observe()
+                return super().write(text)
+
+            def flush(self):
+                self.observe()
+
+        out = Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--limit", "10^7", "--workers", "2",
+                     "--checkpoint", str(path)]) == 0
+        lines = out.getvalue().count("\n")
+        rows = [tuple(map(int, line.split()))
+                for line in path.read_text().splitlines()]
+        assert len(rows) == 3 and rows[-1] == (10**7, lines)
+        assert len(seen) >= 6
+        assert all(recorded <= printed for recorded, printed in seen)
+
+    def test_output_independent_of_workers(self, capsys):
+        outputs = {run(capsys, "enumerate", "--limit", "10^7", "--workers",
+                       str(w))[1] for w in (1, 2)}
+        members = list(enumeration.sieve(10**7))
+        assert outputs == {"".join(f"{m}\n" for m in members)}
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_rejected(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--limit", "10", "--workers", workers])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        def workers():
+            return build_parser().parse_args(["enumerate", "--limit",
+                                              "5"]).workers
+        assert workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert workers() == (os.cpu_count() or 1)
+
+    def test_closed_reader_ends_quietly(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isosquare.cli", "enumerate", "--limit",
+             "10^7", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()  # the first chunk alone overflows the pipe
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestCount:
     def test_explicit_grid(self, capsys):
@@ -139,6 +208,15 @@ class TestAnalyze:
     def test_small_limit_rejected(self, capsys):
         code, _, _ = run(capsys, "analyze", "--limit", "100")
         assert code == 2
+
+    def test_unwritable_out_rejected_before_sieving(self, capsys,
+                                                     monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking --out")
+        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        code, _, err = run(capsys, "analyze", "--limit", "10^8",
+                           "--out", "/nonexistent/dir/profile.csv")
+        assert code == 2 and "error:" in err and "--out" in err
 
     def test_profile_csv(self, capsys, tmp_path):
         out_path = tmp_path / "profile.csv"

@@ -1,12 +1,15 @@
 import random
+from bisect import bisect_left
+from itertools import islice
 
 import pytest
 
-from isosquare.enumeration import (CountSample, RunRecord, counting,
+from isosquare.enumeration import (BLOCK, CountSample, RunRecord, counting,
                                    find_runs, members_in_range,
-                                   read_checkpoint, scan_gap, sieve)
+                                   read_checkpoint, scan_gap, sieve,
+                                   sieve_chunks)
 
-from conftest import oracle_members
+from conftest import oracle_is_member, oracle_members
 
 
 class TestSieve:
@@ -51,6 +54,17 @@ class TestSieve:
                 if m.bit_count() == (m * m).bit_count()]
         assert members_in_range(lo, lo + 1999) == fast
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((1 << 31) - 1000, (1 << 31) + 1000),  # straddles 2^31
+        ((1 << 32) - 2000, (1 << 32) - 1),     # ends at the last uint64 square
+        ((1 << 32) - 1000, (1 << 32) + 1000),
+        ((1 << 32), (1 << 32) + 2000),         # squares overflow 64 bits
+        (BLOCK - 3, 3 * BLOCK + 5),            # two block boundaries, partial tail
+    ])
+    def test_matches_oracle_across_boundaries(self, lo, hi):
+        assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
+                                            if oracle_is_member(m)]
+
 
 class TestCheckpoint:
     def test_records_are_monotone(self, tmp_path):
@@ -69,6 +83,31 @@ class TestCheckpoint:
         assert first + rest == oracle_members(10_000)
         assert read_checkpoint(str(path)) == (10_000,
                                               len(oracle_members(10_000)))
+
+    def test_chunk_recorded_only_after_consumer_resumes(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        chunks = sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path))
+        end, members = next(chunks)
+        assert not path.exists()
+        next(chunks)
+        assert read_checkpoint(str(path)) == (end, len(members))
+        chunks.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("taken", [3, 5000])
+    def test_close_mid_chunk_loses_no_member(self, tmp_path, workers, taken):
+        path = str(tmp_path / "ck.txt")
+        full = list(sieve(10**6, chunk_size=1 << 16))
+        assert len(full) == 10_191
+        first = sieve(10**6, workers=workers, chunk_size=1 << 16,
+                      checkpoint=path)
+        assert list(islice(first, taken)) == full[:taken]
+        first.close()
+        rest = list(sieve(10**6, workers=workers, chunk_size=1 << 16,
+                          checkpoint=path))
+        resumed_at = len(full) - len(rest)
+        assert 0 <= resumed_at <= taken
+        assert rest == full[resumed_at:]
 
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
@@ -107,6 +146,21 @@ class TestCounting:
         grid = sorted(rng.sample(range(1, limit + 1), 50))
         for s in counting(limit, grid, members=members):
             assert s.count == sum(1 for m in members if m < s.n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streaming_matches_bisect_at_chunk_boundaries(self, workers):
+        limit = 10**7  # three chunks of DEFAULT_CHUNK
+        chunks = list(sieve_chunks(limit))
+        assert len(chunks) == 3
+        grid = {1, limit}
+        for end, _ in chunks:
+            grid |= {end, end + 1} if end < limit else {end}
+        grid |= set(random.Random(7).sample(range(1, limit + 1), 50))
+        grid = sorted(grid)
+        members = list(sieve(limit))
+        assert members == [m for _, chunk in chunks for m in chunk]
+        assert counting(limit, grid, workers=workers) == [
+            CountSample(n, bisect_left(members, n)) for n in grid]
 
     def test_counts_non_decreasing(self):
         samples = counting(10_000, list(range(1, 10_001, 97)))
