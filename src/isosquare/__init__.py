@@ -1,7 +1,7 @@
 """Isosquare numbers: integers n with equal binary digit sums of n and n^2.
 
 Library layout:
-  digits         exact digit sums and run-length bit patterns
+  digits         exact digit sums in any base
   membership     the (base, multiplier, power) predicate and weight profiles
   constructions  constructive member families with verified weight identities
   enumeration    fast sieve, counting function, run and gap scans
@@ -10,11 +10,9 @@ Library layout:
   cli            command-line interface
 """
 
-from .digits import (BitPattern, complement, digit_sum, hamming_weight,
-                     pattern_to_value, value_to_pattern)
+from .digits import digit_sum
 from .membership import (ISOSQUARE, PropertyTriple, WeightProfile,
-                         is_isosquare, satisfies, stolarsky_ratio,
-                         weight_profile)
+                         is_isosquare, satisfies, weight_profile)
 from .constructions import (ConstructionStage, ConstructionTrace,
                             PostconditionError, affix_one, construct_family,
                             construct_one, family_traces, finalize_member,

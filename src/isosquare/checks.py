@@ -1,15 +1,18 @@
 """On-demand verification suites for the weight identities.
 
-Every constructor re-checks its own weight identity and raises on
-violation, so a suite just has to drive the constructors over many
-admissible inputs and collect anything that blows up.  Each runner
-returns a list of counterexample descriptions; empty means pass.
+Every constructor re-checks its own weight identity and raises
+PostconditionError on violation, so a suite is a table of rows
+(label, check, inputs): the runner calls check(*args) for every input
+tuple and reports each PostconditionError as "label(args): message".
+An empty report means pass.  The table is built when a suite runs, so
+every check is looked up in its module at that moment.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from . import constructions as cons
 from .enumeration import scan_gap
@@ -17,151 +20,136 @@ from .membership import weight_profile
 
 DEFAULT_CASES = 10_000
 
-
-def _collect(label: str, failures: list[str], fn: Callable[[], object],
-             case: object) -> None:
-    try:
-        fn()
-    except cons.PostconditionError as exc:
-        failures.append(f"{label}{case}: {exc}")
+Row = tuple[str, Callable[..., object], Iterable[tuple[int, ...]]]
 
 
-def check_mult_mersenne(cases: int = DEFAULT_CASES,
-                        rng: random.Random | None = None) -> list[str]:
-    """Random (n, nu) with n < 2^nu, nu <= 40, plus exhaustive nu <= 12."""
-    rng = rng or random.Random(0)
-    failures: list[str] = []
+def _run(rows: Iterable[Row]) -> list[str]:
+    failures = []
+    for label, check, inputs in rows:
+        for args in inputs:
+            try:
+                check(*args)
+            except cons.PostconditionError as exc:
+                failures.append(f"{label}({', '.join(map(str, args))}): {exc}")
+    return failures
+
+
+def _asserted(predicate: Callable[..., bool], message: str) -> Callable:
+    """A check that raises PostconditionError(message) when predicate fails."""
+    def check(*args: int) -> None:
+        if not predicate(*args):
+            raise cons.PostconditionError(message)
+    return check
+
+
+def _inflate_strictly(n: int) -> None:
+    """inflate(n), whose defect must be strictly positive when B(n^2) >= 3."""
+    p0 = weight_profile(cons.inflate(n))
+    if (weight_profile(n).square_weight >= 3
+            and p0.square_weight <= 2 * p0.weight + 1):
+        raise cons.PostconditionError("strict defect inequality failed")
+
+
+def _mult_mersenne_inputs(cases: int) -> Iterator[tuple[int, int]]:
+    """Exhaustive nu <= 12, then random (n, nu) with n < 2^nu, nu <= 40."""
     for nu in range(1, 13):
         for n in range(1, 1 << nu):
-            _collect("mult_mersenne", failures,
-                     lambda: cons.mult_mersenne(n, nu), (n, nu))
+            yield n, nu
+    rng = random.Random(0)
     for _ in range(cases):
         nu = rng.randint(1, 40)
-        n = rng.randint(1, (1 << nu) - 1)
-        _collect("mult_mersenne", failures,
-                 lambda: cons.mult_mersenne(n, nu), (n, nu))
-    return failures
+        yield rng.randint(1, (1 << nu) - 1), nu
 
 
-def check_affix_one(cases: int = DEFAULT_CASES,
-                    rng: random.Random | None = None) -> list[str]:
-    rng = rng or random.Random(1)
-    failures: list[str] = []
+def _affix_one_inputs(cases: int) -> Iterator[tuple[int, int]]:
+    rng = random.Random(1)
     for _ in range(cases):
         n = rng.randint(1, 1 << 40)
-        nu = n.bit_length() + 1 + rng.randint(0, 20)
-        _collect("affix_one", failures,
-                 lambda: cons.affix_one(n, nu), (n, nu))
-    return failures
+        yield n, n.bit_length() + 1 + rng.randint(0, 20)
 
 
-def check_subtract_compose(cases: int = DEFAULT_CASES,
-                           rng: random.Random | None = None) -> list[str]:
-    rng = rng or random.Random(2)
-    failures: list[str] = []
+def _subtract_compose_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
+    rng = random.Random(2)
     for _ in range(cases):
         n = rng.randint(0, 1 << 30) * 2 + 1
         m = rng.randint(0, 1 << 30) * 2 + 1
         k, h = n.bit_length(), m.bit_length()
-        nu = max(2 * h - 1, h + k + 1) + rng.randint(0, 10)
-        _collect("subtract_compose", failures,
-                 lambda: cons.subtract_compose(n, m, nu), (n, m, nu))
-    return failures
+        yield n, m, max(2 * h - 1, h + k + 1) + rng.randint(0, 10)
 
 
-def check_subtract_mersenne(cases: int = DEFAULT_CASES,
-                            rng: random.Random | None = None) -> list[str]:
-    rng = rng or random.Random(3)
-    failures: list[str] = []
+def _subtract_mersenne_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
+    rng = random.Random(3)
     for _ in range(cases):
         n = rng.randint(0, 1 << 30) * 2 + 1
         h = n.bit_length() + rng.randint(1, 10)
-        nu = 2 * h + 1 + rng.randint(0, 10)
-        _collect("subtract_mersenne", failures,
-                 lambda: cons.subtract_mersenne(n, h, nu), (n, h, nu))
-    return failures
+        yield n, h, 2 * h + 1 + rng.randint(0, 10)
 
 
-def check_finalize_member(limit: int = 10_000) -> list[str]:
-    """Every odd n <= limit with defect -1, at the minimal and a larger shift."""
-    failures: list[str] = []
+def _finalize_member_inputs(limit: int) -> Iterator[tuple[int, int]]:
+    """Odd n <= limit with defect -1, at the minimal and a larger shift."""
     for n in range(1, limit + 1, 2):
-        if weight_profile(n).defect != -1:
-            continue
-        for nu in (n.bit_length() + 2, n.bit_length() + 7):
-            _collect("finalize_member", failures,
-                     lambda: cons.finalize_member(n, nu), (n, nu))
-    return failures
+        if weight_profile(n).defect == -1:
+            yield n, n.bit_length() + 2
+            yield n, n.bit_length() + 7
 
 
-def check_normalize_defect(limit: int = 10_000) -> list[str]:
-    """Every odd n <= limit with defect >= +1."""
-    failures: list[str] = []
-    for n in range(3, limit + 1, 2):
-        if weight_profile(n).defect < 1:
-            continue
-        _collect("normalize_defect", failures,
-                 lambda: cons.normalize_defect(n), (n,))
-    return failures
+def _four_tuples(min_k: int, max_k: int) -> Row:
+    return ("four_tuple", cons.four_tuple,
+            ((k,) for k in range(min_k, max_k + 1)))
 
 
-def check_inflate(limit: int = 10_000) -> list[str]:
-    """All 2 <= n <= limit, including the strictness edge when B(n^2) = 2."""
-    failures: list[str] = []
-    for n in range(2, limit + 1):
-        _collect("inflate", failures, lambda: cons.inflate(n), (n,))
-        n0 = cons.inflate(n)
-        sq = weight_profile(n).square_weight
-        strict = weight_profile(n0).square_weight > 2 * weight_profile(n0).weight + 1
-        if sq >= 3 and not strict:
-            failures.append(f"inflate({n}): strict defect inequality failed")
-    return failures
+def _table(cases: int) -> dict[str, list[Row]]:
+    """Rows of every suite; the scans over all n stop at 10^4."""
+    scan = min(cases, 10_000)
+    return {
+        "lemmas": [
+            ("mult_mersenne", cons.mult_mersenne,
+             _mult_mersenne_inputs(cases)),
+            ("affix_one", cons.affix_one, _affix_one_inputs(cases)),
+            ("subtract_compose", cons.subtract_compose,
+             _subtract_compose_inputs(cases)),
+            ("subtract_mersenne", cons.subtract_mersenne,
+             _subtract_mersenne_inputs(cases)),
+            ("finalize_member", cons.finalize_member,
+             _finalize_member_inputs(scan)),
+            ("normalize_defect", cons.normalize_defect,
+             ((n,) for n in range(3, scan + 1, 2)
+              if weight_profile(n).defect >= 1)),
+            ("inflate", _inflate_strictly, ((n,) for n in range(2, scan + 1))),
+        ],
+        "gaps": [
+            ("scan_gap", _asserted(scan_gap, "member found inside the gap"),
+             ((k,) for k in range(1, 11))),
+            ("gap_weight_identity",
+             _asserted(cons.gap_weight_identity, "identity failed"),
+             ((k, r) for k in range(1, 11)
+              for r in ((1, (1 << k) - 1) if k > 1 else (1,)))),
+            ("near_power_witness", cons.near_power_witness,
+             ((m,) for m in range(3, 31))),
+        ],
+        "tuples": [_four_tuples(9, 40)],
+        "mersenne": [("mersenne_member", cons.mersenne_member,
+                      ((k,) for k in range(2, 31)))],
+    }
 
 
-def check_gaps(max_k: int = 10) -> list[str]:
-    failures = []
-    for k in range(1, max_k + 1):
-        if not scan_gap(k):
-            failures.append(f"scan_gap({k}): member found inside the gap")
-        for r in (1, (1 << k) - 1) if k > 1 else (1,):
-            if not cons.gap_weight_identity(k, r):
-                failures.append(f"gap_weight_identity({k}, {r}) failed")
-    return failures
-
-
-def check_tuples(min_k: int = 9, max_k: int = 40) -> list[str]:
-    failures = []
-    for k in range(min_k, max_k + 1):
-        _collect("four_tuple", failures, lambda: cons.four_tuple(k), (k,))
-    return failures
-
-
-def check_mersenne(max_k: int = 30) -> list[str]:
-    failures = []
-    for k in range(2, max_k + 1):
-        _collect("mersenne_member", failures,
-                 lambda: cons.mersenne_member(k), (k,))
-    return failures
+def _run_table(name: str, cases: int = DEFAULT_CASES) -> list[str]:
+    return _run(_table(cases)[name])
 
 
 def run_lemma_suite(cases: int = DEFAULT_CASES) -> list[str]:
     """All weight-identity checks of the lemma constructors."""
-    scan = min(cases, 10_000)
-    return (check_mult_mersenne(cases)
-            + check_affix_one(cases)
-            + check_subtract_compose(cases)
-            + check_subtract_mersenne(cases)
-            + check_finalize_member(scan)
-            + check_normalize_defect(scan)
-            + check_inflate(scan))
+    return _run_table("lemmas", cases)
+
+
+def check_tuples(min_k: int = 9, max_k: int = 40) -> list[str]:
+    """The four-member runs at four_tuple(k) for min_k <= k <= max_k."""
+    return _run([_four_tuples(min_k, max_k)])
 
 
 SUITES: dict[str, Callable[[int], list[str]]] = {
-    "lemmas": run_lemma_suite,
-    "gaps": lambda cases: check_gaps(),
-    "tuples": lambda cases: check_tuples(),
-    "mersenne": lambda cases: check_mersenne(),
-}
+    name: partial(_run_table, name)
+    for name in ("lemmas", "gaps", "tuples", "mersenne")}
 
 
 def run_suite(name: str, cases: int = DEFAULT_CASES) -> list[str]:

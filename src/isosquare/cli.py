@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import analysis, checks, constructions, enumeration
+from .digits import digit_sum
 from .membership import PropertyTriple, satisfies, weight_profile
 
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
@@ -24,12 +25,13 @@ DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
 
 def parse_limit(text: str) -> int:
     """Integer with power shorthand: '10^7' and '2^20' are accepted."""
-    if "^" in text:
-        base_s, exp_s = text.split("^", 1)
-        value = int(base_s) ** int(exp_s)
-    else:
-        value = int(text)
-    return value
+    if "^" not in text:
+        return int(text)
+    base_s, exp_s = text.split("^", 1)
+    exp = int(exp_s)
+    if exp < 0:
+        raise ValueError(f"exponent must be >= 0, got {text!r}")
+    return int(base_s) ** exp
 
 
 def _parse_triple(text: str) -> PropertyTriple:
@@ -92,7 +94,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"n={n} B(n)={prof.weight} B(n^2)={prof.square_weight} "
               f"member={'yes' if member else 'no'}")
     else:
-        from .digits import digit_sum
         s1 = digit_sum(n, triple.base)
         s2 = digit_sum(n**triple.power, triple.base)
         print(f"n={n} base={triple.base} digit_sum(n)={s1} "
@@ -164,7 +165,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _require_writable(args.out, "--out")
     grid = analysis.geometric_grid(1 << 10, limit)
     samples = enumeration.counting(limit, grid, workers=args.workers)
-    fit_from = args.fit_from if args.fit_from else limit // DEFAULT_FIT_WINDOW
+    fit_from = (limit // DEFAULT_FIT_WINDOW if args.fit_from is None
+                else args.fit_from)
     fit_samples = [s for s in samples if s.n >= fit_from]
     fit = analysis.fit_exponent(fit_samples)
     print(f"alpha_hat={fit.alpha_hat:.6f} intercept={fit.intercept:.6f} "
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="run verification suites")
     p.add_argument("--suite", required=True)
-    p.add_argument("--cases", type=int, default=checks.DEFAULT_CASES)
+    p.add_argument("--cases", type=positive_int, default=checks.DEFAULT_CASES)
     p.set_defaults(func=cmd_props)
 
     return parser

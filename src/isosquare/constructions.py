@@ -34,10 +34,6 @@ def _ensure(cond: bool, msg: str) -> None:
         raise PostconditionError(msg)
 
 
-def _weight(n: int) -> int:
-    return n.bit_count()
-
-
 @dataclass(frozen=True)
 class ConstructionStage:
     """One audited step of a construction chain."""
@@ -63,15 +59,18 @@ class ConstructionTrace:
         _ensure(all(a < b for a, b in zip(values, values[1:])),
                 "stage values must be strictly increasing")
         for s in self.stages:
-            _ensure(s.weight == _weight(s.value), f"stale weight at stage {s.label}")
-            _ensure(s.square_weight == _weight(s.value * s.value),
+            _ensure(s.weight == s.value.bit_count(),
+                    f"stale weight at stage {s.label}")
+            _ensure(s.square_weight == (s.value * s.value).bit_count(),
                     f"stale square weight at stage {s.label}")
         _ensure(is_isosquare(self.final), "final stage is not a member")
 
 
 def _stage(label: str, value: int, rule: str) -> ConstructionStage:
-    return ConstructionStage(label=label, value=value, weight=_weight(value),
-                             square_weight=_weight(value * value), rule=rule)
+    return ConstructionStage(label=label, value=value,
+                             weight=value.bit_count(),
+                             square_weight=(value * value).bit_count(),
+                             rule=rule)
 
 
 def mersenne_member(k: int) -> int:
@@ -82,7 +81,7 @@ def mersenne_member(k: int) -> int:
                       stacklevel=2)
     n = (1 << k) - 1
     _ensure(is_isosquare(n), f"2^{k}-1 not a member")
-    _ensure(_weight(n * n) == k, f"B((2^{k}-1)^2) != {k}")
+    _ensure((n * n).bit_count() == k, f"B((2^{k}-1)^2) != {k}")
     return n
 
 
@@ -110,7 +109,7 @@ def gap_weight_identity(k: int, r: int) -> bool:
     """
     _require(0 < r < (1 << k), f"need 0 < r < 2^{k}, got {r}")
     m = (1 << (2 * k)) + r
-    return _weight(m * m) == 1 + _weight(r) + _weight(r * r)
+    return (m * m).bit_count() == 1 + r.bit_count() + (r * r).bit_count()
 
 
 def near_power_witness(m: int) -> int:
@@ -128,7 +127,7 @@ def mult_mersenne(n: int, nu: int) -> int:
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(n < (1 << nu), f"need n < 2^{nu}, got {n}")
     r = n * ((1 << nu) - 1)
-    _ensure(_weight(r) == nu, f"B({n}*(2^{nu}-1)) != {nu}")
+    _ensure(r.bit_count() == nu, f"B({n}*(2^{nu}-1)) != {nu}")
     return r
 
 
@@ -141,8 +140,8 @@ def affix_one(n: int, nu: int) -> int:
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(nu >= 2 and n < (1 << (nu - 1)), f"need n < 2^({nu}-1), got n={n}")
     r = (n << nu) + 1
-    _ensure(_weight(r) == _weight(n) + 1, "weight identity failed")
-    _ensure(_weight(r * r) == _weight(n * n) + _weight(n) + 1,
+    _ensure(r.bit_count() == n.bit_count() + 1, "weight identity failed")
+    _ensure((r * r).bit_count() == (n * n).bit_count() + n.bit_count() + 1,
             "square weight identity failed")
     return r
 
@@ -161,9 +160,10 @@ def subtract_compose(n: int, m: int, nu: int) -> int:
     bound = max(2 * h - 1, h + k + 1)
     _require(nu >= bound, f"need nu >= {bound}, got {nu}")
     r = (n << nu) - m
-    _ensure(_weight(r) == _weight(n) - _weight(m) + nu, "weight identity failed")
-    _ensure(_weight(r * r)
-            == _weight(n * n) + _weight(m * m) - _weight(m * n) + nu - 1,
+    _ensure(r.bit_count() == n.bit_count() - m.bit_count() + nu,
+            "weight identity failed")
+    _ensure((r * r).bit_count() == (n * n).bit_count() + (m * m).bit_count()
+            - (m * n).bit_count() + nu - 1,
             "square weight identity failed")
     return r
 
@@ -174,7 +174,7 @@ def finalize_member(n: int, nu: int) -> int:
     The result is always a member; this is the last link of the chain.
     """
     _require(n >= 1 and n % 2 == 1, f"n must be odd positive, got {n}")
-    w, sw = _weight(n), _weight(n * n)
+    w, sw = n.bit_count(), (n * n).bit_count()
     _require(sw == 2 * w - 1,
              f"need B(n^2) = 2B(n)-1, got B={w}, square B={sw} (defect {sw - 2 * w})")
     _require(nu >= n.bit_length() + 2,
@@ -195,8 +195,8 @@ def subtract_mersenne(n: int, h: int, nu: int) -> int:
     _require(n < (1 << h) - 1, f"need n < 2^{h}-1, got {n}")
     _require(nu >= 2 * h + 1, f"need nu >= {2 * h + 1}, got {nu}")
     r = (n << nu) - ((1 << h) - 1)
-    _ensure(_weight(r) == _weight(n) + nu - h, "weight identity failed")
-    _ensure(_weight(r * r) == _weight(n * n) + nu - 1,
+    _ensure(r.bit_count() == n.bit_count() + nu - h, "weight identity failed")
+    _ensure((r * r).bit_count() == (n * n).bit_count() + nu - 1,
             "square weight identity failed")
     return r
 
@@ -210,13 +210,14 @@ def normalize_defect(n: int) -> int:
     """
     _require(n > 1 and n % 2 == 1, f"n must be odd and > 1, got {n}")
     k = n.bit_length()
-    w, sw = _weight(n), _weight(n * n)
+    w, sw = n.bit_count(), (n * n).bit_count()
     _require(sw >= 2 * w + 1,
              f"need defect >= +1, got {sw - 2 * w} for n={n}")
     h = k + 1
     nu = sw - 2 * w + 2 * h
     r = subtract_mersenne(n, h, nu)
-    _ensure(_weight(r * r) == 2 * _weight(r) - 1, "normalized defect is not -1")
+    _ensure((r * r).bit_count() == 2 * r.bit_count() - 1,
+            "normalized defect is not -1")
     _ensure(nu < 4 * k + 2, "shift bound nu < 4k+2 violated")
     return r
 
@@ -232,8 +233,8 @@ def inflate(n: int) -> int:
     _require(n > 1, f"n must be > 1, got {n}")
     k = n.bit_length()
     r = affix_one(affix_one(n, k + 1), 2 * k + 2)
-    _ensure(_weight(r) == _weight(n) + 2, "weight identity failed")
-    _ensure(_weight(r * r) == _weight(n * n) + 2 * _weight(n) + 3,
+    _ensure(r.bit_count() == n.bit_count() + 2, "weight identity failed")
+    _ensure((r * r).bit_count() == (n * n).bit_count() + 2 * n.bit_count() + 3,
             "square weight identity failed")
     return r
 

@@ -1,13 +1,11 @@
-"""Digit sums and the run-length binary pattern algebra.
+"""Exact digit sums in any base.
 
-Everything here is exact integer arithmetic; all other modules build on
-these primitives.
+Binary weights elsewhere in the package call int.bit_count directly;
+digit_sum is the general-base form behind the (base, multiplier, power)
+predicate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import groupby
 
 
 def digit_sum(n: int, base: int = 2) -> int:
@@ -23,78 +21,3 @@ def digit_sum(n: int, base: int = 2) -> int:
         n, r = divmod(n, base)
         s += r
     return s
-
-
-def hamming_weight(n: int) -> int:
-    """Number of 1-bits in the binary expansion of n.
-
-    int.bit_count() is a native popcount per 30-bit limb, so small
-    arguments already take the machine-word path.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return n.bit_count()
-
-
-def complement(n: int, k: int) -> int:
-    """Bitwise complement of n within a k-bit window: 2^k - n - 1.
-
-    Weights of n and the result always sum to k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not 0 <= n < (1 << k):
-        raise ValueError(f"n={n} does not fit in {k} bits")
-    return n ^ ((1 << k) - 1)
-
-
-@dataclass(frozen=True)
-class BitPattern:
-    """Run-length encoded binary string, most significant run first.
-
-    runs is a tuple of (digit, length) pairs with adjacent digits
-    distinct and every length >= 1.  A leading zero run is allowed,
-    so the same integer has several pattern spellings; the empty
-    pattern denotes zero.
-    """
-
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for digit, length in self.runs:
-            if digit not in (0, 1):
-                raise ValueError(f"run digit must be 0 or 1, got {digit}")
-            if length < 1:
-                raise ValueError(f"run length must be >= 1, got {length}")
-            if digit == prev:
-                raise ValueError("adjacent runs must carry different digits")
-            prev = digit
-
-    @property
-    def bit_length(self) -> int:
-        """Total number of binary digits represented, leading zeros included."""
-        return sum(length for _, length in self.runs)
-
-    def __str__(self) -> str:
-        return "(" + "".join(str(d) * length for d, length in self.runs) + ")"
-
-
-def pattern_to_value(p: BitPattern) -> int:
-    """Integer whose binary expansion (possibly with leading zeros) is p."""
-    value = 0
-    for digit, length in p.runs:
-        value <<= length
-        if digit:
-            value |= (1 << length) - 1
-    return value
-
-
-def value_to_pattern(n: int) -> BitPattern:
-    """Canonical pattern of n: no leading zero run; zero is the empty pattern."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n == 0:
-        return BitPattern(())
-    runs = tuple((int(d), len(list(g))) for d, g in groupby(bin(n)[2:]))
-    return BitPattern(runs)

@@ -63,12 +63,18 @@ def _chunks(limit: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
-    """Last (chunk_end, cumulative_count) record, or (0, 0) if absent/empty."""
+    """Last (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
+
+    A final line without a newline was torn by a crash mid-write and is
+    ignored; any complete line that is malformed raises ValueError.
+    """
     if not os.path.exists(path):
         return 0, 0
     last_end, last_count = 0, 0
     with open(path) as fh:
         for line in fh:
+            if not line.endswith("\n"):
+                break  # only the last line can lack its newline
             line = line.strip()
             if not line:
                 continue
@@ -78,6 +84,16 @@ def read_checkpoint(path: str) -> tuple[int, int]:
                 raise ValueError(f"checkpoint {path} is not monotone")
             last_end, last_count = end, count
     return last_end, last_count
+
+
+def _cut_torn_line(path: str) -> None:
+    """Drop a final line without a newline, so appends start on a new line."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _members_in_order(ranges: list[tuple[int, int]],
@@ -115,11 +131,14 @@ def sieve_chunks(limit: int, workers: int = 1,
     the consumer resumes the generator after receiving that chunk, so a
     recorded chunk was handed out in full.  A later run resumes after the
     last recorded chunk; a chunk handed out but not recorded is produced
-    again.
+    again, and a torn last line is cut off first.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    done, count = (0, 0) if checkpoint is None else read_checkpoint(checkpoint)
+    done, count = 0, 0
+    if checkpoint is not None:
+        done, count = read_checkpoint(checkpoint)
+        _cut_torn_line(checkpoint)
     ranges = [(max(lo, done + 1), hi) for lo, hi in _chunks(limit, chunk_size)
               if hi > done]
     results = _members_in_order(ranges, workers)

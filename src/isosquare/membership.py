@@ -8,7 +8,6 @@ case is (2, 1, 2): B(n) = B(n^2), called isosquare here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digits import digit_sum
 
@@ -77,11 +76,3 @@ def weight_profile(n: int) -> WeightProfile:
     sw = (n * n).bit_count()
     return WeightProfile(n=n, weight=w, square_weight=sw, defect=sw - 2 * w)
 
-
-def stolarsky_ratio(n: int, m: int = 2) -> Fraction:
-    """Exact ratio B(n^m) / B(n)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    return Fraction(digit_sum(n**m, 2), digit_sum(n, 2))

@@ -1,0 +1,49 @@
+import pytest
+
+from isosquare import checks, constructions
+
+
+def _injected(*args):
+    raise constructions.PostconditionError("injected")
+
+
+class TestFailurePath:
+    def test_failure_names_label_and_input(self, monkeypatch):
+        monkeypatch.setattr(constructions, "mersenne_member", _injected)
+        failures = checks.run_suite("mersenne")
+        assert failures == [f"mersenne_member({k}): injected"
+                            for k in range(2, 31)]
+
+    def test_false_predicate_names_both_arguments(self, monkeypatch):
+        monkeypatch.setattr(constructions, "gap_weight_identity",
+                            lambda k, r: False)
+        failures = checks.run_suite("gaps")
+        assert failures[:3] == [
+            "gap_weight_identity(1, 1): identity failed",
+            "gap_weight_identity(2, 1): identity failed",
+            "gap_weight_identity(2, 3): identity failed",
+        ]
+        assert len(failures) == 19
+
+    def test_near_power_witness_is_in_gaps(self, monkeypatch):
+        monkeypatch.setattr(constructions, "near_power_witness", _injected)
+        assert checks.run_suite("gaps") == [
+            f"near_power_witness({m}): injected" for m in range(3, 31)]
+
+    @pytest.mark.parametrize("inflated, fails", [(75, True), (277, False)])
+    def test_inflate_strictness_still_checked(self, monkeypatch, inflated,
+                                              fails):
+        # 75 has defect +1 and 277 has defect +2: only a defect above +1
+        # passes.  The first n with B(n^2) >= 3 is 5.
+        monkeypatch.setattr(constructions, "inflate", lambda n: inflated)
+        failures = checks.run_lemma_suite(cases=10)
+        assert failures[:1] == (
+            ["inflate(5): strict defect inequality failed"] if fails else [])
+
+    def test_check_tuples_covers_its_range(self, monkeypatch):
+        monkeypatch.setattr(constructions, "four_tuple", _injected)
+        assert checks.check_tuples(9, 11) == [
+            f"four_tuple({k}): injected" for k in (9, 10, 11)]
+
+    def test_suites_pass(self):
+        assert checks.run_suite("all", cases=50) == []

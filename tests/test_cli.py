@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from isosquare import enumeration
+from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 
 from conftest import oracle_members
@@ -30,6 +30,10 @@ class TestParseLimit:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_limit("ten")
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            parse_limit("2^-1")
 
 
 class TestCheck:
@@ -84,6 +88,25 @@ class TestEnumerate:
                          "--checkpoint", "ck.txt", "--workers", "1")
         assert code == 0
         assert (tmp_path / "ck.txt").exists()
+
+    def test_torn_checkpoint_resumes(self, capsys, tmp_path):
+        full = list(enumeration.sieve(5 * 10**6))
+        done = sum(1 for m in full if m <= 1 << 22)
+        path = tmp_path / "ck.txt"
+        path.write_text(f"{1 << 22} {done}\n83")
+        code, out, _ = run(capsys, "enumerate", "--limit", "5000000",
+                           "--checkpoint", str(path), "--workers", "1")
+        assert code == 0
+        assert [int(x) for x in out.split()] == full[done:]
+        assert path.read_text() == (f"{1 << 22} {done}\n"
+                                    f"5000000 {len(full)}\n")
+
+    def test_malformed_checkpoint_line_is_error(self, capsys, tmp_path):
+        path = tmp_path / "ck.txt"
+        path.write_text("4194304 12345\n83\n")
+        code, out, err = run(capsys, "enumerate", "--limit", "5000000",
+                             "--checkpoint", str(path), "--workers", "1")
+        assert code == 2 and out == "" and "error:" in err
 
     def test_checkpoint_never_ahead_of_stdout(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.txt"
@@ -218,6 +241,23 @@ class TestAnalyze:
                            "--out", "/nonexistent/dir/profile.csv")
         assert code == 2 and "error:" in err and "--out" in err
 
+    def test_negative_fit_exponent_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--limit", "2^12", "--fit-from", "2^-1",
+                  "--out", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+
+    def test_fit_from_zero_fits_every_point(self, capsys, tmp_path):
+        args = ("analyze", "--limit", "2^14", "--workers", "1",
+                "--out", str(tmp_path / "p.csv"))
+        _, default, _ = run(capsys, *args)
+        code, everything, _ = run(capsys, *args, "--fit-from", "0")
+        assert code == 0
+        n_default = int(default.split("samples=")[1].split()[0])
+        n_all = int(everything.split("samples=")[1].split()[0])
+        assert n_default < n_all == len(analysis.geometric_grid(1 << 10,
+                                                                 1 << 14))
+
     def test_profile_csv(self, capsys, tmp_path):
         out_path = tmp_path / "profile.csv"
         code, out, _ = run(capsys, "analyze", "--limit", "10^5",
@@ -253,3 +293,21 @@ class TestProps:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "props", "--suite", "nosuch")
         assert code == 2
+
+    @pytest.mark.parametrize("suite, cases", [("all", "0"),
+                                              ("lemmas", "-5")])
+    def test_non_positive_cases_rejected(self, capsys, suite, cases):
+        with pytest.raises(SystemExit) as exc:
+            main(["props", "--suite", suite, "--cases", cases])
+        assert exc.value.code == 2
+
+    def test_failure_exits_1_with_fail_lines(self, capsys, monkeypatch):
+        def broken(k):
+            raise constructions.PostconditionError("injected")
+        monkeypatch.setattr(constructions, "mersenne_member", broken)
+        code, out, _ = run(capsys, "props", "--suite", "mersenne")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 29
+        assert lines[0] == "FAIL mersenne_member(2): injected"
+        assert all(line.startswith("FAIL ") for line in lines)

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isosquare.digits import (BitPattern, complement, digit_sum,
-                              hamming_weight, pattern_to_value,
-                              value_to_pattern)
+from isosquare.digits import digit_sum
 
 from conftest import oracle_digit_sum
 
@@ -28,90 +26,29 @@ class TestDigitSum:
         with pytest.raises(ValueError):
             digit_sum(5, 1)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            digit_sum(-1, 2)
+
     @given(st.integers(min_value=0, max_value=10**30),
            st.integers(min_value=2, max_value=16))
     def test_matches_division_oracle(self, n, base):
         assert digit_sum(n, base) == oracle_digit_sum(n, base)
 
-
-class TestHammingWeight:
-    def test_zero(self):
-        assert hamming_weight(0) == 0
-
     def test_316(self):
         # 316 = (100111100), five ones by the division oracle
         assert oracle_digit_sum(316) == 5
-        assert hamming_weight(316) == 5
+        assert digit_sum(316, 2) == 5
 
     @given(st.integers(min_value=1, max_value=10**20),
            st.integers(min_value=0, max_value=64))
     def test_trailing_zeros_carry_no_weight(self, n, h):
-        assert hamming_weight(n << h) == hamming_weight(n)
+        assert digit_sum(n << h, 2) == digit_sum(n, 2)
 
     @given(st.integers(min_value=0, max_value=10**40))
-    def test_equals_binary_digit_sum(self, n):
-        assert hamming_weight(n) == digit_sum(n, 2)
-
-
-class TestComplement:
-    def test_zero_gives_all_ones(self):
-        assert complement(0, 4) == 15
-
-    def test_five_in_three_bits(self):
-        assert complement(5, 3) == 2
-        assert hamming_weight(5) + hamming_weight(2) == 3
-
-    def test_six_in_three_bits(self):
-        assert complement(6, 3) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            complement(8, 3)
-
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    def test_weights_sum_to_k(self, k, data):
-        n = data.draw(st.integers(min_value=0, max_value=2**k - 1))
-        assert hamming_weight(n) + hamming_weight(complement(n, k)) == k
-
-
-class TestBitPattern:
-    def test_leading_zeros_allowed(self):
-        # 3 = (011): a leading zero run followed by two ones
-        assert pattern_to_value(BitPattern(((0, 1), (1, 2)))) == 3
-
-    def test_all_ones_run(self):
-        for k in (1, 5, 40):
-            assert pattern_to_value(BitPattern(((1, k),))) == 2**k - 1
-
-    def test_mixed_runs(self):
-        # (111001) = 32+16+8+1
-        assert pattern_to_value(BitPattern(((1, 3), (0, 2), (1, 1)))) == 57
-
-    def test_zero_is_empty(self):
-        assert value_to_pattern(0) == BitPattern(())
-        assert pattern_to_value(BitPattern(())) == 0
-
-    def test_316_runs(self):
-        assert value_to_pattern(316).runs == ((1, 1), (0, 2), (1, 4), (0, 2))
-
-    def test_canonical_form_rejects_bad_runs(self):
-        with pytest.raises(ValueError):
-            BitPattern(((1, 2), (1, 3)))
-        with pytest.raises(ValueError):
-            BitPattern(((1, 0),))
-        with pytest.raises(ValueError):
-            BitPattern(((2, 1),))
-
-    def test_str(self):
-        assert str(BitPattern(((1, 2), (0, 1), (1, 1)))) == "(1101)"
-
-    @given(st.integers(min_value=0, max_value=10**40))
-    def test_round_trip(self, n):
-        assert pattern_to_value(value_to_pattern(n)) == n
-
-    @given(st.integers(min_value=1, max_value=10**30))
-    def test_no_leading_zero_run(self, n):
-        assert value_to_pattern(n).runs[0][0] == 1
+    def test_binary_matches_division_oracle(self, n):
+        # base 2 takes the int.bit_count path, not repeated division
+        assert digit_sum(n, 2) == oracle_digit_sum(n, 2)
 
 
 class TestSubtractionIdentity:
@@ -120,8 +57,8 @@ class TestSubtractionIdentity:
         for k in range(2, 25):
             for h in range(1, k):
                 for hp in range(1, k - h):
-                    lhs = pattern_to_value(BitPattern(((1, k),)))
-                    mid = pattern_to_value(BitPattern(((1, h), (0, hp))))
-                    rhs = pattern_to_value(
-                        BitPattern(((1, k - h - hp), (0, h), (1, hp))))
+                    lhs = (1 << k) - 1
+                    mid = ((1 << h) - 1) << hp
+                    rhs = ((((1 << (k - h - hp)) - 1) << (h + hp))
+                           | ((1 << hp) - 1))
                     assert lhs - mid == rhs

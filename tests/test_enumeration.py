@@ -115,6 +115,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             read_checkpoint(str(path))
 
+    def test_torn_last_line_resumes_at_every_cut(self, tmp_path):
+        full_path = tmp_path / "full.txt"
+        full = list(sieve(10_000, chunk_size=1000, checkpoint=str(full_path)))
+        lines = full_path.read_text().splitlines(keepends=True)
+        done = "".join(lines[:3])
+        torn = lines[3]
+        path = tmp_path / "ck.txt"
+        for cut in range(len(torn) + 1):
+            path.write_text(done + torn[:cut])
+            resumed_from = read_checkpoint(str(path))
+            rest = list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
+            assert full[:resumed_from[1]] + rest == full
+            assert resumed_from[0] == (4000 if cut == len(torn) else 3000)
+            assert path.read_text() == full_path.read_text()
+            assert read_checkpoint(str(path)) == (10_000, len(full))
+
+    def test_complete_malformed_line_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        path.write_text("4194304 12345\n83\n")
+        with pytest.raises(ValueError):
+            read_checkpoint(str(path))
+
 
 class TestCounting:
     def test_p2(self):

@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from isosquare.membership import (ISOSQUARE, PropertyTriple, is_isosquare,
-                                  satisfies, stolarsky_ratio, weight_profile)
+                                  satisfies, weight_profile)
 
 from conftest import oracle_is_member
 
@@ -29,6 +27,12 @@ class TestSatisfies:
 
     def test_316(self):
         assert satisfies(316, ISOSQUARE)
+
+    def test_powers_of_two(self):
+        # B(2^(jm)) = B(2^j) = 1 for every power m
+        for j in range(0, 10):
+            for m in (2, 3, 5):
+                assert satisfies(2**j, PropertyTriple(2, 1, m))
 
     def test_five(self):
         assert not satisfies(5, ISOSQUARE)
@@ -92,19 +96,3 @@ class TestWeightProfile:
         p = weight_profile(n)
         assert p.square_weight <= p.weight**2
 
-
-class TestStolarskyRatio:
-    def test_powers_of_two(self):
-        for j in range(0, 10):
-            for m in (2, 3, 5):
-                assert stolarsky_ratio(2**j, m) == 1
-
-    def test_three(self):
-        assert stolarsky_ratio(3, 2) == 1
-
-    def test_five(self):
-        assert stolarsky_ratio(5, 2) == Fraction(3, 2)
-
-    @given(st.integers(min_value=1, max_value=10**12))
-    def test_unit_ratio_iff_member(self, n):
-        assert (stolarsky_ratio(n, 2) == 1) == is_isosquare(n)
