@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,3 +98,21 @@ class TestWeightProfile:
         p = weight_profile(n)
         assert p.square_weight <= p.weight**2
 
+
+
+def _ratio(n):
+    # the Stolarsky ratio B(n^2) / B(n), read off the weight profile
+    p = weight_profile(n)
+    return Fraction(p.square_weight, p.weight)
+
+
+class TestStolarskyRatio:
+    def test_three(self):
+        assert _ratio(3) == 1
+
+    def test_five(self):
+        assert _ratio(5) == Fraction(3, 2)
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_unit_ratio_iff_member(self, n):
+        assert (_ratio(n) == 1) == is_isosquare(n)
