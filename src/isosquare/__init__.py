@@ -1,8 +1,8 @@
 """Isosquare numbers: integers n with equal binary digit sums of n and n^2.
 
 Library layout:
-  digits         exact digit sums in any base
-  membership     the (base, multiplier, power) predicate and weight profiles
+  membership     exact digit sums in any base, the (base, multiplier, power)
+                 predicate and weight profiles
   constructions  constructive member families with verified weight identities
   enumeration    fast sieve, counting function, run and gap scans
   analysis       probabilistic model, exponent fit, fluctuation profile
@@ -10,9 +10,8 @@ Library layout:
   cli            command-line interface
 """
 
-from .digits import digit_sum
 from .membership import (ISOSQUARE, PropertyTriple, WeightProfile,
-                         is_isosquare, satisfies, weight_profile)
+                         digit_sum, is_isosquare, satisfies, weight_profile)
 from .constructions import (ConstructionStage, ConstructionTrace,
                             PostconditionError, affix_one, construct_family,
                             construct_one, family_traces, finalize_member,

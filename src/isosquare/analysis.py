@@ -17,8 +17,6 @@ from math import comb, lgamma
 
 from .enumeration import CountSample
 
-EXACT_BINOMIAL_MAX_K = 60  # exact sum up to here, log-gamma beyond
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -69,16 +67,13 @@ def cross_binomial_sum(k: int) -> int:
 def alpha_limit(k: int) -> float:
     """Finite-k exponent -2 + log2(sum_l C(k,l) C(2k,l)) / k.
 
-    The sum collapses to C(3k, k), evaluated exactly for small k and
-    via log-gamma beyond, so arbitrarily large k never overflows.
-    Converges to alpha_theoretical() from below as k grows.
+    The sum collapses to C(3k, k), whose logarithm comes from log-gamma,
+    so arbitrarily large k never overflows.  Converges to
+    alpha_theoretical() from below as k grows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k <= EXACT_BINOMIAL_MAX_K:
-        log_sum = math.log(cross_binomial_sum(k))
-    else:
-        log_sum = lgamma(3 * k + 1) - lgamma(k + 1) - lgamma(2 * k + 1)
+    log_sum = lgamma(3 * k + 1) - lgamma(k + 1) - lgamma(2 * k + 1)
     return -2.0 + log_sum / (k * math.log(2))
 
 

@@ -5,8 +5,7 @@ stdout early), 1 negative verdict, 2 usage or precondition error.
 Structured output is CSV with a single header row or JSON lines with one
 object per line; integers are always printed as plain decimal strings.
 
-Environment: ISOSQUARE_CHECKPOINT_DIR prefixes relative checkpoint
-paths, ISOSQUARE_FORMAT sets the default output format.
+Environment: ISOSQUARE_CHECKPOINT_DIR prefixes relative checkpoint paths.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import os
 import sys
 
 from . import analysis, checks, constructions, enumeration
-from .digits import digit_sum
-from .membership import PropertyTriple, satisfies, weight_profile
+from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
 
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
 
@@ -48,10 +46,6 @@ def _parse_grid(spec: str, limit: int) -> list[int]:
         return analysis.geometric_grid(parse_limit(start_s), limit,
                                        float(ratio_s))
     return [parse_limit(p) for p in spec.split(",")]
-
-
-def _default_format(fallback: str) -> str:
-    return os.environ.get("ISOSQUARE_FORMAT", fallback)
 
 
 def positive_int(text: str) -> int:
@@ -89,16 +83,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     n = parse_limit(args.n)
     triple = _parse_triple(args.triple)
     member = satisfies(n, triple)
-    if triple == PropertyTriple(2, 1, 2):
-        prof = weight_profile(n)
-        print(f"n={n} B(n)={prof.weight} B(n^2)={prof.square_weight} "
-              f"member={'yes' if member else 'no'}")
+    s1 = digit_sum(n, triple.base)
+    s2 = digit_sum(n**triple.power, triple.base)
+    if triple == ISOSQUARE:
+        sums = f"B(n)={s1} B(n^2)={s2}"
     else:
-        s1 = digit_sum(n, triple.base)
-        s2 = digit_sum(n**triple.power, triple.base)
-        print(f"n={n} base={triple.base} digit_sum(n)={s1} "
-              f"digit_sum(n^{triple.power})={s2} "
-              f"member={'yes' if member else 'no'}")
+        sums = (f"base={triple.base} digit_sum(n)={s1} "
+                f"digit_sum(n^{triple.power})={s2}")
+    print(f"n={n} {sums} member={'yes' if member else 'no'}")
     return 0 if member else 1
 
 
@@ -107,9 +99,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     checkpoint = _checkpoint_path(args.checkpoint)
     if checkpoint is not None:
         _require_writable(checkpoint, "checkpoint")
-    fmt = args.format or _default_format("plain")
     out = sys.stdout
-    if fmt == "csv":
+    if args.format == "csv":
         out.write("n\n")
     # Flushed before the generator resumes, which is when it records the
     # chunk in the checkpoint: a recorded member has left the process.
@@ -124,8 +115,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     grid = _parse_grid(args.grid, limit)
+    samples = enumeration.counting(limit, grid)
     print("n,count")
-    for s in enumeration.counting(limit, grid):
+    for s in samples:
         print(f"{s.n},{s.count}")
     return 0
 
@@ -148,13 +140,12 @@ def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    fmt = args.format or _default_format("plain")
     if args.seed is not None:
         traces = [constructions.construct_one(parse_limit(args.seed))]
     else:
         traces = constructions.family_traces(parse_limit(args.family))
     for trace in traces:
-        _emit_trace(trace, fmt)
+        _emit_trace(trace, args.format)
     return 0
 
 
@@ -164,9 +155,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"limit must be >= 2^12, got {limit}")
     _require_writable(args.out, "--out")
     grid = analysis.geometric_grid(1 << 10, limit)
-    samples = enumeration.counting(limit, grid, workers=args.workers)
     fit_from = (limit // DEFAULT_FIT_WINDOW if args.fit_from is None
                 else args.fit_from)
+    # Every grid point is >= 2^10, so its count is >= 1 and each point in
+    # the window is a usable sample for fit_exponent.
+    in_window = sum(n >= fit_from for n in grid)
+    if in_window < 2:
+        raise ValueError(f"need at least 2 usable samples, got {in_window}")
+    samples = enumeration.counting(limit, grid, workers=args.workers)
     fit_samples = [s for s in samples if s.n >= fit_from]
     fit = analysis.fit_exponent(fit_samples)
     print(f"alpha_hat={fit.alpha_hat:.6f} intercept={fit.intercept:.6f} "
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list members up to a limit")
     p.add_argument("--limit", required=True)
-    p.add_argument("--format", choices=["plain", "csv"])
+    p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=positive_int,
                    default=_default_workers())
@@ -223,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--seed")
     group.add_argument("--family")
-    p.add_argument("--format", choices=["plain", "json-lines"])
+    p.add_argument("--format", choices=["plain", "json-lines"],
+                   default="plain")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze",

@@ -1,4 +1,4 @@
-"""Membership predicates for the digit-sum families and weight profiles.
+"""Digit sums, the digit-sum family predicates and weight profiles.
 
 A positive integer n belongs to the (k, l, m) family when its base-k
 digit sum is l times the base-k digit sum of n^m.  The central special
@@ -9,7 +9,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digits import digit_sum
+
+def digit_sum(n: int, base: int = 2) -> int:
+    """Sum of the digits of n written in the given base.
+
+    Binary weights elsewhere in the package call int.bit_count directly;
+    this is the general-base form behind the (base, multiplier, power)
+    predicate.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if base == 2:
+        return n.bit_count()
+    s = 0
+    while n:
+        n, r = divmod(n, base)
+        s += r
+    return s
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,11 @@ class TestAlpha:
             assert cross_binomial_sum(k) == comb(3 * k, k)
 
     def test_exact_vs_loggamma_paths_agree(self):
-        exact = -2 + math.log(comb(180, 60)) / (60 * math.log(2))
-        assert alpha_limit(60) == pytest.approx(exact, abs=1e-12)
-        # one step past the exact window
-        direct = -2 + math.log(comb(183, 61)) / (61 * math.log(2))
-        assert alpha_limit(61) == pytest.approx(direct, abs=1e-9)
+        # the log-gamma form against the exact binomial C(3k, k) for every
+        # k up to 61, across the range an exact sum would be cheap
+        for k in range(1, 62):
+            exact = -2 + math.log(comb(3 * k, k)) / (k * math.log(2))
+            assert alpha_limit(k) == pytest.approx(exact, abs=1e-12)
 
     def test_monotone_convergence(self):
         ks = [10, 100, 1000, 10**4, 10**5]

@@ -73,6 +73,13 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == ["n", "1", "2", "3", "4"]
 
+    def test_format_comes_only_from_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("ISOSQUARE_FORMAT", "csv")
+        code, out, _ = run(capsys, "enumerate", "--limit", "4",
+                           "--workers", "1")
+        assert code == 0
+        assert out.splitlines() == ["1", "2", "3", "4"]
+
     def test_zero_limit(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--limit", "0")
         assert code == 2
@@ -191,8 +198,11 @@ class TestCount:
         assert [r.split(",")[0] for r in rows[1:]] == ["1024", "2048", "4096"]
 
     def test_bad_spec(self, capsys):
-        code, _, _ = run(capsys, "count", "--limit", "10", "--grid", "5,3")
-        assert code == 2
+        # not increasing, below 1, above the limit: no header is printed
+        for grid in ("5,3", "0,5", "5,200"):
+            code, out, _ = run(capsys, "count", "--limit", "100",
+                               "--grid", grid)
+            assert code == 2 and out == ""
 
 
 class TestConstruct:
@@ -240,6 +250,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--limit", "10^8",
                            "--out", "/nonexistent/dir/profile.csv")
         assert code == 2 and "error:" in err and "--out" in err
+
+    @pytest.mark.parametrize("fit_from", ["2^20", "16000"])
+    def test_empty_fit_window_rejected_before_sieving(self, capsys, tmp_path,
+                                                      monkeypatch, fit_from):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking --fit-from")
+        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        out_path = tmp_path / "p.csv"
+        code, _, err = run(capsys, "analyze", "--limit", "2^14",
+                           "--fit-from", fit_from, "--out", str(out_path))
+        assert code == 2 and "error:" in err
+        assert not out_path.exists()
 
     def test_negative_fit_exponent_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

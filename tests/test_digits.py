@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isosquare.digits import digit_sum
+from isosquare.membership import digit_sum
 
 from conftest import oracle_digit_sum
 
