@@ -11,6 +11,7 @@ the fluctuation profile p(n) * ln(n) / n^alpha.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma
@@ -81,8 +82,8 @@ def fit_exponent(samples: list[CountSample]) -> FitResult:
     """Ordinary least squares of log(count) against log(n).
 
     Samples with count = 0 or n < 2 are dropped; at least two usable
-    samples are required.  No log-n correction is applied: the fit is
-    a pure power law.
+    samples with distinct n are required.  No log-n correction is
+    applied: the fit is statistics.linear_regression, a pure power law.
     """
     usable = [s for s in samples if s.count >= 1 and s.n >= 2]
     if len(usable) < 2:
@@ -90,12 +91,7 @@ def fit_exponent(samples: list[CountSample]) -> FitResult:
     xs = [math.log(s.n) for s in usable]
     ys = [math.log(s.count) for s in usable]
     n = len(usable)
-    mx, my = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("all samples share the same n")
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
+    slope, intercept = statistics.linear_regression(xs, ys)
     rss = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
     return FitResult(alpha_hat=slope, intercept=intercept,
                      residual_rms=math.sqrt(rss / n), sample_count=n)
@@ -120,7 +116,7 @@ def geometric_grid(start: int, limit: int, ratio: float = 2**0.25) -> list[int]:
     """Geometric grid of integers from start to limit, duplicates dropped."""
     if not 1 <= start <= limit:
         raise ValueError(f"need 1 <= start <= limit, got {start}, {limit}")
-    if ratio <= 1:
+    if not ratio > 1:  # NaN fails this too
         raise ValueError(f"ratio must be > 1, got {ratio}")
     grid = []
     i = 0

@@ -41,11 +41,14 @@ def _parse_triple(text: str) -> PropertyTriple:
 
 
 def _parse_grid(spec: str, limit: int) -> list[int]:
-    if spec.startswith("geometric:"):
-        _, start_s, ratio_s = spec.split(":", 2)
-        return analysis.geometric_grid(parse_limit(start_s), limit,
-                                       float(ratio_s))
-    return [parse_limit(p) for p in spec.split(",")]
+    if not spec.startswith("geometric:"):
+        return [parse_limit(p) for p in spec.split(",")]
+    fields = spec.split(":")
+    if len(fields) != 3:
+        raise ValueError("grid must be geometric:start:ratio or n1,n2,..., "
+                         f"got {spec!r}")
+    return analysis.geometric_grid(parse_limit(fields[1]), limit,
+                                   float(fields[2]))
 
 
 def positive_int(text: str) -> int:

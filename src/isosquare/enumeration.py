@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .constructions import gap_interval
 from .membership import is_isosquare
 
 FAST_LIMIT = 1 << 32  # (2^32 - 1)^2 < 2^64: squares below fit in a uint64
@@ -43,17 +44,16 @@ class RunRecord:
 
 
 def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing."""
-    if lo < 1 or hi < lo:
-        return []
+    """All members m with lo <= m <= hi, increasing (lo >= 1)."""
+    if lo < 1:
+        raise ValueError(f"lo must be >= 1, got {lo}")
     found: list[int] = []
     fast_hi = min(hi, FAST_LIMIT - 1)
     for start in range(lo, fast_hi + 1, BLOCK):
         a = np.arange(start, min(fast_hi, start + BLOCK - 1) + 1,
                       dtype=np.uint64)
         found += a[np.bitwise_count(a) == np.bitwise_count(a * a)].tolist()
-    found += [m for m in range(max(lo, FAST_LIMIT), hi + 1)
-              if m.bit_count() == (m * m).bit_count()]
+    found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found
 
 
@@ -135,6 +135,8 @@ def sieve_chunks(limit: int, workers: int = 1,
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     done, count = 0, 0
     if checkpoint is not None:
         done, count = read_checkpoint(checkpoint)
@@ -194,13 +196,11 @@ def counting(limit: int, grid: Sequence[int],
 def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:
     """Maximal runs of consecutive members with length >= min_length.
 
-    Runs start at or below limit; a run touching the limit is extended
-    past it until it closes, so every reported run is maximal.
+    Runs start at or below limit, even one below min_length, and a run
+    touching the limit is extended until it closes, so each is maximal.
     """
     if min_length < 2:
         raise ValueError(f"min_length must be >= 2, got {min_length}")
-    if limit < min_length:
-        return []
     runs = []
     start = prev = None
     for m in sieve(limit):
@@ -219,8 +219,8 @@ def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:
 
 
 def scan_gap(k: int) -> bool:
-    """True iff no member lies strictly between 2^2k and 2^2k + 2^k (k <= 15)."""
+    """True iff the open interval gap_interval(k) holds no member (k <= 15)."""
     if not 1 <= k <= 15:
         raise ValueError(f"k must be in 1..15, got {k}")
-    n = 1 << (2 * k)
-    return not members_in_range(n + 1, n + (1 << k) - 1)
+    lo, hi = gap_interval(k)
+    return not members_in_range(lo + 1, hi - 1)

@@ -96,6 +96,10 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent([CountSample(10, 0), CountSample(20, 0)])
 
+    def test_all_samples_share_one_n(self):
+        with pytest.raises(ValueError):
+            fit_exponent([CountSample(100, 5), CountSample(100, 7)])
+
 
 class TestFluctuationProfile:
     def test_definitional_inversion(self):
@@ -142,3 +146,5 @@ class TestGeometricGrid:
             geometric_grid(100, 10)
         with pytest.raises(ValueError):
             geometric_grid(10, 100, ratio=1.0)
+        with pytest.raises(ValueError, match="ratio must be > 1"):
+            geometric_grid(10, 100, ratio=float("nan"))

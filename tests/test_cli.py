@@ -203,6 +203,13 @@ class TestCount:
             code, out, _ = run(capsys, "count", "--limit", "100",
                                "--grid", grid)
             assert code == 2 and out == ""
+        # malformed geometric specs name the expected form
+        for grid, message in (("geometric:5:nan", "ratio must be > 1"),
+                              ("geometric:5", "geometric:start:ratio"),
+                              ("geometric:5:2:3", "geometric:start:ratio")):
+            code, out, err = run(capsys, "count", "--limit", "100",
+                                 "--grid", grid)
+            assert code == 2 and out == "" and message in err
 
 
 class TestConstruct:

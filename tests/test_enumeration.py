@@ -60,10 +60,24 @@ class TestSieve:
         ((1 << 32) - 1000, (1 << 32) + 1000),
         ((1 << 32), (1 << 32) + 2000),         # squares overflow 64 bits
         (BLOCK - 3, 3 * BLOCK + 5),            # two block boundaries, partial tail
+        ((1 << 63) - 2000, (1 << 63) - 1),     # big-int path, ends at member 2^63-1
     ])
     def test_matches_oracle_across_boundaries(self, lo, hi):
         assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
                                             if oracle_is_member(m)]
+
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_non_positive_lo_rejected(self, lo):
+        with pytest.raises(ValueError, match="lo must be >= 1"):
+            members_in_range(lo, 5)
+        assert members_in_range(5, 4) == []
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_bad_chunk_size(self, tmp_path, chunk_size):
+        path = tmp_path / "ck.txt"
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            list(sieve(100, chunk_size=chunk_size, checkpoint=str(path)))
+        assert not path.exists()
 
 
 class TestCheckpoint:
@@ -202,7 +216,12 @@ class TestFindRuns:
         assert RunRecord(6, 3) in runs
 
     def test_empty(self):
-        assert find_runs(3, min_length=4) == []
+        # the only run starting at or below 3 is 1..4, shorter than 5
+        assert find_runs(3, min_length=5) == []
+
+    @pytest.mark.parametrize("limit, min_length", [(1, 2), (2, 3), (3, 4)])
+    def test_limit_below_min_length_still_extends(self, limit, min_length):
+        assert find_runs(limit, min_length) == [RunRecord(1, 4)]
 
     def test_run_boundaries_are_non_members(self):
         from isosquare.membership import is_isosquare
