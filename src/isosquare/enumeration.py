@@ -53,7 +53,8 @@ def members_in_range(lo: int, hi: int) -> list[int]:
         a = np.arange(start, min(fast_hi, start + BLOCK - 1) + 1,
                       dtype=np.uint64)
         found += a[np.bitwise_count(a) == np.bitwise_count(a * a)].tolist()
-    found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
+    found += [m for m in range(max(lo, FAST_LIMIT), hi + 1)
+              if m.bit_count() == (m * m).bit_count()]
     return found
 
 
