@@ -4,8 +4,6 @@ Exit codes: 0 success (or positive verdict, or a reader that closed
 stdout early), 1 negative verdict, 2 usage or precondition error.
 Structured output is CSV with a single header row or JSON lines with one
 object per line; integers are always printed as plain decimal strings.
-
-Environment: ISOSQUARE_CHECKPOINT_DIR prefixes relative checkpoint paths.
 """
 
 from __future__ import annotations
@@ -41,14 +39,15 @@ def _parse_triple(text: str) -> PropertyTriple:
 
 
 def _parse_grid(spec: str, limit: int) -> list[int]:
-    if not spec.startswith("geometric:"):
-        return [parse_limit(p) for p in spec.split(",")]
-    fields = spec.split(":")
-    if len(fields) != 3:
+    try:
+        if not spec.startswith("geometric:"):
+            return [parse_limit(p) for p in spec.split(",")]
+        _, start, ratio = spec.split(":")
+        start, ratio = parse_limit(start), float(ratio)
+    except ValueError:
         raise ValueError("grid must be geometric:start:ratio or n1,n2,..., "
-                         f"got {spec!r}")
-    return analysis.geometric_grid(parse_limit(fields[1]), limit,
-                                   float(fields[2]))
+                         f"got {spec!r}") from None
+    return analysis.geometric_grid(start, limit, ratio)
 
 
 def positive_int(text: str) -> int:
@@ -73,15 +72,6 @@ def _require_writable(path: str, what: str) -> None:
         raise ValueError(f"{what} location not writable: {path}")
 
 
-def _checkpoint_path(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("ISOSQUARE_CHECKPOINT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     n = parse_limit(args.n)
     triple = _parse_triple(args.triple)
@@ -99,16 +89,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
-    checkpoint = _checkpoint_path(args.checkpoint)
-    if checkpoint is not None:
-        _require_writable(checkpoint, "checkpoint")
+    if args.checkpoint is not None:
+        _require_writable(args.checkpoint, "checkpoint")
     out = sys.stdout
     if args.format == "csv":
         out.write("n\n")
     # Flushed before the generator resumes, which is when it records the
     # chunk in the checkpoint: a recorded member has left the process.
     for _, members in enumeration.sieve_chunks(limit, workers=args.workers,
-                                               checkpoint=checkpoint):
+                                               checkpoint=args.checkpoint):
         if members:
             out.write("\n".join(map(str, members)) + "\n")
         out.flush()

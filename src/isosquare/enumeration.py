@@ -1,11 +1,12 @@
 """High-throughput enumeration of isosquare numbers.
 
-The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^32
-squares fit in 64 bits, so the test runs on numpy popcounts in blocks of
-2^16 integers, small enough that every temporary stays in cache; from
-2^32 on each element falls back to exact big-integer arithmetic.  The
-range is split into contiguous chunks and merged in chunk order, so
-output is identical whatever the worker count.
+The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^63 the
+test runs on numpy popcounts (square_weight) in blocks of 2^16 integers,
+small enough that every temporary stays in cache; from 2^63 on each
+element falls back to exact big-integer arithmetic.  Contiguous chunks of
+the range are sieved on worker threads (numpy releases the GIL, the
+big-int path does not) and merged in chunk order, so output is identical
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from .constructions import gap_interval
 from .membership import is_isosquare
 
-FAST_LIMIT = 1 << 32  # (2^32 - 1)^2 < 2^64: squares below fit in a uint64
+FAST_LIMIT = 1 << 63  # numpy path below: square_weight is exact there
 DEFAULT_CHUNK = 1 << 22
 BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
 
@@ -43,6 +44,18 @@ class RunRecord:
     length: int
 
 
+def square_weight(a: np.ndarray) -> np.ndarray:
+    """B(m^2) for each m of an increasing uint64 block with m < 2^63."""
+    if a[-1] < 1 << 32:  # (2^32 - 1)^2 < 2^64: every square fits in a uint64
+        return np.bitwise_count(a * a)
+    # m = h*2^32 + l, so m^2 = h^2*2^64 + h*l*2^33 + l^2 with h*l < 2^63.
+    h, l = a >> 32, a & 0xFFFFFFFF
+    hl, ll = h * l, l * l
+    low = ll + (hl << 33)  # wraps modulo 2^64
+    high = h * h + (hl >> 31) + (low < ll)
+    return np.bitwise_count(low) + np.bitwise_count(high)
+
+
 def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing (lo >= 1)."""
     if lo < 1:
@@ -52,9 +65,8 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     for start in range(lo, fast_hi + 1, BLOCK):
         a = np.arange(start, min(fast_hi, start + BLOCK - 1) + 1,
                       dtype=np.uint64)
-        found += a[np.bitwise_count(a) == np.bitwise_count(a * a)].tolist()
-    found += [m for m in range(max(lo, FAST_LIMIT), hi + 1)
-              if m.bit_count() == (m * m).bit_count()]
+        found += a[np.bitwise_count(a) == square_weight(a)].tolist()
+    found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found
 
 
@@ -99,16 +111,12 @@ def _cut_torn_line(path: str) -> None:
 
 def _members_in_order(ranges: list[tuple[int, int]],
                       workers: int) -> Iterator[list[int]]:
-    """members_in_range of each range, in order.
+    """members_in_range of each range, in order, computed on worker threads.
 
-    With several workers at most 2 * workers chunks are queued ahead of
-    the consumer, so memory stays bounded however long the run.
+    At most 2 * workers chunks are queued ahead of the consumer, so memory
+    stays bounded however long the run.
     """
-    if workers <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            yield members_in_range(lo, hi)
-        return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         queued: deque = deque()
         for lo, hi in ranges:
@@ -220,8 +228,8 @@ def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:
 
 
 def scan_gap(k: int) -> bool:
-    """True iff the open interval gap_interval(k) holds no member (k <= 15)."""
-    if not 1 <= k <= 15:
-        raise ValueError(f"k must be in 1..15, got {k}")
+    """True iff the open interval gap_interval(k) holds no member (k <= 31)."""
+    if k < 1 or gap_interval(k)[1] > FAST_LIMIT:
+        raise ValueError(f"k must be in 1..31, got {k}")
     lo, hi = gap_interval(k)
     return not members_in_range(lo + 1, hi - 1)

@@ -89,13 +89,6 @@ class TestEnumerate:
                            "--checkpoint", "/nonexistent/dir/ck.txt")
         assert code == 2 and "checkpoint" in err
 
-    def test_checkpoint_env_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOSQUARE_CHECKPOINT_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "enumerate", "--limit", "100",
-                         "--checkpoint", "ck.txt", "--workers", "1")
-        assert code == 0
-        assert (tmp_path / "ck.txt").exists()
-
     def test_torn_checkpoint_resumes(self, capsys, tmp_path):
         full = list(enumeration.sieve(5 * 10**6))
         done = sum(1 for m in full if m <= 1 << 22)
@@ -203,10 +196,13 @@ class TestCount:
             code, out, _ = run(capsys, "count", "--limit", "100",
                                "--grid", grid)
             assert code == 2 and out == ""
-        # malformed geometric specs name the expected form
+        # malformed specs and numbers name the expected form
         for grid, message in (("geometric:5:nan", "ratio must be > 1"),
                               ("geometric:5", "geometric:start:ratio"),
-                              ("geometric:5:2:3", "geometric:start:ratio")):
+                              ("geometric:5:2:3", "geometric:start:ratio"),
+                              ("geometric:x:2", "geometric:start:ratio"),
+                              ("5,,7", "geometric:start:ratio"),
+                              ("geometric:5:x", "geometric:start:ratio")):
             code, out, err = run(capsys, "count", "--limit", "100",
                                  "--grid", grid)
             assert code == 2 and out == "" and message in err

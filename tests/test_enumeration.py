@@ -2,12 +2,13 @@ import random
 from bisect import bisect_left
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from isosquare.enumeration import (BLOCK, CountSample, RunRecord, counting,
                                    find_runs, members_in_range,
                                    read_checkpoint, scan_gap, sieve,
-                                   sieve_chunks)
+                                   sieve_chunks, square_weight)
 
 from conftest import oracle_is_member, oracle_members
 
@@ -60,7 +61,9 @@ class TestSieve:
         ((1 << 32) - 1000, (1 << 32) + 1000),
         ((1 << 32), (1 << 32) + 2000),         # squares overflow 64 bits
         (BLOCK - 3, 3 * BLOCK + 5),            # two block boundaries, partial tail
-        ((1 << 63) - 2000, (1 << 63) - 1),     # big-int path, ends at member 2^63-1
+        ((1 << 32) + 5, (1 << 32) + 2 * BLOCK + 13),  # two-limb squares
+        ((1 << 63) - 2000, (1 << 63) - 1),     # ends at member 2^63-1
+        ((1 << 63) - 1000, (1 << 63) + 1000),  # numpy and big-int paths
     ])
     def test_matches_oracle_across_boundaries(self, lo, hi):
         assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
@@ -78,6 +81,18 @@ class TestSieve:
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             list(sieve(100, chunk_size=chunk_size, checkpoint=str(path)))
         assert not path.exists()
+
+
+class TestSquareWeight:
+    VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
+              (1 << 62) + 12345, (1 << 63) - 1]
+
+    # each value alone, then all in one block, which takes two limbs
+    @pytest.mark.parametrize("block", [[m] for m in VALUES] + [VALUES])
+    def test_matches_big_int(self, block):
+        a = np.array(block, dtype=np.uint64)
+        assert square_weight(a).tolist() == [(m * m).bit_count()
+                                             for m in block]
 
 
 class TestCheckpoint:
@@ -122,6 +137,22 @@ class TestCheckpoint:
         resumed_at = len(full) - len(rest)
         assert 0 <= resumed_at <= taken
         assert rest == full[resumed_at:]
+
+    def test_resume_across_2_32_independent_of_workers(self, tmp_path):
+        # the chunk ending at 4,295,000,000 straddles 2^32
+        done, limit = (1 << 32) - 50_000, (1 << 32) + 250_000
+        path = tmp_path / "ck.txt"
+        runs = []
+        for workers in (1, 2, 3):
+            path.write_text(f"{done} 7\n")
+            runs.append(list(sieve_chunks(limit, workers, 100_000,
+                                          str(path))))
+            members = [m for _, chunk in runs[-1] for m in chunk]
+            assert read_checkpoint(str(path)) == (limit, 7 + len(members))
+        assert runs[0] == runs[1] == runs[2]
+        assert [end for end, _ in runs[0]] == [4_295_000_000, 4_295_100_000,
+                                               4_295_200_000, limit]
+        assert members == members_in_range(done + 1, limit)
 
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
@@ -238,12 +269,12 @@ class TestFindRuns:
 
 
 class TestScanGap:
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", [*range(1, 11), 16])  # 16: just above 2^32
     def test_gap_is_empty(self, k):
         assert scan_gap(k)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            scan_gap(16)
+            scan_gap(32)
         with pytest.raises(ValueError):
             scan_gap(0)
