@@ -89,6 +89,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
+    if limit < 1:  # checked here too, since the header is written first
+        raise ValueError(f"limit must be >= 1, got {limit}")
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint")
     out = sys.stdout

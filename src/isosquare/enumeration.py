@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -70,11 +71,6 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     return found
 
 
-def _chunks(limit: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(limit, lo + chunk_size - 1))
-            for lo in range(1, limit + 1, chunk_size)]
-
-
 def read_checkpoint(path: str) -> tuple[int, int]:
     """Last (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
 
@@ -85,14 +81,16 @@ def read_checkpoint(path: str) -> tuple[int, int]:
         return 0, 0
     last_end, last_count = 0, 0
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith("\n"):
                 break  # only the last line can lack its newline
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            end_s, count_s = line.split()
-            end, count = int(end_s), int(count_s)
+            try:
+                end, count = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"checkpoint {path} line {number}: expected "
+                                 "'chunk_end count'") from None
             if end < last_end or count < last_count:
                 raise ValueError(f"checkpoint {path} is not monotone")
             last_end, last_count = end, count
@@ -109,59 +107,54 @@ def _cut_torn_line(path: str) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def _members_in_order(ranges: list[tuple[int, int]],
-                      workers: int) -> Iterator[list[int]]:
-    """members_in_range of each range, in order, computed on worker threads.
-
-    At most 2 * workers chunks are queued ahead of the consumer, so memory
-    stays bounded however long the run.
-    """
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        queued: deque = deque()
-        for lo, hi in ranges:
-            queued.append(pool.submit(members_in_range, lo, hi))
-            if len(queued) > 2 * workers:
-                yield queued.popleft().result()
-        while queued:
-            yield queued.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def sieve_chunks(limit: int, workers: int = 1,
                  chunk_size: int = DEFAULT_CHUNK,
                  checkpoint: str | None = None
                  ) -> Iterator[tuple[int, list[int]]]:
     """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
 
-    Each chunk's members are increasing, and chunks come in order.  With
-    a checkpoint path, the line "chunk_end count" is appended only when
+    Chunks come in order, each with its members increasing; `workers`
+    threads sieve at most 2 * workers + 1 chunks ahead of the consumer.
+    With a checkpoint path, the line "chunk_end count" is appended only when
     the consumer resumes the generator after receiving that chunk, so a
     recorded chunk was handed out in full.  A later run resumes after the
-    last recorded chunk; a chunk handed out but not recorded is produced
-    again, and a torn last line is cut off first.
+    last recorded chunk, at no cost per chunk skipped; a chunk handed out
+    but not recorded is produced again, and a torn last line is cut off.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     done, count = 0, 0
     if checkpoint is not None:
         done, count = read_checkpoint(checkpoint)
         _cut_torn_line(checkpoint)
-    ranges = [(max(lo, done + 1), hi) for lo, hi in _chunks(limit, chunk_size)
-              if hi > done]
-    results = _members_in_order(ranges, workers)
+    if done >= limit:
+        return
+    # chunks keep the grid 1, 1 + chunk_size, ...; the first starts at done + 1
+    starts = iter(range(done // chunk_size * chunk_size + 1, limit + 1,
+                        chunk_size))
+    queued: deque = deque()
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        for (_, hi), members in zip(ranges, results):
+        while True:
+            for lo in islice(starts, 2 * workers + 1 - len(queued)):
+                hi = min(limit, lo + chunk_size - 1)
+                queued.append((hi, pool.submit(members_in_range,
+                                               max(lo, done + 1), hi)))
+            if not queued:
+                return
+            hi, future = queued.popleft()
+            members = future.result()
             yield hi, members
             count += len(members)
             if checkpoint is not None:
                 with open(checkpoint, "a") as fh:
                     fh.write(f"{hi} {count}\n")
     finally:
-        results.close()
+        pool.shutdown(cancel_futures=True)
 
 
 def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,

@@ -80,9 +80,12 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == ["1", "2", "3", "4"]
 
-    def test_zero_limit(self, capsys):
-        code, _, _ = run(capsys, "enumerate", "--limit", "0")
-        assert code == 2
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_zero_limit(self, capsys, fmt):
+        code, out, err = run(capsys, "enumerate", "--limit", "0",
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert "limit must be >= 1, got 0" in err
 
     def test_unwritable_checkpoint(self, capsys):
         code, _, err = run(capsys, "enumerate", "--limit", "10",

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from bisect import bisect_left
 from itertools import islice
 
@@ -81,6 +83,16 @@ class TestSieve:
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             list(sieve(100, chunk_size=chunk_size, checkpoint=str(path)))
         assert not path.exists()
+
+    def test_bad_workers(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        path.write_text("100 5\n20")  # a torn last line that a run cuts off
+        for run in (lambda: list(sieve(1000, 0, checkpoint=str(path))),
+                    lambda: next(sieve_chunks(1000, 0, 100, str(path))),
+                    lambda: counting(1000, [500], workers=0)):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run()
+        assert path.read_text() == "100 5\n20"
 
 
 class TestSquareWeight:
@@ -176,11 +188,38 @@ class TestCheckpoint:
             assert path.read_text() == full_path.read_text()
             assert read_checkpoint(str(path)) == (10_000, len(full))
 
-    def test_complete_malformed_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, number", [("4194304 12345\n83\n", 2),
+                                              ("5 x\n", 1),
+                                              ("\n5 1 7\n", 2)],
+                             ids=["one-field", "not-a-number", "three-fields"])
+    def test_complete_malformed_line_rejected(self, tmp_path, text, number):
         path = tmp_path / "ck.txt"
-        path.write_text("4194304 12345\n83\n")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        message = f"{path} line {number}: expected 'chunk_end count'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_checkpoint(str(path))
+
+    def test_resume_near_limit_skips_chunks_lazily(self, tmp_path):
+        limit = 1 << 40
+        path = tmp_path / "ck.txt"
+        path.write_text(f"{limit - 100} 0\n")
+        tracemalloc.start()
+        try:
+            chunks = list(sieve_chunks(limit, checkpoint=str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == [(limit, members_in_range(limit - 99, limit))]
+        assert peak < 1 << 20
+
+    # 9,500 lies in the last chunk of the full run, which ends off the grid
+    @pytest.mark.parametrize("limit", [9_999, 9_500])
+    def test_rerun_after_full_run_does_nothing(self, tmp_path, limit):
+        path = tmp_path / "ck.txt"
+        list(sieve(9_999, chunk_size=1000, checkpoint=str(path)))
+        recorded = path.read_bytes()
+        assert list(sieve_chunks(limit, 2, 1000, str(path))) == []
+        assert path.read_bytes() == recorded
 
 
 class TestCounting:
