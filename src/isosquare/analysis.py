@@ -31,14 +31,12 @@ class FitResult:
 class ProfilePoint:
     """Fluctuation-profile sample: value = count * ln(n) / n^alpha.
 
-    log2_n is the abscissa used for period-1 inspection.  zero_count
-    flags samples where no member lies below n; their value is 0.
+    log2_n is the abscissa used for period-1 inspection.
     """
 
     n: int
     log2_n: float
     value: float
-    zero_count: bool = False
 
 
 def model_probability(k: int, l: int) -> Fraction:
@@ -109,8 +107,7 @@ def fluctuation_profile(samples: list[CountSample],
         if s.n < 2:
             raise ValueError(f"samples need n >= 2, got {s.n}")
         value = s.count * math.log(s.n) / s.n**alpha
-        points.append(ProfilePoint(n=s.n, log2_n=math.log2(s.n),
-                                   value=value, zero_count=s.count == 0))
+        points.append(ProfilePoint(n=s.n, log2_n=math.log2(s.n), value=value))
     return points
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import analysis, checks, constructions, enumeration
+from . import analysis, checks, constructions, enumeration, membership
 from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
 
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
@@ -89,17 +89,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
-    if limit < 1:  # checked here too, since the header is written first
-        raise ValueError(f"limit must be >= 1, got {limit}")
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint")
+    chunks = enumeration.sieve_chunks(limit, workers=args.workers,
+                                      checkpoint=args.checkpoint)
     out = sys.stdout
     if args.format == "csv":
         out.write("n\n")
     # Flushed before the generator resumes, which is when it records the
     # chunk in the checkpoint: a recorded member has left the process.
-    for _, members in enumeration.sieve_chunks(limit, workers=args.workers,
-                                               checkpoint=args.checkpoint):
+    for _, members in chunks:
         if members:
             out.write("\n".join(map(str, members)) + "\n")
         out.flush()
@@ -118,12 +117,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
     for stage in trace.stages:
+        profile = membership.weight_profile(stage.value)
         record = {
             "stage": stage.label,
             "value": str(stage.value),
             "bits": stage.value.bit_length(),
-            "weight": stage.weight,
-            "square_weight": stage.square_weight,
+            "weight": profile.weight,
+            "square_weight": profile.square_weight,
             "rule": stage.rule,
         }
         if fmt == "json-lines":

@@ -40,8 +40,6 @@ class ConstructionStage:
 
     label: str
     value: int
-    weight: int
-    square_weight: int
     rule: str
 
 
@@ -50,27 +48,17 @@ class ConstructionTrace:
     """Audited chain of stages ending in a verified isosquare number."""
 
     stages: tuple[ConstructionStage, ...]
-    final: int
 
     def __post_init__(self) -> None:
         _ensure(self.stages != (), "trace must have at least one stage")
-        _ensure(self.stages[-1].value == self.final, "final must equal last stage")
         values = [s.value for s in self.stages]
         _ensure(all(a < b for a, b in zip(values, values[1:])),
                 "stage values must be strictly increasing")
-        for s in self.stages:
-            _ensure(s.weight == s.value.bit_count(),
-                    f"stale weight at stage {s.label}")
-            _ensure(s.square_weight == (s.value * s.value).bit_count(),
-                    f"stale square weight at stage {s.label}")
         _ensure(is_isosquare(self.final), "final stage is not a member")
 
-
-def _stage(label: str, value: int, rule: str) -> ConstructionStage:
-    return ConstructionStage(label=label, value=value,
-                             weight=value.bit_count(),
-                             square_weight=(value * value).bit_count(),
-                             rule=rule)
+    @property
+    def final(self) -> int:
+        return self.stages[-1].value
 
 
 def mersenne_member(k: int) -> int:
@@ -177,8 +165,6 @@ def finalize_member(n: int, nu: int) -> int:
     w, sw = n.bit_count(), (n * n).bit_count()
     _require(sw == 2 * w - 1,
              f"need B(n^2) = 2B(n)-1, got B={w}, square B={sw} (defect {sw - 2 * w})")
-    _require(nu >= n.bit_length() + 2,
-             f"need nu >= {n.bit_length() + 2}, got {nu}")
     r = subtract_compose(n, 1, nu)
     _ensure(is_isosquare(r), f"finalized value {r} is not a member")
     return r
@@ -255,15 +241,12 @@ def construct_one(seed: int) -> ConstructionTrace:
     sb = seed.bit_length()
     _ensure(final >> (final.bit_length() - sb) == seed,
             "leading seed bits not preserved")
-    return ConstructionTrace(
-        stages=(
-            _stage("seed", seed, "seed"),
-            _stage("inflate", inflated, "double-affix-one"),
-            _stage("normalize", normalized, "mersenne-subtract"),
-            _stage("finalize", final, "shift-minus-one"),
-        ),
-        final=final,
-    )
+    return ConstructionTrace(stages=(
+        ConstructionStage("seed", seed, "seed"),
+        ConstructionStage("inflate", inflated, "double-affix-one"),
+        ConstructionStage("normalize", normalized, "mersenne-subtract"),
+        ConstructionStage("finalize", final, "shift-minus-one"),
+    ))
 
 
 def family_traces(n: int) -> list[ConstructionTrace]:

@@ -113,13 +113,15 @@ def sieve_chunks(limit: int, workers: int = 1,
                  ) -> Iterator[tuple[int, list[int]]]:
     """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
 
+    The arguments and the checkpoint are checked at the call, where a torn
+    last line is cut off; sieving starts when the result is first advanced.
     Chunks come in order, each with its members increasing; `workers`
     threads sieve at most 2 * workers + 1 chunks ahead of the consumer.
     With a checkpoint path, the line "chunk_end count" is appended only when
     the consumer resumes the generator after receiving that chunk, so a
     recorded chunk was handed out in full.  A later run resumes after the
     last recorded chunk, at no cost per chunk skipped; a chunk handed out
-    but not recorded is produced again, and a torn last line is cut off.
+    but not recorded is produced again.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -131,6 +133,12 @@ def sieve_chunks(limit: int, workers: int = 1,
     if checkpoint is not None:
         done, count = read_checkpoint(checkpoint)
         _cut_torn_line(checkpoint)
+    return _chunk_loop(limit, workers, chunk_size, checkpoint, done, count)
+
+
+def _chunk_loop(limit: int, workers: int, chunk_size: int,
+                checkpoint: str | None, done: int, count: int
+                ) -> Iterator[tuple[int, list[int]]]:
     if done >= limit:
         return
     # chunks keep the grid 1, 1 + chunk_size, ...; the first starts at done + 1
@@ -161,10 +169,11 @@ def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
           checkpoint: str | None = None) -> Iterator[int]:
     """Yield every member m <= limit in increasing order.
 
-    The members of sieve_chunks, flattened; checkpoints behave as there.
+    The members of sieve_chunks, flattened; arguments and checkpoints
+    behave as there.
     """
-    for _, members in sieve_chunks(limit, workers, chunk_size, checkpoint):
-        yield from members
+    chunks = sieve_chunks(limit, workers, chunk_size, checkpoint)
+    return (m for _, members in chunks for m in members)
 
 
 def counting(limit: int, grid: Sequence[int],

