@@ -112,17 +112,37 @@ def fluctuation_profile(samples: list[CountSample],
 
 
 def geometric_grid(start: int, limit: int, ratio: float = 2**0.25) -> list[int]:
-    """Geometric grid of integers from start to limit, duplicates dropped."""
+    """Geometric grid of integers from start to limit, duplicates dropped.
+
+    The points are min(round(start * ratio**i), limit) for i = 0, 1, ...
+    while start * ratio**i <= limit * (1 + 1e-12).  A run of i giving one
+    point is crossed by doubling then halving the step, so the work grows
+    with the number of points, not with log(limit / start) / log(ratio).
+    """
     if not 1 <= start <= limit:
         raise ValueError(f"need 1 <= start <= limit, got {start}, {limit}")
+    if limit >= 1 << 1023:  # keeps limit * (1 + 1e-12) a finite float
+        raise ValueError("geometric grid limit must be below 2^1023, got "
+                         f"a {limit.bit_length()}-bit limit")
     if not ratio > 1:  # NaN fails this too
         raise ValueError(f"ratio must be > 1, got {ratio}")
-    grid = []
-    i = 0
-    while True:
-        x = start * ratio**i
-        if x > limit * (1 + 1e-12):
-            break
-        grid.append(min(round(x), limit))
-        i += 1
-    return sorted(set(grid))
+    bound = limit * (1 + 1e-12)
+
+    def point(i: int) -> int | None:  # non-decreasing in i; None past the end
+        try:
+            x = start * ratio**i
+        except OverflowError:  # ratio**i is beyond every float, so past bound
+            return None
+        return None if x > bound else min(round(x), limit)
+
+    grid, i = [], 0
+    while (p := point(i)) is not None:
+        grid.append(p)
+        lo, hi = i, i + 1  # point(lo) == p; find the first hi with point != p
+        while point(hi) == p:
+            lo, hi = hi, 2 * hi - i
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if point(mid) == p else (lo, mid)
+        i = hi
+    return grid

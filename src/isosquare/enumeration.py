@@ -3,10 +3,12 @@
 The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^63 the
 test runs on numpy popcounts (square_weight) in blocks of 2^16 integers,
 small enough that every temporary stays in cache; from 2^63 on each
-element falls back to exact big-integer arithmetic.  Contiguous chunks of
-the range are sieved on worker threads (numpy releases the GIL, the
-big-int path does not) and merged in chunk order, so output is identical
-whatever the worker count.
+element falls back to exact big-integer arithmetic.  numpy is imported on
+the first call into the sieve (members_in_range), so importing this module,
+or running a CLI command that never sieves, does not load it.  Contiguous
+chunks of the range are sieved on worker threads (numpy releases the GIL,
+the big-int path does not) and merged in chunk order, so output is
+identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .constructions import gap_interval
 from .membership import is_isosquare
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FAST_LIMIT = 1 << 63  # numpy path below: square_weight is exact there
 DEFAULT_CHUNK = 1 << 22
@@ -47,6 +50,7 @@ class RunRecord:
 
 def square_weight(a: np.ndarray) -> np.ndarray:
     """B(m^2) for each m of an increasing uint64 block with m < 2^63."""
+    import numpy as np
     if a[-1] < 1 << 32:  # (2^32 - 1)^2 < 2^64: every square fits in a uint64
         return np.bitwise_count(a * a)
     # m = h*2^32 + l, so m^2 = h^2*2^64 + h*l*2^33 + l^2 with h*l < 2^63.
@@ -61,6 +65,7 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing (lo >= 1)."""
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
+    import numpy as np
     found: list[int] = []
     fast_hi = min(hi, FAST_LIMIT - 1)
     for start in range(lo, fast_hi + 1, BLOCK):

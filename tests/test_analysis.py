@@ -148,3 +148,25 @@ class TestGeometricGrid:
             geometric_grid(10, 100, ratio=1.0)
         with pytest.raises(ValueError, match="ratio must be > 1"):
             geometric_grid(10, 100, ratio=float("nan"))
+        # limit * (1 + 1e-12) must stay a finite float
+        with pytest.raises(ValueError, match="below 2\\^1023"):
+            geometric_grid(1, 10**400)
+        with pytest.raises(ValueError, match="1024-bit limit"):
+            geometric_grid(1, 1 << 1023)
+
+    def test_step_beyond_every_float_ends_grid(self):
+        # ratio**2 overflows a float: the grid ends after ratio**1
+        assert geometric_grid(1, 10**301, 1e300) == [1, int(1e300)]
+
+    def test_ratio_near_one_does_work_per_point(self):
+        calls = 0
+
+        class CountingRatio(float):  # counts the powers the grid takes
+            def __pow__(self, i):
+                nonlocal calls
+                calls += 1
+                assert calls <= 10_000, "work grows with the index, not points"
+                return float(self) ** i
+
+        assert geometric_grid(1, 10, CountingRatio(1 + 1e-10)) == list(
+            range(1, 11))

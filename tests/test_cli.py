@@ -196,6 +196,35 @@ class TestEnumerate:
         assert err == b""
 
 
+class TestNumpyLoading:
+    """Only the sieve loads numpy; each case runs in a fresh interpreter."""
+
+    @staticmethod
+    def numpy_loaded(code):
+        script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        return proc.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("code", [
+        "import isosquare",
+        "import isosquare.cli",
+        "from isosquare import cli; cli.main(['check', '316'])",
+        "from isosquare import cli; cli.main(['construct', '--seed', '5'])",
+        "from isosquare import cli; "
+        "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
+        "from isosquare import cli; cli.main(['enumerate', '--limit', '0'])",
+    ], ids=["import", "import-cli", "check", "construct", "props-lemmas",
+            "enumerate-limit-0"])
+    def test_not_loaded(self, code):
+        assert not self.numpy_loaded(code)
+
+    def test_loaded_by_sieve(self):
+        assert self.numpy_loaded("from isosquare.enumeration import "
+                                 "members_in_range; members_in_range(1, 10)")
+
+
 class TestCount:
     def test_explicit_grid(self, capsys):
         code, out, _ = run(capsys, "count", "--limit", "20",
@@ -232,6 +261,15 @@ class TestCount:
             code, out, err = run(capsys, "count", "--limit", "100",
                                  "--grid", grid)
             assert code == 2 and out == "" and message in err
+
+    def test_huge_geometric_limit_rejected(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking the grid")
+        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        code, out, err = run(capsys, "count", "--limit", "10^400",
+                             "--grid", "geometric:1:2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: geometric grid limit must be below")
 
 
 class TestConstruct:
@@ -290,6 +328,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--limit", "2^14",
                            "--fit-from", fit_from, "--out", str(out_path))
         assert code == 2 and "error:" in err
+        assert not out_path.exists()
+
+    def test_huge_limit_rejected_before_sieving(self, capsys, tmp_path,
+                                                monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking the grid")
+        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        out_path = tmp_path / "p.csv"
+        code, out, err = run(capsys, "analyze", "--limit", "10^400",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: geometric grid limit must be below")
         assert not out_path.exists()
 
     def test_negative_fit_exponent_is_usage_error(self, capsys, tmp_path):

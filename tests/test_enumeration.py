@@ -1,8 +1,12 @@
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from isosquare.enumeration import (BLOCK, CountSample, RunRecord, counting,
                                    sieve_chunks, square_weight)
 
 from conftest import oracle_is_member, oracle_members
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSieve:
@@ -103,6 +109,21 @@ class TestSieve:
     def test_bad_arguments_rejected_at_call(self, call):
         with pytest.raises(ValueError, match="must be >= 1"):
             call()  # no iteration: the error comes before any chunk
+
+    def test_first_numpy_import_in_worker_threads(self):
+        # A fresh interpreter first imports numpy inside both sieve workers.
+        script = ("from isosquare.enumeration import sieve\n"
+                  "print(*sieve(2**20, workers=2, chunk_size=2**14))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        members = list(map(int, proc.stdout.split()))
+        # The first four chunks, where both workers import numpy, against the
+        # oracle (all of 2^20 takes it seconds); the rest against 1 worker.
+        head = members[:bisect_left(members, 2**16 + 1)]
+        assert head == oracle_members(2**16)
+        assert members == list(sieve(2**20))
 
 
 class TestSquareWeight:
