@@ -93,11 +93,6 @@ def _finalize_member_inputs(limit: int) -> Iterator[tuple[int, int]]:
             yield n, n.bit_length() + 7
 
 
-def _four_tuples(min_k: int, max_k: int) -> Row:
-    return ("four_tuple", cons.four_tuple,
-            ((k,) for k in range(min_k, max_k + 1)))
-
-
 def _table(cases: int) -> dict[str, list[Row]]:
     """Rows of every suite; the scans over all n stop at 10^4."""
     scan = min(cases, 10_000)
@@ -127,7 +122,8 @@ def _table(cases: int) -> dict[str, list[Row]]:
             ("near_power_witness", cons.near_power_witness,
              ((m,) for m in range(3, 31))),
         ],
-        "tuples": [_four_tuples(9, 40)],
+        "tuples": [("four_tuple", cons.four_tuple,
+                    ((k,) for k in range(9, 41)))],
         "mersenne": [("mersenne_member", cons.mersenne_member,
                       ((k,) for k in range(2, 31)))],
     }
@@ -135,16 +131,6 @@ def _table(cases: int) -> dict[str, list[Row]]:
 
 def _run_table(name: str, cases: int = DEFAULT_CASES) -> list[str]:
     return _run(_table(cases)[name])
-
-
-def run_lemma_suite(cases: int = DEFAULT_CASES) -> list[str]:
-    """All weight-identity checks of the lemma constructors."""
-    return _run_table("lemmas", cases)
-
-
-def check_tuples(min_k: int = 9, max_k: int = 40) -> list[str]:
-    """The four-member runs at four_tuple(k) for min_k <= k <= max_k."""
-    return _run([_four_tuples(min_k, max_k)])
 
 
 SUITES: dict[str, Callable[[int], list[str]]] = {

@@ -80,14 +80,15 @@ def read_checkpoint(path: str) -> tuple[int, int]:
     """Last (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
 
     A final line without a newline was torn by a crash mid-write and is
-    ignored; any complete line that is malformed raises ValueError.
+    ignored; any complete line that is malformed (a non-ASCII byte, a count
+    above its chunk_end) raises ValueError.
     """
     if not os.path.exists(path):
         return 0, 0
     last_end, last_count = 0, 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 break  # only the last line can lack its newline
             if not line.strip():
                 continue
@@ -96,6 +97,9 @@ def read_checkpoint(path: str) -> tuple[int, int]:
             except ValueError:
                 raise ValueError(f"checkpoint {path} line {number}: expected "
                                  "'chunk_end count'") from None
+            if count > end:
+                raise ValueError(f"checkpoint {path} line {number}: count "
+                                 f"{count} exceeds chunk_end {end}")
             if end < last_end or count < last_count:
                 raise ValueError(f"checkpoint {path} is not monotone")
             last_end, last_count = end, count
@@ -182,23 +186,19 @@ def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
 
 
 def counting(limit: int, grid: Sequence[int],
-             members: Sequence[int] | None = None,
              workers: int = 1) -> list[CountSample]:
     """p(n) at each grid point: members strictly below n (grid points <= limit).
 
-    Without members, the sieve is streamed: a grid point n is answered
-    from the first chunk with chunk_end + 1 >= n and the member counts of
-    the chunks before it, so only one chunk's members are held here.
+    The sieve is streamed: a grid point n is answered from the first chunk
+    with chunk_end + 1 >= n and the member counts of the chunks before it,
+    so only one chunk's members are held here.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 1 or grid[-1] > limit):
         raise ValueError("grid points must lie in [1, limit]")
-    if members is None:
-        chunks = sieve_chunks(limit, workers=workers)
-    else:
-        chunks = iter([(limit, members)])
+    chunks = sieve_chunks(limit, workers=workers)
     samples = []
     below, chunk_end, chunk = 0, 0, []
     for n in grid:

@@ -58,14 +58,9 @@ class WeightProfile:
     defect >= +1, normalized to exactly -1, then finalized to a member.
     """
 
-    n: int
     weight: int
     square_weight: int
     defect: int
-
-    @property
-    def is_member(self) -> bool:
-        return self.weight == self.square_weight
 
 
 def satisfies(n: int, t: PropertyTriple = ISOSQUARE) -> bool:
@@ -92,5 +87,5 @@ def weight_profile(n: int) -> WeightProfile:
         raise ValueError(f"n must be positive, got {n}")
     w = n.bit_count()
     sw = (n * n).bit_count()
-    return WeightProfile(n=n, weight=w, square_weight=sw, defect=sw - 2 * w)
+    return WeightProfile(weight=w, square_weight=sw, defect=sw - 2 * w)
 

@@ -9,8 +9,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from isosquare import analysis, checks, constructions, enumeration
 from isosquare.enumeration import CountSample
 from isosquare.membership import is_isosquare
@@ -18,11 +16,6 @@ from isosquare.membership import is_isosquare
 from conftest import oracle_members
 
 DATA = Path(__file__).parent / "data"
-
-
-@pytest.fixture(scope="module")
-def members_1e7():
-    return list(enumeration.sieve(10**7, workers=1))
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -48,14 +41,14 @@ def test_criterion_fixture_memberships():
     verdict("fixture memberships (tuples, second 4-run, Mersenne family)", ok)
 
 
-def test_criterion_counting_consistency(members_1e7):
+def test_criterion_counting_consistency():
     p17 = enumeration.counting(20, [17])[0]
     ok = p17 == CountSample(17, 11)
     ok = ok and oracle_members(16) == [1, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16]
-    members = [m for m in members_1e7 if m <= 10**6]
+    members = list(enumeration.sieve(10**6, workers=1))
     rng = random.Random(2024)
     grid = sorted(rng.sample(range(1, 10**6 + 1), 100))
-    samples = enumeration.counting(10**6, grid, members=members)
+    samples = enumeration.counting(10**6, grid)
     ok = ok and all(s.count == sum(1 for m in members if m < s.n)
                     for s in samples)
     verdict("p(17) = 11 and counting/sieve consistency on 100 random points",
@@ -64,7 +57,7 @@ def test_criterion_counting_consistency(members_1e7):
 
 def test_criterion_lemma_suites():
     t0 = time.perf_counter()
-    failures = checks.run_lemma_suite(cases=10_000)
+    failures = checks.run_suite("lemmas", cases=10_000)
     elapsed = time.perf_counter() - t0
     verdict("lemma suites, exact equalities, 10^4 cases each",
             not failures and elapsed < 60.0,
@@ -88,7 +81,7 @@ def test_criterion_theorem_chain():
 
 def test_criterion_gap_and_tuple_scans():
     ok = all(enumeration.scan_gap(k) for k in range(1, 11))
-    ok = ok and not checks.check_tuples(9, 40)
+    ok = ok and not checks.run_suite("tuples")
     verdict("gap scan k=1..10 and 4-tuple scan k=9..40", ok)
 
 
@@ -105,15 +98,15 @@ def test_criterion_alpha_values():
             ok, f"alpha_limit(10^5)={vals[-1]:.7f}")
 
 
-def _fitted_alpha(members, limit):
+def _fitted_alpha(limit):
     grid = analysis.geometric_grid(1 << 10, limit)
-    samples = enumeration.counting(limit, grid, members=members)
+    samples = enumeration.counting(limit, grid)
     fit_samples = [s for s in samples if s.n >= limit // 10]
     return analysis.fit_exponent(fit_samples).alpha_hat
 
 
-def test_criterion_exponent_fit(members_1e7):
-    alpha = _fitted_alpha(members_1e7, 10**7)
+def test_criterion_exponent_fit():
+    alpha = _fitted_alpha(10**7)
     verdict("fitted exponent at 10^7 in [0.70, 0.80]",
             0.70 <= alpha <= 0.80, f"alpha_hat={alpha:.4f}")
 
@@ -121,8 +114,7 @@ def test_criterion_exponent_fit(members_1e7):
 def test_criterion_exponent_fit_full_scale():
     # optional full reproduction of the reported fit at 10^8
     t0 = time.perf_counter()
-    members = list(enumeration.sieve(10**8, workers=1))
-    alpha = _fitted_alpha(members, 10**8)
+    alpha = _fitted_alpha(10**8)
     elapsed = time.perf_counter() - t0
     verdict("fitted exponent at 10^8 in [0.71, 0.76]",
             0.71 <= alpha <= 0.76 and elapsed < 600.0,
@@ -137,9 +129,9 @@ def test_criterion_fit_self_test():
             f"alpha_hat={fit.alpha_hat:.12f}")
 
 
-def test_criterion_fluctuation_profile(members_1e7):
+def test_criterion_fluctuation_profile():
     grid = analysis.geometric_grid(1 << 10, 10**7)
-    samples = enumeration.counting(10**7, grid, members=members_1e7)
+    samples = enumeration.counting(10**7, grid)
     points = analysis.fluctuation_profile(samples,
                                           analysis.alpha_theoretical())
     values = [p.value for p in points]

@@ -36,14 +36,27 @@ class TestFailurePath:
         # 75 has defect +1 and 277 has defect +2: only a defect above +1
         # passes.  The first n with B(n^2) >= 3 is 5.
         monkeypatch.setattr(constructions, "inflate", lambda n: inflated)
-        failures = checks.run_lemma_suite(cases=10)
+        failures = checks.run_suite("lemmas", cases=10)
         assert failures[:1] == (
             ["inflate(5): strict defect inequality failed"] if fails else [])
 
-    def test_check_tuples_covers_its_range(self, monkeypatch):
+    def test_tuples_suite_covers_its_range(self, monkeypatch):
         monkeypatch.setattr(constructions, "four_tuple", _injected)
-        assert checks.check_tuples(9, 11) == [
-            f"four_tuple({k}): injected" for k in (9, 10, 11)]
+        assert checks.run_suite("tuples") == [
+            f"four_tuple({k}): injected" for k in range(9, 41)]
 
     def test_suites_pass(self):
         assert checks.run_suite("all", cases=50) == []
+
+
+class TestRunSuite:
+    def test_runners_looked_up_at_call(self, monkeypatch):
+        # the benchmark's tracer wraps SUITES entries by name, so a wrapped
+        # runner must be the one run_suite calls
+        assert sorted(checks.SUITES) == ["gaps", "lemmas", "mersenne", "tuples"]
+        calls = []
+        monkeypatch.setitem(checks.SUITES, "mersenne",
+                            lambda cases: calls.append(cases) or ["patched"])
+        assert checks.run_suite("mersenne", cases=7) == ["patched"]
+        assert checks.run_suite("all", cases=7) == ["patched"]
+        assert calls == [7, 7]

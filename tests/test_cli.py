@@ -101,31 +101,34 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     @pytest.mark.parametrize("content, message", [
-        ("5 x\n", "line 1: expected 'chunk_end count'"),
-        ("100 5\n50 7\n", "is not monotone"),
-    ], ids=["malformed", "not-monotone"])
+        (b"5 x\n", "line 1: expected 'chunk_end count'"),
+        (b"100 5\n50 7\n", "is not monotone"),
+        (b"10 5\n\xff\xfe 3\n", "line 2: expected 'chunk_end count'"),
+        (b"10 50\n", "line 1: count 50 exceeds chunk_end 10"),
+    ], ids=["malformed", "not-monotone", "not-utf-8", "count-above-end"])
     def test_bad_checkpoint_prints_nothing(self, capsys, tmp_path, fmt,
                                            content, message):
         path = tmp_path / "ck.txt"
-        path.write_text(content)
+        path.write_bytes(content)
         code, out, err = run(capsys, "enumerate", "--limit", "100",
                              "--format", fmt, "--checkpoint", str(path),
                              "--workers", "1")
         assert code == 2 and out == ""
         assert f"error: checkpoint {path} {message}" in err
-        assert path.read_text() == content
+        assert path.read_bytes() == content
 
     def test_torn_checkpoint_resumes(self, capsys, tmp_path):
         full = list(enumeration.sieve(5 * 10**6))
         done = sum(1 for m in full if m <= 1 << 22)
         path = tmp_path / "ck.txt"
-        path.write_text(f"{1 << 22} {done}\n83")
-        code, out, _ = run(capsys, "enumerate", "--limit", "5000000",
-                           "--checkpoint", str(path), "--workers", "1")
-        assert code == 0
-        assert [int(x) for x in out.split()] == full[done:]
-        assert path.read_text() == (f"{1 << 22} {done}\n"
-                                    f"5000000 {len(full)}\n")
+        for torn in (b"83", b"4194400 1\xff"):
+            path.write_bytes(f"{1 << 22} {done}\n".encode() + torn)
+            code, out, _ = run(capsys, "enumerate", "--limit", "5000000",
+                               "--checkpoint", str(path), "--workers", "1")
+            assert code == 0
+            assert [int(x) for x in out.split()] == full[done:]
+            assert path.read_text() == (f"{1 << 22} {done}\n"
+                                        f"5000000 {len(full)}\n")
 
     def test_malformed_checkpoint_line_is_error(self, capsys, tmp_path):
         path = tmp_path / "ck.txt"

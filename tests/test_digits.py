@@ -51,13 +51,6 @@ class TestDigitSum:
         assert digit_sum(n, 2) == oracle_digit_sum(n, 2)
 
 
-class TestHammingWeight:
-    def test_zero(self):
-        # the binary weight is digit_sum(n, 2); is_isosquare uses int.bit_count
-        assert digit_sum(0, 2) == 0
-        assert (0).bit_count() == 0
-
-
 class TestSubtractionIdentity:
     def test_all_small_windows(self):
         # (1_(k)) - (1_(h)0_(h')) = (1_(k-h-h')0_(h)1_(h')) whenever k > h+h'

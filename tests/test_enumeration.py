@@ -206,28 +206,34 @@ class TestCheckpoint:
     def test_torn_last_line_resumes_at_every_cut(self, tmp_path):
         full_path = tmp_path / "full.txt"
         full = list(sieve(10_000, chunk_size=1000, checkpoint=str(full_path)))
-        lines = full_path.read_text().splitlines(keepends=True)
-        done = "".join(lines[:3])
+        lines = full_path.read_bytes().splitlines(keepends=True)
+        done = b"".join(lines[:3])
         torn = lines[3]
         path = tmp_path / "ck.txt"
         for cut in range(len(torn) + 1):
-            path.write_text(done + torn[:cut])
-            resumed_from = read_checkpoint(str(path))
-            rest = list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
-            assert full[:resumed_from[1]] + rest == full
-            assert resumed_from[0] == (4000 if cut == len(torn) else 3000)
-            assert path.read_text() == full_path.read_text()
-            assert read_checkpoint(str(path)) == (10_000, len(full))
+            for junk in (b"", b"\xff"):  # a torn tail may hold any byte
+                path.write_bytes(done + torn[:cut] + junk)
+                resumed_from = read_checkpoint(str(path))
+                rest = list(sieve(10_000, chunk_size=1000,
+                                  checkpoint=str(path)))
+                assert full[:resumed_from[1]] + rest == full
+                assert resumed_from[0] == (4000 if cut == len(torn) else 3000)
+                assert path.read_bytes() == full_path.read_bytes()
+                assert read_checkpoint(str(path)) == (10_000, len(full))
 
-    @pytest.mark.parametrize("text, number", [("4194304 12345\n83\n", 2),
-                                              ("5 x\n", 1),
-                                              ("\n5 1 7\n", 2)],
-                             ids=["one-field", "not-a-number", "three-fields"])
-    def test_complete_malformed_line_rejected(self, tmp_path, text, number):
+    @pytest.mark.parametrize("content, message", [
+        (b"4194304 12345\n83\n", "line 2: expected 'chunk_end count'"),
+        (b"5 x\n", "line 1: expected 'chunk_end count'"),
+        (b"\n5 1 7\n", "line 2: expected 'chunk_end count'"),
+        (b"10 5\n\xff\xfe 3\n", "line 2: expected 'chunk_end count'"),
+        (b"10 50\n", "line 1: count 50 exceeds chunk_end 10"),
+    ], ids=["one-field", "not-a-number", "three-fields", "not-utf-8",
+            "count-above-end"])
+    def test_complete_malformed_line_rejected(self, tmp_path, content,
+                                              message):
         path = tmp_path / "ck.txt"
-        path.write_text(text)
-        message = f"{path} line {number}: expected 'chunk_end count'"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
             read_checkpoint(str(path))
 
     def test_resume_near_limit_skips_chunks_lazily(self, tmp_path):
@@ -281,7 +287,7 @@ class TestCounting:
         members = list(sieve(limit))
         rng = random.Random(42)
         grid = sorted(rng.sample(range(1, limit + 1), 50))
-        for s in counting(limit, grid, members=members):
+        for s in counting(limit, grid):
             assert s.count == sum(1 for m in members if m < s.n)
 
     @pytest.mark.parametrize("workers", [1, 2])

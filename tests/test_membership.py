@@ -91,7 +91,7 @@ class TestWeightProfile:
     def test_member_iff_weights_equal(self):
         for n in range(1, 500):
             p = weight_profile(n)
-            assert p.is_member == is_isosquare(n)
+            assert (p.weight == p.square_weight) == is_isosquare(n)
 
     @given(st.integers(min_value=1, max_value=10**20))
     def test_square_weight_bound(self, n):
