@@ -108,7 +108,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     grid = _parse_grid(args.grid, limit)
-    samples = enumeration.counting(limit, grid)
+    samples = enumeration.counting(limit, grid, workers=args.workers)
     print("n,count")
     for s in samples:
         print(f"{s.n},{s.count}")
@@ -207,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", required=True)
     p.add_argument("--grid", required=True,
                    metavar="geometric:start:ratio | n1,n2,...")
+    p.add_argument("--workers", type=positive_int,
+                   default=_default_workers())
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("construct", help="run the member construction chain")

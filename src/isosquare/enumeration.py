@@ -4,22 +4,26 @@ The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^63 the
 test runs on numpy popcounts (square_weight) in blocks of 2^16 integers,
 small enough that every temporary stays in cache; from 2^63 on each
 element falls back to exact big-integer arithmetic.  numpy is imported on
-the first call into the sieve (members_in_range), so importing this module,
-or running a CLI command that never sieves, does not load it.  Contiguous
-chunks of the range are sieved on worker threads (numpy releases the GIL,
-the big-int path does not) and merged in chunk order, so output is
-identical whatever the worker count.
+the first call into a sieve kernel, so importing this module, or running
+a CLI command that never sieves, does not load it.  One chunk loop runs
+a kernel over contiguous chunks of the range on worker threads (numpy
+releases the GIL, the big-int path does not) and hands the results out
+in chunk order, so output is identical whatever the worker count.  The
+member kernel (members_in_range) lists the members of a chunk for
+sieve_chunks and sieve; the odd-count kernel (odd_counts_in_range) only
+counts the odd members of a chunk, which is all that counting needs.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from .constructions import gap_interval
 from .membership import is_isosquare
@@ -30,6 +34,8 @@ if TYPE_CHECKING:
 FAST_LIMIT = 1 << 63  # numpy path below: square_weight is exact there
 DEFAULT_CHUNK = 1 << 22
 BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -61,10 +67,15 @@ def square_weight(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low) + np.bitwise_count(high)
 
 
+def _require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing (lo >= 1)."""
-    if lo < 1:
-        raise ValueError(f"lo must be >= 1, got {lo}")
+    _require_positive(lo=lo)
     import numpy as np
     found: list[int] = []
     fast_hi = min(hi, FAST_LIMIT - 1)
@@ -74,6 +85,33 @@ def members_in_range(lo: int, hi: int) -> list[int]:
         found += a[np.bitwise_count(a) == square_weight(a)].tolist()
     found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found
+
+
+def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
+    """Odd members m with lo <= m <= p, for each p of the sorted points.
+
+    Points lie in [lo - 1, hi] (lo >= 1).  Only odd integers are tested, in
+    blocks of BLOCK of them, and a block is counted, not listed.
+    """
+    _require_positive(lo=lo)
+    import numpy as np
+    counts: list[int] = []
+    total, i = 0, 0
+    fast_hi = min(hi, FAST_LIMIT - 1)
+    for start in range(lo | 1, fast_hi + 1, 2 * BLOCK):
+        end = min(fast_hi, start + 2 * BLOCK - 1)
+        a = np.arange(start, end + 1, 2, dtype=np.uint64)
+        mask = np.bitwise_count(a) == square_weight(a)
+        while i < len(points) and points[i] <= end:
+            # the odd integers start, start + 2, ... up to points[i]
+            counts.append(total + int(np.count_nonzero(
+                mask[:(points[i] - start) // 2 + 1])))
+            i += 1
+        total += int(np.count_nonzero(mask))
+    tail = [m for m in range(max(lo, FAST_LIMIT) | 1, hi + 1, 2)
+            if is_isosquare(m)]
+    counts += (total + bisect_right(tail, p) for p in points[i:])
+    return counts
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
@@ -101,7 +139,8 @@ def read_checkpoint(path: str) -> tuple[int, int]:
                 raise ValueError(f"checkpoint {path} line {number}: count "
                                  f"{count} exceeds chunk_end {end}")
             if end < last_end or count < last_count:
-                raise ValueError(f"checkpoint {path} is not monotone")
+                raise ValueError(f"checkpoint {path} line {number}: not "
+                                 f"monotone after '{last_end} {last_count}'")
             last_end, last_count = end, count
     return last_end, last_count
 
@@ -132,46 +171,51 @@ def sieve_chunks(limit: int, workers: int = 1,
     last recorded chunk, at no cost per chunk skipped; a chunk handed out
     but not recorded is produced again.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    done, count = 0, 0
-    if checkpoint is not None:
-        done, count = read_checkpoint(checkpoint)
-        _cut_torn_line(checkpoint)
-    return _chunk_loop(limit, workers, chunk_size, checkpoint, done, count)
+    _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
+    if checkpoint is None:
+        return _chunk_loop(members_in_range, 1, limit, workers, chunk_size)
+    done, count = read_checkpoint(checkpoint)
+    _cut_torn_line(checkpoint)
+    chunks = _chunk_loop(members_in_range, done + 1, limit, workers,
+                         chunk_size)
+    return _recorded(chunks, checkpoint, count)
 
 
-def _chunk_loop(limit: int, workers: int, chunk_size: int,
-                checkpoint: str | None, done: int, count: int
-                ) -> Iterator[tuple[int, list[int]]]:
-    if done >= limit:
+def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
+                workers: int, chunk_size: int) -> Iterator[tuple[int, T]]:
+    """Yield (chunk_end, kernel(lo, chunk_end)) for chunks covering
+    [first, last], in order, run on `workers` threads at most
+    2 * workers + 1 chunks ahead of the consumer.  Chunks keep the grid
+    1, 1 + chunk_size, ...; the first starts at `first`."""
+    if first > last:
         return
-    # chunks keep the grid 1, 1 + chunk_size, ...; the first starts at done + 1
-    starts = iter(range(done // chunk_size * chunk_size + 1, limit + 1,
+    starts = iter(range((first - 1) // chunk_size * chunk_size + 1, last + 1,
                         chunk_size))
     queued: deque = deque()
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         while True:
             for lo in islice(starts, 2 * workers + 1 - len(queued)):
-                hi = min(limit, lo + chunk_size - 1)
-                queued.append((hi, pool.submit(members_in_range,
-                                               max(lo, done + 1), hi)))
+                hi = min(last, lo + chunk_size - 1)
+                queued.append((hi, pool.submit(kernel, max(lo, first), hi)))
             if not queued:
                 return
             hi, future = queued.popleft()
-            members = future.result()
-            yield hi, members
-            count += len(members)
-            if checkpoint is not None:
-                with open(checkpoint, "a") as fh:
-                    fh.write(f"{hi} {count}\n")
+            yield hi, future.result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _recorded(chunks: Iterator[tuple[int, list[int]]], checkpoint: str,
+              count: int) -> Iterator[tuple[int, list[int]]]:
+    """The chunks, each recorded in the checkpoint once the consumer
+    resumes after it."""
+    with closing(chunks):
+        for hi, members in chunks:
+            yield hi, members
+            count += len(members)
+            with open(checkpoint, "a") as fh:
+                fh.write(f"{hi} {count}\n")
 
 
 def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
@@ -189,24 +233,35 @@ def counting(limit: int, grid: Sequence[int],
              workers: int = 1) -> list[CountSample]:
     """p(n) at each grid point: members strictly below n (grid points <= limit).
 
-    The sieve is streamed: a grid point n is answered from the first chunk
-    with chunk_end + 1 >= n and the member counts of the chunks before it,
-    so only one chunk's members are held here.
+    m is a member iff 2m is, since B(2m) = B(m) and (2m)^2 = 4m^2, so
+    p(n) = sum over j >= 0 of O((n - 1) >> j), where O(x) counts the odd
+    members <= x.  Only the odd integers up to max(grid) - 1 are sieved,
+    in chunks on `workers` threads as in sieve_chunks, and each chunk
+    returns just its counts at the query points (n - 1) >> j; no member
+    is listed.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 1 or grid[-1] > limit):
         raise ValueError("grid points must lie in [1, limit]")
-    chunks = sieve_chunks(limit, workers=workers)
-    samples = []
-    below, chunk_end, chunk = 0, 0, []
-    for n in grid:
-        while n > chunk_end + 1:
-            below += len(chunk)
-            chunk_end, chunk = next(chunks)
-        samples.append(CountSample(n=n, count=below + bisect_left(chunk, n)))
-    return samples
+    _require_positive(limit=limit, workers=workers)
+    points = sorted({(n - 1) >> j for n in grid
+                     for j in range((n - 1).bit_length())})
+
+    def chunk_counts(lo: int, hi: int) -> list[int]:
+        inside = points[bisect_left(points, lo):bisect_right(points, hi)]
+        return odd_counts_in_range(lo, hi, inside + [hi])
+
+    found, below = [], 0  # O(p) for the points p of the chunks so far
+    for _, counts in _chunk_loop(chunk_counts, 1, max(points, default=0),
+                                 workers, DEFAULT_CHUNK):
+        found += (below + c for c in counts[:-1])
+        below += counts[-1]
+    odd = dict(zip(points, found))
+    return [CountSample(n=n, count=sum(odd[(n - 1) >> j]
+                                       for j in range((n - 1).bit_length())))
+            for n in grid]
 
 
 def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:

@@ -21,6 +21,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def forbid_sieving(monkeypatch, message):
+    """Make each way into the sieve fail: the member stream, the chunk loop
+    that it and counting share, and the odd-count kernel."""
+    def fail(*args, **kwargs):
+        raise AssertionError(message)
+    for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range"):
+        monkeypatch.setattr(enumeration, name, fail)
+
+
 class TestParseLimit:
     def test_shorthand(self):
         assert parse_limit("10^7") == 10**7
@@ -102,7 +111,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     @pytest.mark.parametrize("content, message", [
         (b"5 x\n", "line 1: expected 'chunk_end count'"),
-        (b"100 5\n50 7\n", "is not monotone"),
+        (b"100 5\n50 7\n", "line 2: not monotone after '100 5'"),
         (b"10 5\n\xff\xfe 3\n", "line 2: expected 'chunk_end count'"),
         (b"10 50\n", "line 1: count 50 exceeds chunk_end 10"),
     ], ids=["malformed", "not-monotone", "not-utf-8", "count-above-end"])
@@ -265,10 +274,16 @@ class TestCount:
                                  "--grid", grid)
             assert code == 2 and out == "" and message in err
 
+    def test_output_independent_of_workers(self, capsys):
+        grid = "1,2,16,17,4194303,4194304,4194305,8388609,9999999,10000000"
+        outs = [run(capsys, "count", "--limit", "10^7", "--grid", grid,
+                    "--workers", workers) for workers in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1].splitlines()[1:5] == [
+            "1,0", "2,1", "16,10", "17,11"]
+
     def test_huge_geometric_limit_rejected(self, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("sieved before checking the grid")
-        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        forbid_sieving(monkeypatch, "sieved before checking the grid")
         code, out, err = run(capsys, "count", "--limit", "10^400",
                              "--grid", "geometric:1:2")
         assert code == 2 and out == ""
@@ -314,9 +329,7 @@ class TestAnalyze:
 
     def test_unwritable_out_rejected_before_sieving(self, capsys,
                                                      monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("sieved before checking --out")
-        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        forbid_sieving(monkeypatch, "sieved before checking --out")
         code, _, err = run(capsys, "analyze", "--limit", "10^8",
                            "--out", "/nonexistent/dir/profile.csv")
         assert code == 2 and "error:" in err and "--out" in err
@@ -324,9 +337,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("fit_from", ["2^20", "16000"])
     def test_empty_fit_window_rejected_before_sieving(self, capsys, tmp_path,
                                                       monkeypatch, fit_from):
-        def fail(*args, **kwargs):
-            raise AssertionError("sieved before checking --fit-from")
-        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        forbid_sieving(monkeypatch, "sieved before checking --fit-from")
         out_path = tmp_path / "p.csv"
         code, _, err = run(capsys, "analyze", "--limit", "2^14",
                            "--fit-from", fit_from, "--out", str(out_path))
@@ -335,9 +346,7 @@ class TestAnalyze:
 
     def test_huge_limit_rejected_before_sieving(self, capsys, tmp_path,
                                                 monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("sieved before checking the grid")
-        monkeypatch.setattr(enumeration, "sieve_chunks", fail)
+        forbid_sieving(monkeypatch, "sieved before checking the grid")
         out_path = tmp_path / "p.csv"
         code, out, err = run(capsys, "analyze", "--limit", "10^400",
                              "--out", str(out_path))

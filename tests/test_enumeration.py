@@ -11,8 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isosquare.enumeration import (BLOCK, CountSample, RunRecord, counting,
-                                   find_runs, members_in_range,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
+                                   RunRecord, counting, find_runs,
+                                   members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
                                    sieve_chunks, square_weight)
 
@@ -81,6 +85,8 @@ class TestSieve:
     def test_non_positive_lo_rejected(self, lo):
         with pytest.raises(ValueError, match="lo must be >= 1"):
             members_in_range(lo, 5)
+        with pytest.raises(ValueError, match="lo must be >= 1"):
+            odd_counts_in_range(lo, 5, [])
         assert members_in_range(5, 4) == []
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
@@ -199,8 +205,9 @@ class TestCheckpoint:
 
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
-        path.write_text("100 5\n50 7\n")
-        with pytest.raises(ValueError):
+        path.write_text("100 5\n\n50 7\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 3: not monotone after '100 5'")):
             read_checkpoint(str(path))
 
     def test_torn_last_line_resumes_at_every_cut(self, tmp_path):
@@ -295,13 +302,36 @@ class TestCounting:
         limit = 10**7  # three chunks of DEFAULT_CHUNK
         chunks = list(sieve_chunks(limit))
         assert len(chunks) == 3
-        grid = {1, limit}
+        grid = {1, 2, 3, 16, 17, limit}
         for end, _ in chunks:
-            grid |= {end, end + 1} if end < limit else {end}
+            grid |= {end - 1, end, end + 1} if end < limit else {end - 1, end}
         grid |= set(random.Random(7).sample(range(1, limit + 1), 50))
         grid = sorted(grid)
         members = list(sieve(limit))
         assert members == [m for _, chunk in chunks for m in chunk]
+        assert counting(limit, grid, workers=workers) == [
+            CountSample(n, bisect_left(members, n)) for n in grid]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_far_below_limit(self, workers):
+        # Only the odd integers below the last grid point are sieved.  Its
+        # (n - 1) >> 1 lies well inside the first chunk, so a chunk's count
+        # must run to its end, past its last query point.
+        top = 3 * DEFAULT_CHUNK // 2 + 7
+        grid = [1, 2, 999, 1000, top]
+        members = list(sieve(top))
+        assert counting(1 << 40, grid, workers=workers) == [
+            CountSample(n, bisect_left(members, n)) for n in grid]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5000).flatmap(lambda limit: st.tuples(
+        st.just(limit),
+        st.lists(st.integers(1, limit), unique=True, max_size=30))),
+        st.integers(1, 2))
+    def test_matches_oracle_property(self, limit_grid, workers):
+        limit, grid = limit_grid
+        grid.sort()
+        members = oracle_members(limit)
         assert counting(limit, grid, workers=workers) == [
             CountSample(n, bisect_left(members, n)) for n in grid]
 
@@ -310,6 +340,40 @@ class TestCounting:
         counts = [s.count for s in samples]
         assert counts == sorted(counts)
         assert all(s.count <= s.n for s in samples)
+
+
+class TestOddCounts:
+    @staticmethod
+    def expected(lo, hi, points):
+        odd = [m for m in range(lo | 1, hi + 1, 2) if oracle_is_member(m)]
+        return [bisect_left(odd, p + 1) for p in points]
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((1 << 32) - 1001, (1 << 32) + 999),       # one two-limb block
+        ((1 << 32) - 2 * BLOCK - 500, (1 << 32) + 500),  # one limb, then two
+        ((1 << 32) - 3, (1 << 32) + 1),
+        ((1 << 63) - 999, (1 << 63) + 7),          # numpy, then big ints
+        ((1 << 63) - 2, (1 << 63) + 4),
+        ((1 << 63), (1 << 63) + 9),                # big ints only
+        (2, 2 * BLOCK + 10),                       # a block end
+        (1, 1),
+    ])
+    def test_matches_oracle(self, lo, hi):
+        # lo - 1, lo, hi, odd and even points inside, and around the second
+        # block's start and the two range boundaries
+        second = (lo | 1) + 2 * BLOCK
+        edges = [p + d for p in (second, 1 << 32, 1 << 63) for d in (-1, 0, 1)]
+        inner = random.Random(lo).sample(range(lo, hi + 1),
+                                         min(20, hi - lo + 1))
+        points = sorted({lo - 1, lo, hi, *inner,
+                         *[p for p in edges if lo <= p <= hi]})
+        assert hi == lo or {p % 2 for p in points} == {0, 1}
+        assert odd_counts_in_range(lo, hi, points) == self.expected(lo, hi,
+                                                                    points)
+
+    def test_repeated_points_and_empty_range(self):
+        assert odd_counts_in_range(6, 15, [5, 7, 7, 15, 15]) == [0, 1, 1, 2, 2]
+        assert odd_counts_in_range(5, 4, [4]) == [0]
 
 
 class TestFindRuns:
