@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success (or positive verdict, or a reader that closed
-stdout early), 1 negative verdict, 2 usage or precondition error.
+stdout early), 1 negative verdict, 2 usage or precondition error; a
+malformed number is a usage error from argparse, naming its argument.
 Structured output is CSV with a single header row or JSON lines with one
-object per line; integers are always printed as plain decimal strings.
+object per line; integers are read and printed in decimal at any size.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ def parse_limit(text: str) -> int:
 
 
 def _parse_triple(text: str) -> PropertyTriple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"triple must be k,l,m, got {text!r}")
-    k, l, m = (int(p) for p in parts)
+    k, l, m = map(int, text.split(","))  # ValueError unless k,l,m
     return PropertyTriple(base=k, multiplier=l, power=m)
 
 
@@ -73,8 +71,7 @@ def _require_writable(path: str, what: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    n = parse_limit(args.n)
-    triple = _parse_triple(args.triple)
+    n, triple = args.n, args.triple
     member = satisfies(n, triple)
     s1 = digit_sum(n, triple.base)
     s2 = digit_sum(n**triple.power, triple.base)
@@ -88,10 +85,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint")
-    chunks = enumeration.sieve_chunks(limit, workers=args.workers,
+    chunks = enumeration.sieve_chunks(args.limit, workers=args.workers,
                                       checkpoint=args.checkpoint)
     out = sys.stdout
     if args.format == "csv":
@@ -106,9 +102,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    grid = _parse_grid(args.grid, limit)
-    samples = enumeration.counting(limit, grid, workers=args.workers)
+    grid = _parse_grid(args.grid, args.limit)
+    samples = enumeration.counting(args.limit, grid, workers=args.workers)
     print("n,count")
     for s in samples:
         print(f"{s.n},{s.count}")
@@ -135,28 +130,27 @@ def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        traces = [constructions.construct_one(parse_limit(args.seed))]
+        traces = [constructions.construct_one(args.seed)]
     else:
-        traces = constructions.family_traces(parse_limit(args.family))
+        traces = constructions.family_traces(args.family)
     for trace in traces:
         _emit_trace(trace, args.format)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    if limit < 1 << 12:
-        raise ValueError(f"limit must be >= 2^12, got {limit}")
+    if args.limit < 1 << 12:
+        raise ValueError(f"limit must be >= 2^12, got {args.limit}")
     _require_writable(args.out, "--out")
-    grid = analysis.geometric_grid(1 << 10, limit)
-    fit_from = (limit // DEFAULT_FIT_WINDOW if args.fit_from is None
+    grid = analysis.geometric_grid(1 << 10, args.limit)
+    fit_from = (args.limit // DEFAULT_FIT_WINDOW if args.fit_from is None
                 else args.fit_from)
     # Every grid point is >= 2^10, so its count is >= 1 and each point in
     # the window is a usable sample for fit_exponent.
     in_window = sum(n >= fit_from for n in grid)
     if in_window < 2:
         raise ValueError(f"need at least 2 usable samples, got {in_window}")
-    samples = enumeration.counting(limit, grid, workers=args.workers)
+    samples = enumeration.counting(args.limit, grid, workers=args.workers)
     fit_samples = [s for s in samples if s.n >= fit_from]
     fit = analysis.fit_exponent(fit_samples)
     print(f"alpha_hat={fit.alpha_hat:.6f} intercept={fit.intercept:.6f} "
@@ -189,46 +183,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Isosquare numbers: membership, constructions, "
                     "enumeration and counting-function analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sieving = argparse.ArgumentParser(add_help=False)
+    sieving.add_argument("--limit", type=parse_limit, required=True)
+    sieving.add_argument("--workers", type=positive_int,
+                         default=_default_workers())
 
     p = sub.add_parser("check", help="membership verdict for one integer")
-    p.add_argument("n")
-    p.add_argument("--triple", default="2,1,2", metavar="k,l,m")
+    p.add_argument("n", type=parse_limit)
+    p.add_argument("--triple", type=_parse_triple, default=ISOSQUARE,
+                   metavar="k,l,m")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("enumerate", help="list members up to a limit")
-    p.add_argument("--limit", required=True)
+    p = sub.add_parser("enumerate", parents=[sieving],
+                       help="list members up to a limit")
     p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.add_argument("--checkpoint")
-    p.add_argument("--workers", type=positive_int,
-                   default=_default_workers())
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("count", help="counting function p(n) on a grid")
-    p.add_argument("--limit", required=True)
+    p = sub.add_parser("count", parents=[sieving],
+                       help="counting function p(n) on a grid")
     p.add_argument("--grid", required=True,
                    metavar="geometric:start:ratio | n1,n2,...")
-    p.add_argument("--workers", type=positive_int,
-                   default=_default_workers())
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("construct", help="run the member construction chain")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seed")
-    group.add_argument("--family")
+    group.add_argument("--seed", type=parse_limit)
+    group.add_argument("--family", type=parse_limit)
     p.add_argument("--format", choices=["plain", "json-lines"],
                    default="plain")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[sieving],
                        help="exponent fit and fluctuation profile CSV")
-    p.add_argument("--limit", required=True)
     p.add_argument("--alpha", choices=["theoretical", "fit"], default="fit")
     p.add_argument("--out", default="profile.csv")
     p.add_argument("--fit-from", type=parse_limit, default=None,
                    help="fit only grid points with n >= this "
                         "(default: limit/10)")
-    p.add_argument("--workers", type=positive_int,
-                   default=_default_workers())
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("props", help="run verification suites")
@@ -240,9 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Python caps decimal int <-> str at 4,300 digits; lifted until return.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # The reader left (as `enumerate | head` does): not an error.  Send
@@ -252,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -22,16 +22,16 @@ class PostconditionError(AssertionError):
     """A constructor's weight identity failed: internal inconsistency."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+def _require(cond: bool, msg: str, *args: object) -> None:
+    if not cond:  # the message is formatted only on failure
+        raise ValueError(msg.format(*args))
 
 
-def _ensure(cond: bool, msg: str) -> None:
+def _ensure(cond: bool, msg: str, *args: object) -> None:
     # Postconditions stay on in optimized runs; they are the executable
-    # content of the weight identities.
+    # content of the weight identities.  Messages name no large value.
     if not cond:
-        raise PostconditionError(msg)
+        raise PostconditionError(msg.format(*args))
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,28 @@ class ConstructionTrace:
 
 def mersenne_member(k: int) -> int:
     """2^k - 1, always a member for k >= 2; k = 1 is accepted with a warning."""
-    _require(k >= 1, f"k must be >= 1, got {k}")
+    _require(k >= 1, "k must be >= 1, got {}", k)
     if k == 1:
         warnings.warn("k=1 gives n=1, a trivial member outside the k>1 family",
                       stacklevel=2)
     n = (1 << k) - 1
-    _ensure(is_isosquare(n), f"2^{k}-1 not a member")
-    _ensure((n * n).bit_count() == k, f"B((2^{k}-1)^2) != {k}")
+    _ensure(is_isosquare(n), "2^{}-1 not a member", k)
+    _ensure((n * n).bit_count() == k, "B((2^{0}-1)^2) != {0}", k)
     return n
 
 
 def four_tuple(k: int) -> int:
     """Start n = 2^k - 2^(k-2) - 2^(k-3) - 4 of a run n..n+3 of members (k >= 9)."""
-    _require(k >= 9, f"k must be >= 9, got {k}")
+    _require(k >= 9, "k must be >= 9, got {}", k)
     n = (1 << k) - (1 << (k - 2)) - (1 << (k - 3)) - 4
     for j in range(4):
-        _ensure(is_isosquare(n + j), f"{n}+{j} is not a member")
+        _ensure(is_isosquare(n + j), "start + {} is not a member", j)
     return n
 
 
 def gap_interval(k: int) -> tuple[int, int]:
     """Endpoints (2^2k, 2^2k + 2^k) of an open interval free of members."""
-    _require(k >= 1, f"k must be >= 1, got {k}")
+    _require(k >= 1, "k must be >= 1, got {}", k)
     n = 1 << (2 * k)
     return n, n + (1 << k)
 
@@ -95,16 +95,16 @@ def gap_weight_identity(k: int, r: int) -> bool:
     This is the identity behind the gap interval: it forces
     B(m^2) > B(m), so no interior point can be a member.
     """
-    _require(0 < r < (1 << k), f"need 0 < r < 2^{k}, got {r}")
+    _require(0 < r < (1 << k), "need 0 < r < 2^{}, got {}", k, r)
     m = (1 << (2 * k)) + r
     return (m * m).bit_count() == 1 + r.bit_count() + (r * r).bit_count()
 
 
 def near_power_witness(m: int) -> int:
     """Member 2^(2m+1) + 2^(m+2) - 1 just above the power 2^(2m+1), m >= 3."""
-    _require(m >= 3, f"m must be >= 3, got {m}")
+    _require(m >= 3, "m must be >= 3, got {}", m)
     n = (1 << (2 * m + 1)) + (1 << (m + 2)) - 1
-    _ensure(is_isosquare(n), f"witness {n} is not a member")
+    _ensure(is_isosquare(n), "witness 2^(2m+1) + 2^(m+2) - 1 is not a member")
     _ensure(n <= (1 << (2 * m + 1)) + 4 * isqrt(1 << (2 * m + 1)) + 4,
             "witness exceeds the stated window")
     return n
@@ -112,10 +112,10 @@ def near_power_witness(m: int) -> int:
 
 def mult_mersenne(n: int, nu: int) -> int:
     """n * (2^nu - 1) for 1 <= n < 2^nu; the product has weight exactly nu."""
-    _require(n >= 1, f"n must be >= 1, got {n}")
-    _require(n < (1 << nu), f"need n < 2^{nu}, got {n}")
+    _require(n >= 1, "n must be >= 1, got {}", n)
+    _require(n < (1 << nu), "need n < 2^{}, got {}", nu, n)
     r = n * ((1 << nu) - 1)
-    _ensure(r.bit_count() == nu, f"B({n}*(2^{nu}-1)) != {nu}")
+    _ensure(r.bit_count() == nu, "B(n*(2^nu-1)) != nu")
     return r
 
 
@@ -125,8 +125,9 @@ def affix_one(n: int, nu: int) -> int:
     Appends nu-1 zeros and a one below n, so the weight grows by 1 and
     the square weight by B(n) + 1.
     """
-    _require(n >= 1, f"n must be >= 1, got {n}")
-    _require(nu >= 2 and n < (1 << (nu - 1)), f"need n < 2^({nu}-1), got n={n}")
+    _require(n >= 1, "n must be >= 1, got {}", n)
+    _require(nu >= 2 and n < (1 << (nu - 1)), "need n < 2^({}-1), got n={}",
+             nu, n)
     r = (n << nu) + 1
     _ensure(r.bit_count() == n.bit_count() + 1, "weight identity failed")
     _ensure((r * r).bit_count() == (n * n).bit_count() + n.bit_count() + 1,
@@ -142,11 +143,11 @@ def subtract_compose(n: int, m: int, nu: int) -> int:
         B(result)   = B(n) - B(m) + nu
         B(result^2) = B(n^2) + B(m^2) - B(m n) + nu - 1
     """
-    _require(n >= 1 and n % 2 == 1, f"n must be odd positive, got {n}")
-    _require(m >= 1 and m % 2 == 1, f"m must be odd positive, got {m}")
+    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
+    _require(m >= 1 and m % 2 == 1, "m must be odd positive, got {}", m)
     k, h = n.bit_length(), m.bit_length()
     bound = max(2 * h - 1, h + k + 1)
-    _require(nu >= bound, f"need nu >= {bound}, got {nu}")
+    _require(nu >= bound, "need nu >= {}, got {}", bound, nu)
     r = (n << nu) - m
     _ensure(r.bit_count() == n.bit_count() - m.bit_count() + nu,
             "weight identity failed")
@@ -161,12 +162,12 @@ def finalize_member(n: int, nu: int) -> int:
 
     The result is always a member; this is the last link of the chain.
     """
-    _require(n >= 1 and n % 2 == 1, f"n must be odd positive, got {n}")
+    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
     w, sw = n.bit_count(), (n * n).bit_count()
     _require(sw == 2 * w - 1,
-             f"need B(n^2) = 2B(n)-1, got B={w}, square B={sw} (defect {sw - 2 * w})")
+             "need B(n^2) = 2B(n)-1, got B={}, square B={}", w, sw)
     r = subtract_compose(n, 1, nu)
-    _ensure(is_isosquare(r), f"finalized value {r} is not a member")
+    _ensure(is_isosquare(r), "2^nu * n - 1 is not a member")
     return r
 
 
@@ -177,9 +178,9 @@ def subtract_mersenne(n: int, h: int, nu: int) -> int:
         B(result)   = B(n) + nu - h
         B(result^2) = B(n^2) + nu - 1
     """
-    _require(n >= 1 and n % 2 == 1, f"n must be odd positive, got {n}")
-    _require(n < (1 << h) - 1, f"need n < 2^{h}-1, got {n}")
-    _require(nu >= 2 * h + 1, f"need nu >= {2 * h + 1}, got {nu}")
+    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
+    _require(n < (1 << h) - 1, "need n < 2^{}-1, got {}", h, n)
+    _require(nu >= 2 * h + 1, "need nu >= {}, got {}", 2 * h + 1, nu)
     r = (n << nu) - ((1 << h) - 1)
     _ensure(r.bit_count() == n.bit_count() + nu - h, "weight identity failed")
     _ensure((r * r).bit_count() == (n * n).bit_count() + nu - 1,
@@ -194,11 +195,11 @@ def normalize_defect(n: int) -> int:
     choice that makes B(n'^2) = 2B(n') - 1 for n' = n*2^nu - (2^h - 1).
     Also guarantees n' < n * 2^(4k+2).
     """
-    _require(n > 1 and n % 2 == 1, f"n must be odd and > 1, got {n}")
+    _require(n > 1 and n % 2 == 1, "n must be odd and > 1, got {}", n)
     k = n.bit_length()
     w, sw = n.bit_count(), (n * n).bit_count()
     _require(sw >= 2 * w + 1,
-             f"need defect >= +1, got {sw - 2 * w} for n={n}")
+             "need defect >= +1, got {} for n={}", sw - 2 * w, n)
     h = k + 1
     nu = sw - 2 * w + 2 * h
     r = subtract_mersenne(n, h, nu)
@@ -216,7 +217,7 @@ def inflate(n: int) -> int:
     B(n^2) - 1, which is >= +1 whenever n is not a power of two.
     The result is odd and smaller than n^4 up to a constant.
     """
-    _require(n > 1, f"n must be > 1, got {n}")
+    _require(n > 1, "n must be > 1, got {}", n)
     k = n.bit_length()
     r = affix_one(affix_one(n, k + 1), 2 * k + 2)
     _ensure(r.bit_count() == n.bit_count() + 2, "weight identity failed")
@@ -232,9 +233,9 @@ def construct_one(seed: int) -> ConstructionTrace:
     (inflate always emits an odd value).  The top bitlen(seed) bits of
     every stage equal the seed, so distinct seeds give distinct finals.
     """
-    _require(seed > 1, f"seed must be > 1, got {seed}")
+    _require(seed > 1, "seed must be > 1, got {}", seed)
     _require(seed & (seed - 1) != 0,
-             f"seed must not be a power of two, got {seed}")
+             "seed must not be a power of two, got {}", seed)
     inflated = inflate(seed)
     normalized = normalize_defect(inflated)
     final = finalize_member(normalized, normalized.bit_length() + 2)
@@ -256,7 +257,7 @@ def family_traces(n: int) -> list[ConstructionTrace]:
     so none is a power of two and no fallback seed is ever needed.
     Results are ordered by seed.
     """
-    _require(n > 1 and n % 2 == 1, f"n must be odd and > 1, got {n}")
+    _require(n > 1 and n % 2 == 1, "n must be odd and > 1, got {}", n)
     k = n.bit_length()
     traces = [construct_one((1 << k) + i) for i in range(1, n + 1)]
     finals = [t.final for t in traces]

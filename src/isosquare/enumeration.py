@@ -2,16 +2,16 @@
 
 The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^63 the
 test runs on numpy popcounts (square_weight) in blocks of 2^16 integers,
-small enough that every temporary stays in cache; from 2^63 on each
-element falls back to exact big-integer arithmetic.  numpy is imported on
+small enough that every temporary stays in cache.  numpy is imported on
 the first call into a sieve kernel, so importing this module, or running
-a CLI command that never sieves, does not load it.  One chunk loop runs
-a kernel over contiguous chunks of the range on worker threads (numpy
-releases the GIL, the big-int path does not) and hands the results out
-in chunk order, so output is identical whatever the worker count.  The
-member kernel (members_in_range) lists the members of a chunk for
-sieve_chunks and sieve; the odd-count kernel (odd_counts_in_range) only
-counts the odd members of a chunk, which is all that counting needs.
+a CLI command that never sieves, does not load it.  One chunk loop runs a
+kernel over contiguous chunks of the range on worker threads and hands
+the results out in chunk order, so output is identical whatever the
+worker count.  The member kernel (members_in_range) lists a chunk's
+members for sieve_chunks and sieve, from 2^63 on in exact big-integer
+arithmetic, which holds the GIL.  The odd-count kernel
+(odd_counts_in_range) only counts a chunk's odd members, all that
+counting needs, on numpy alone: counting refuses grid points above 2^63.
 """
 
 from __future__ import annotations
@@ -90,16 +90,17 @@ def members_in_range(lo: int, hi: int) -> list[int]:
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     """Odd members m with lo <= m <= p, for each p of the sorted points.
 
-    Points lie in [lo - 1, hi] (lo >= 1).  Only odd integers are tested, in
-    blocks of BLOCK of them, and a block is counted, not listed.
+    Points lie in [lo - 1, hi] (1 <= lo, hi < 2^63).  Only odd integers are
+    tested, in blocks of BLOCK of them, and a block is counted, not listed.
     """
     _require_positive(lo=lo)
+    if hi >= FAST_LIMIT:
+        raise ValueError(f"hi must be below 2^63, got {hi}")
     import numpy as np
     counts: list[int] = []
     total, i = 0, 0
-    fast_hi = min(hi, FAST_LIMIT - 1)
-    for start in range(lo | 1, fast_hi + 1, 2 * BLOCK):
-        end = min(fast_hi, start + 2 * BLOCK - 1)
+    for start in range(lo | 1, hi + 1, 2 * BLOCK):
+        end = min(hi, start + 2 * BLOCK - 1)
         a = np.arange(start, end + 1, 2, dtype=np.uint64)
         mask = np.bitwise_count(a) == square_weight(a)
         while i < len(points) and points[i] <= end:
@@ -108,10 +109,7 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
                 mask[:(points[i] - start) // 2 + 1])))
             i += 1
         total += int(np.count_nonzero(mask))
-    tail = [m for m in range(max(lo, FAST_LIMIT) | 1, hi + 1, 2)
-            if is_isosquare(m)]
-    counts += (total + bisect_right(tail, p) for p in points[i:])
-    return counts
+    return counts + [total] * (len(points) - i)
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
@@ -235,16 +233,18 @@ def counting(limit: int, grid: Sequence[int],
 
     m is a member iff 2m is, since B(2m) = B(m) and (2m)^2 = 4m^2, so
     p(n) = sum over j >= 0 of O((n - 1) >> j), where O(x) counts the odd
-    members <= x.  Only the odd integers up to max(grid) - 1 are sieved,
-    in chunks on `workers` threads as in sieve_chunks, and each chunk
-    returns just its counts at the query points (n - 1) >> j; no member
-    is listed.
+    members <= x.  Only the odd integers up to max(grid) - 1 <= 2^63 - 1
+    are sieved, in chunks on `workers` threads as in sieve_chunks, and
+    each chunk returns just its counts at the query points (n - 1) >> j;
+    no member is listed.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 1 or grid[-1] > limit):
         raise ValueError("grid points must lie in [1, limit]")
+    if grid and grid[-1] > FAST_LIMIT:
+        raise ValueError("grid points must be at most 2^63")
     _require_positive(limit=limit, workers=workers)
     points = sorted({(n - 1) >> j for n in grid
                      for j in range((n - 1).bit_length())})

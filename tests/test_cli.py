@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 
-from conftest import oracle_members
+from conftest import oracle_is_member, oracle_members
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +31,18 @@ def forbid_sieving(monkeypatch, message):
         monkeypatch.setattr(enumeration, name, fail)
 
 
+@contextmanager
+def digit_cap(digits):
+    """Set Python's cap on int <-> decimal str conversion (0: none) for
+    the block; the library runs under the default cap of 4,300 digits."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 class TestParseLimit:
     def test_shorthand(self):
         assert parse_limit("10^7") == 10**7
@@ -43,6 +56,38 @@ class TestParseLimit:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             parse_limit("2^-1")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check", "ten"], "n"),
+        (["check", "5", "--triple", "2,x,2"], "--triple"),
+        (["check", "5", "--triple", "1,1,2"], "--triple"),
+        (["enumerate", "--limit", "10^x"], "--limit"),
+        (["count", "--limit", "ten", "--grid", "5"], "--limit"),
+        (["analyze", "--limit", "2^-1"], "--limit"),
+        (["construct", "--seed", "5.0"], "--seed"),
+        (["construct", "--family", "x^3"], "--family"),
+    ])
+    def test_malformed_number_is_usage_error(self, capsys, monkeypatch,
+                                             argv, name):
+        forbid_sieving(monkeypatch, "sieved before parsing the arguments")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: argument {name}: invalid" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "5"],                        # returns 1
+        ["check", "0"],                        # returns 2 after ValueError
+        ["check", "2^-1"],                     # argparse exits 2
+    ])
+    def test_digit_cap_restored(self, capsys, argv):
+        with digit_cap(5000):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert sys.get_int_max_str_digits() == 5000
 
 
 class TestCheck:
@@ -65,8 +110,15 @@ class TestCheck:
         assert code == 0 and "base=3" in out
 
     def test_malformed_triple(self, capsys):
-        code, _, _ = run(capsys, "check", "5", "--triple", "2,1")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "5", "--triple", "2,1"])
+        assert exc.value.code == 2
+
+    def test_decimal_at_any_size(self, capsys):
+        code, out, _ = run(capsys, "check", "2^20000")
+        with digit_cap(0):
+            assert out.split()[0] == f"n={2**20000}"
+        assert code == 0
 
 
 class TestEnumerate:
@@ -289,6 +341,13 @@ class TestCount:
         assert code == 2 and out == ""
         assert err.startswith("error: geometric grid limit must be below")
 
+    def test_grid_above_2_63_rejected(self, capsys, monkeypatch):
+        forbid_sieving(monkeypatch, "sieved before checking the grid")
+        code, out, err = run(capsys, "count", "--limit", "10^19",
+                             "--grid", "10^19")
+        assert code == 2 and out == ""
+        assert err == "error: grid points must be at most 2^63\n"
+
 
 class TestConstruct:
     def test_seed_json_lines(self, capsys):
@@ -321,6 +380,18 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--seed", "6")
         assert code == 0 and "finalize" in out
 
+    def test_seed_beyond_decimal_cap(self, capsys):
+        # The final has some 24,000 bits: over 4,300 decimal digits.
+        code, out, _ = run(capsys, "construct", "--seed", "10^300",
+                           "--format", "json-lines")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        with digit_cap(0):
+            seed, final = (int(records[i]["value"]) for i in (0, -1))
+        assert seed == 10**300 and records[-1]["bits"] == final.bit_length()
+        assert final >> (final.bit_length() - seed.bit_length()) == seed
+        assert oracle_is_member(final)
+
 
 class TestAnalyze:
     def test_small_limit_rejected(self, capsys):
@@ -352,6 +423,18 @@ class TestAnalyze:
                              "--out", str(out_path))
         assert code == 2 and out == ""
         assert err.startswith("error: geometric grid limit must be below")
+        assert not out_path.exists()
+
+    def test_grid_above_2_63_rejected_before_sieving(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # At --limit 10^19 the grid still ends at 2^63 - 2^16, so it is
+        # valid; at 2^64 it ends at 2^64 - 2^17.
+        forbid_sieving(monkeypatch, "sieved before checking the grid")
+        out_path = tmp_path / "p.csv"
+        code, out, err = run(capsys, "analyze", "--limit", "2^64",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: grid points must be at most 2^63\n"
         assert not out_path.exists()
 
     def test_negative_fit_exponent_is_usage_error(self, capsys, tmp_path):

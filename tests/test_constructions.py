@@ -316,6 +316,16 @@ class TestConstructOne:
                 v = stage.value
                 assert v >> (v.bit_length() - seed.bit_length()) == seed
 
+    def test_seed_beyond_decimal_cap(self):
+        # The final has about 48,000 bits, some 14,500 decimal digits: far
+        # over Python's default cap of 4,300, which a passing check must
+        # never meet by formatting a value.
+        seed = (1 << 2000) + 12345
+        final = cons.construct_one(seed).final
+        assert final.bit_length() > 4300 * 4
+        assert final >> (final.bit_length() - seed.bit_length()) == seed
+        assert B(final) == B(final * final)
+
     def test_stage_values_increase(self):
         trace = cons.construct_one(99)
         values = [s.value for s in trace.stages]

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from bisect import bisect_left
 from itertools import islice
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isosquare import enumeration
 from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
@@ -61,7 +63,7 @@ class TestSieve:
         reference = list(sieve(50_000))
         assert list(sieve(50_000, chunk_size=777)) == reference
 
-    def test_slow_path_above_fast_limit(self):
+    def test_matches_python_popcount_above_2_31(self):
         lo = (1 << 31) + 1
         fast = [m for m in range(lo, lo + 2000)
                 if m.bit_count() == (m * m).bit_count()]
@@ -187,6 +189,35 @@ class TestCheckpoint:
         assert 0 <= resumed_at <= taken
         assert rest == full[resumed_at:]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 400), st.integers(1, 2),
+           st.data())
+    def test_interrupted_and_torn_run_resumes(self, limit, chunk_size,
+                                              workers, data):
+        # Delivery is at least once: a resumed run starts after the last
+        # complete record, and every member up to it was handed out.
+        full = oracle_members(limit)
+        with tempfile.TemporaryDirectory() as tmp:
+            ck = Path(tmp) / "ck.txt"
+            path = str(ck)
+            first = sieve_chunks(limit, workers, chunk_size, path)
+            chunks = -(-limit // chunk_size)
+            taken = data.draw(st.integers(0, chunks), label="chunks taken")
+            handed = [m for _, members in islice(first, taken)
+                      for m in members]
+            first.close()
+            recorded = ck.read_bytes() if ck.exists() else b""
+            cut = data.draw(st.integers(0, len(recorded)), label="cut")
+            ck.write_bytes(recorded[:cut])
+            done, count = read_checkpoint(path)
+            before = [m for m in full if m <= done]
+            assert count == len(before) and handed[:count] == before
+            rest = [m for _, members in sieve_chunks(limit, workers,
+                                                     chunk_size, path)
+                    for m in members]
+            assert rest == full[count:]
+            assert read_checkpoint(path) == (limit, len(full))
+
     def test_resume_across_2_32_independent_of_workers(self, tmp_path):
         # the chunk ending at 4,295,000,000 straddles 2^32
         done, limit = (1 << 32) - 50_000, (1 << 32) + 250_000
@@ -289,6 +320,30 @@ class TestCounting:
         with pytest.raises(ValueError):
             counting(100, [5, 200])
 
+    def test_grid_above_2_63_rejected_at_call(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking the grid")
+        monkeypatch.setattr(enumeration, "_chunk_loop", fail)
+        for grid in ([(1 << 63) + 1], [5, 10**19]):
+            with pytest.raises(ValueError,
+                               match=re.escape("at most 2^63")):
+                counting(1 << 64, grid)
+
+    def test_grid_at_2_63_counts_below_it(self, monkeypatch):
+        # p(2^63) needs odd counts only up to 2^63 - 1, where the kernel
+        # is still exact; a stub kernel over two huge chunks shows the
+        # ranges that counting asks for.
+        asked = []
+
+        def kernel(lo, hi, points):
+            asked.append((lo, hi))
+            return [0] * len(points)
+        monkeypatch.setattr(enumeration, "odd_counts_in_range", kernel)
+        monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 1 << 62)
+        assert counting(1 << 64, [1 << 63]) == [CountSample(1 << 63, 0)]
+        assert sorted(asked) == [(1, 1 << 62),
+                                 ((1 << 62) + 1, (1 << 63) - 1)]
+
     def test_consistent_with_sieve_random_grid(self):
         limit = 50_000
         members = list(sieve(limit))
@@ -352,9 +407,7 @@ class TestOddCounts:
         ((1 << 32) - 1001, (1 << 32) + 999),       # one two-limb block
         ((1 << 32) - 2 * BLOCK - 500, (1 << 32) + 500),  # one limb, then two
         ((1 << 32) - 3, (1 << 32) + 1),
-        ((1 << 63) - 999, (1 << 63) + 7),          # numpy, then big ints
-        ((1 << 63) - 2, (1 << 63) + 4),
-        ((1 << 63), (1 << 63) + 9),                # big ints only
+        ((1 << 63) - 999, (1 << 63) - 1),          # ends at member 2^63 - 1
         (2, 2 * BLOCK + 10),                       # a block end
         (1, 1),
     ])
@@ -374,6 +427,12 @@ class TestOddCounts:
     def test_repeated_points_and_empty_range(self):
         assert odd_counts_in_range(6, 15, [5, 7, 7, 15, 15]) == [0, 1, 1, 2, 2]
         assert odd_counts_in_range(5, 4, [4]) == [0]
+
+    @pytest.mark.parametrize("hi", [1 << 63, (1 << 63) + 1, 1 << 64])
+    def test_hi_from_2_63_rejected(self, hi):
+        with pytest.raises(ValueError, match=re.escape(
+                f"hi must be below 2^63, got {hi}")):
+            odd_counts_in_range((1 << 63) - 5, hi, [])
 
 
 class TestFindRuns:
