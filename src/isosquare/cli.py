@@ -13,11 +13,24 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from . import analysis, checks, constructions, enumeration, membership
 from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
 
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
+
+
+def _typed(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """parse as an argparse type: its ValueError becomes a usage error
+    that keeps the reason."""
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: {exc}") from None
+    return convert
 
 
 def parse_limit(text: str) -> int:
@@ -27,10 +40,11 @@ def parse_limit(text: str) -> int:
     base_s, exp_s = text.split("^", 1)
     exp = int(exp_s)
     if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {text!r}")
+        raise ValueError(f"exponent must be >= 0, got {exp}")
     return int(base_s) ** exp
 
 
+@_typed
 def _parse_triple(text: str) -> PropertyTriple:
     k, l, m = map(int, text.split(","))  # ValueError unless k,l,m
     return PropertyTriple(base=k, multiplier=l, power=m)
@@ -48,10 +62,11 @@ def _parse_grid(spec: str, limit: int) -> list[int]:
     return analysis.geometric_grid(start, limit, ratio)
 
 
+@_typed
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
@@ -62,9 +77,10 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _require_writable(path: str, what: str) -> None:
+def _require_writable(path: str, what: str, renamed: bool = False) -> None:
     parent = os.path.dirname(os.path.abspath(path))
-    target = path if os.path.exists(path) else parent
+    # a file renamed into place needs its directory writable, not itself
+    target = parent if renamed or not os.path.exists(path) else path
     if (os.path.isdir(path) or not os.path.isdir(parent)
             or not os.access(target, os.W_OK)):
         raise ValueError(f"{what} location not writable: {path}")
@@ -86,7 +102,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.checkpoint is not None:
-        _require_writable(args.checkpoint, "checkpoint")
+        _require_writable(args.checkpoint, "checkpoint", renamed=True)
     chunks = enumeration.sieve_chunks(args.limit, workers=args.workers,
                                       checkpoint=args.checkpoint)
     out = sys.stdout
@@ -183,13 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Isosquare numbers: membership, constructions, "
                     "enumeration and counting-function analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
+    integer = _typed(parse_limit)
     sieving = argparse.ArgumentParser(add_help=False)
-    sieving.add_argument("--limit", type=parse_limit, required=True)
+    sieving.add_argument("--limit", type=integer, required=True)
     sieving.add_argument("--workers", type=positive_int,
                          default=_default_workers())
 
     p = sub.add_parser("check", help="membership verdict for one integer")
-    p.add_argument("n", type=parse_limit)
+    p.add_argument("n", type=integer)
     p.add_argument("--triple", type=_parse_triple, default=ISOSQUARE,
                    metavar="k,l,m")
     p.set_defaults(func=cmd_check)
@@ -208,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the member construction chain")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seed", type=parse_limit)
-    group.add_argument("--family", type=parse_limit)
+    group.add_argument("--seed", type=integer)
+    group.add_argument("--family", type=integer)
     p.add_argument("--format", choices=["plain", "json-lines"],
                    default="plain")
     p.set_defaults(func=cmd_construct)
@@ -218,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exponent fit and fluctuation profile CSV")
     p.add_argument("--alpha", choices=["theoretical", "fit"], default="fit")
     p.add_argument("--out", default="profile.csv")
-    p.add_argument("--fit-from", type=parse_limit, default=None,
+    p.add_argument("--fit-from", type=integer, default=None,
                    help="fit only grid points with n >= this "
                         "(default: limit/10)")
     p.set_defaults(func=cmd_analyze)
@@ -233,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Python caps decimal int <-> str at 4,300 digits; lifted until return.
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -248,8 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ kernel over contiguous chunks of the range on worker threads and hands
 the results out in chunk order, so output is identical whatever the
 worker count.  The member kernel (members_in_range) lists a chunk's
 members for sieve_chunks and sieve, from 2^63 on in exact big-integer
-arithmetic, which holds the GIL.  The odd-count kernel
+arithmetic, which holds the GIL.  sieve_chunks resumes from a one-record
+checkpoint, renamed into place after each chunk.  The odd-count kernel
 (odd_counts_in_range) only counts a chunk's odd members, all that
 counting needs, on numpy alone: counting refuses grid points above 2^63.
 """
@@ -113,44 +114,26 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
-    """Last (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
+    """The (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
 
-    A final line without a newline was torn by a crash mid-write and is
-    ignored; any complete line that is malformed (a non-ASCII byte, a count
-    above its chunk_end) raises ValueError.
+    The file must be one line "chunk_end count" of two unsigned decimal
+    integers, ending in a newline, with count <= chunk_end.  Anything else
+    (a cut record, several lines, a non-ASCII byte) raises ValueError.
     """
-    if not os.path.exists(path):
+    if not os.path.exists(path) or not os.path.getsize(path):
         return 0, 0
-    last_end, last_count = 0, 0
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break  # only the last line can lack its newline
-            if not line.strip():
-                continue
-            try:
-                end, count = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"checkpoint {path} line {number}: expected "
-                                 "'chunk_end count'") from None
-            if count > end:
-                raise ValueError(f"checkpoint {path} line {number}: count "
-                                 f"{count} exceeds chunk_end {end}")
-            if end < last_end or count < last_count:
-                raise ValueError(f"checkpoint {path} line {number}: not "
-                                 f"monotone after '{last_end} {last_count}'")
-            last_end, last_count = end, count
-    return last_end, last_count
-
-
-def _cut_torn_line(path: str) -> None:
-    """Drop a final line without a newline, so appends start on a new line."""
-    if not os.path.exists(path):
-        return
-    with open(path, "rb+") as fh:
         data = fh.read()
-        if not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
+    fields = data.split()
+    if (data.find(b"\n") != len(data) - 1 or len(fields) != 2
+            or not all(f.isdigit() for f in fields)):
+        raise ValueError(f"checkpoint {path}: expected one line "
+                         "'chunk_end count'")
+    end, count = map(int, fields)
+    if count > end:
+        raise ValueError(f"checkpoint {path}: count {count} exceeds "
+                         f"chunk_end {end}")
+    return end, count
 
 
 def sieve_chunks(limit: int, workers: int = 1,
@@ -159,21 +142,20 @@ def sieve_chunks(limit: int, workers: int = 1,
                  ) -> Iterator[tuple[int, list[int]]]:
     """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
 
-    The arguments and the checkpoint are checked at the call, where a torn
-    last line is cut off; sieving starts when the result is first advanced.
-    Chunks come in order, each with its members increasing; `workers`
-    threads sieve at most 2 * workers + 1 chunks ahead of the consumer.
-    With a checkpoint path, the line "chunk_end count" is appended only when
-    the consumer resumes the generator after receiving that chunk, so a
+    The arguments and the checkpoint are checked (read, not written) at the
+    call; sieving starts when the result is first advanced.  Chunks come in
+    order, each with its members increasing; `workers` threads sieve at
+    most 2 * workers + 1 chunks ahead of the consumer.  With a checkpoint
+    path, its one record "chunk_end count" is replaced only when the
+    consumer resumes the generator after receiving that chunk, so a
     recorded chunk was handed out in full.  A later run resumes after the
-    last recorded chunk, at no cost per chunk skipped; a chunk handed out
-    but not recorded is produced again.
+    recorded chunk, at no cost per chunk skipped; a chunk handed out but
+    not recorded is produced again.
     """
     _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
     if checkpoint is None:
         return _chunk_loop(members_in_range, 1, limit, workers, chunk_size)
     done, count = read_checkpoint(checkpoint)
-    _cut_torn_line(checkpoint)
     chunks = _chunk_loop(members_in_range, done + 1, limit, workers,
                          chunk_size)
     return _recorded(chunks, checkpoint, count)
@@ -207,13 +189,15 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
 def _recorded(chunks: Iterator[tuple[int, list[int]]], checkpoint: str,
               count: int) -> Iterator[tuple[int, list[int]]]:
     """The chunks, each recorded in the checkpoint once the consumer
-    resumes after it."""
+    resumes after it.  The record is written to checkpoint.tmp and renamed
+    over the checkpoint, so a kill leaves the old record or the new one."""
     with closing(chunks):
         for hi, members in chunks:
             yield hi, members
             count += len(members)
-            with open(checkpoint, "a") as fh:
+            with open(checkpoint + ".tmp", "w") as fh:
                 fh.write(f"{hi} {count}\n")
+            os.replace(checkpoint + ".tmp", checkpoint)
 
 
 def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,

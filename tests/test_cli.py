@@ -62,10 +62,11 @@ class TestParseLimit:
         (["check", "5", "--triple", "2,x,2"], "--triple"),
         (["check", "5", "--triple", "1,1,2"], "--triple"),
         (["enumerate", "--limit", "10^x"], "--limit"),
-        (["count", "--limit", "ten", "--grid", "5"], "--limit"),
+        (["count", "--grid", "5", "--limit", "ten"], "--limit"),
         (["analyze", "--limit", "2^-1"], "--limit"),
         (["construct", "--seed", "5.0"], "--seed"),
         (["construct", "--family", "x^3"], "--family"),
+        (["enumerate", "--limit", "10", "--workers", "x"], "--workers"),
     ])
     def test_malformed_number_is_usage_error(self, capsys, monkeypatch,
                                              argv, name):
@@ -74,7 +75,11 @@ class TestParseLimit:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
-        assert f"error: argument {name}: invalid" in err
+        reason = {"1,1,2": "base must be >= 2, got 1",
+                  "2^-1": "exponent must be >= 0, got -1"}.get(argv[-1], "")
+        assert (f"error: argument {name}: invalid value {argv[-1]!r}: "
+                f"{reason}") in err
+        assert "_parse" not in err and "positive_int" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "5"],                        # returns 1
@@ -160,13 +165,31 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "checkpoint location not writable" in err
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unwritable_checkpoint_directory(self, capsys, tmp_path,
+                                             monkeypatch, exists):
+        # The record is renamed into place, so the directory must be
+        # writable even where the file is.  As root every write is allowed,
+        # so os.access is told the directory is read-only.
+        path = tmp_path / "ck.txt"
+        if exists:
+            path.write_text("100 5\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda target, mode: (
+            access(target, mode) and str(target) != str(tmp_path)))
+        forbid_sieving(monkeypatch, "sieved with an unwritable checkpoint")
+        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                             "--format", "csv", "--checkpoint", str(path))
+        assert code == 2 and out == ""
+        assert f"error: checkpoint location not writable: {path}" in err
+
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     @pytest.mark.parametrize("content, message", [
-        (b"5 x\n", "line 1: expected 'chunk_end count'"),
-        (b"100 5\n50 7\n", "line 2: not monotone after '100 5'"),
-        (b"10 5\n\xff\xfe 3\n", "line 2: expected 'chunk_end count'"),
-        (b"10 50\n", "line 1: count 50 exceeds chunk_end 10"),
-    ], ids=["malformed", "not-monotone", "not-utf-8", "count-above-end"])
+        (b"5 x\n", "expected one line 'chunk_end count'"),
+        (b"100 5\n50 7\n", "expected one line 'chunk_end count'"),
+        (b"\xff\xfe 3\n", "expected one line 'chunk_end count'"),
+        (b"10 50\n", "count 50 exceeds chunk_end 10"),
+    ], ids=["malformed", "two-records", "not-utf-8", "count-above-end"])
     def test_bad_checkpoint_prints_nothing(self, capsys, tmp_path, fmt,
                                            content, message):
         path = tmp_path / "ck.txt"
@@ -175,21 +198,29 @@ class TestEnumerate:
                              "--format", fmt, "--checkpoint", str(path),
                              "--workers", "1")
         assert code == 2 and out == ""
-        assert f"error: checkpoint {path} {message}" in err
+        assert f"error: checkpoint {path}: {message}" in err
         assert path.read_bytes() == content
 
-    def test_torn_checkpoint_resumes(self, capsys, tmp_path):
+    def test_old_log_refused_its_last_line_resumes(self, capsys, tmp_path):
         full = list(enumeration.sieve(5 * 10**6))
         done = sum(1 for m in full if m <= 1 << 22)
+        last = f"{1 << 22} {done}\n".encode()
         path = tmp_path / "ck.txt"
-        for torn in (b"83", b"4194400 1\xff"):
-            path.write_bytes(f"{1 << 22} {done}\n".encode() + torn)
-            code, out, _ = run(capsys, "enumerate", "--limit", "5000000",
-                               "--checkpoint", str(path), "--workers", "1")
-            assert code == 0
-            assert [int(x) for x in out.split()] == full[done:]
-            assert path.read_text() == (f"{1 << 22} {done}\n"
-                                        f"5000000 {len(full)}\n")
+        # logs that earlier versions appended to, complete or torn
+        for log in (f"{1 << 21} {sum(m <= 1 << 21 for m in full)}\n".encode()
+                    + last, last + b"83", last + b"4194400 1\xff"):
+            path.write_bytes(log)
+            code, out, err = run(capsys, "enumerate", "--limit", "5000000",
+                                 "--checkpoint", str(path), "--workers", "1")
+            assert code == 2 and out == ""
+            assert f"error: checkpoint {path}: expected one line" in err
+            assert path.read_bytes() == log
+        path.write_bytes(last)  # the conversion: keep the last complete line
+        code, out, _ = run(capsys, "enumerate", "--limit", "5000000",
+                           "--checkpoint", str(path), "--workers", "1")
+        assert code == 0
+        assert [int(x) for x in out.split()] == full[done:]
+        assert path.read_text() == f"5000000 {len(full)}\n"
 
     def test_malformed_checkpoint_line_is_error(self, capsys, tmp_path):
         path = tmp_path / "ck.txt"
@@ -219,9 +250,7 @@ class TestEnumerate:
         assert main(["enumerate", "--limit", "10^7", "--workers", "2",
                      "--checkpoint", str(path)]) == 0
         lines = out.getvalue().count("\n")
-        rows = [tuple(map(int, line.split()))
-                for line in path.read_text().splitlines()]
-        assert len(rows) == 3 and rows[-1] == (10**7, lines)
+        assert path.read_text() == f"{10**7} {lines}\n"
         assert len(seen) >= 6
         assert all(recorded <= printed for recorded, printed in seen)
 
@@ -404,6 +433,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--limit", "10^8",
                            "--out", "/nonexistent/dir/profile.csv")
         assert code == 2 and "error:" in err and "--out" in err
+
+    def test_out_needs_only_the_file_writable(self, capsys, tmp_path,
+                                              monkeypatch):
+        # --out is written in place, so its directory may be read-only
+        out_path = tmp_path / "p.csv"
+        out_path.write_text("")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda target, mode: (
+            access(target, mode) and str(target) != str(tmp_path)))
+        code, _, _ = run(capsys, "analyze", "--limit", "2^14", "--workers",
+                         "1", "--out", str(out_path))
+        assert code == 0 and out_path.read_text().startswith("n,log2n,")
 
     @pytest.mark.parametrize("fit_from", ["2^20", "16000"])
     def test_empty_fit_window_rejected_before_sieving(self, capsys, tmp_path,

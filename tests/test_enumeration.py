@@ -100,13 +100,13 @@ class TestSieve:
 
     def test_bad_workers(self, tmp_path):
         path = tmp_path / "ck.txt"
-        path.write_text("100 5\n20")  # a torn last line that a run cuts off
+        path.write_text("100 5\n")  # a rejected call leaves it as it is
         for run in (lambda: list(sieve(1000, 0, checkpoint=str(path))),
                     lambda: next(sieve_chunks(1000, 0, 100, str(path))),
                     lambda: counting(1000, [500], workers=0)):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 run()
-        assert path.read_text() == "100 5\n20"
+        assert path.read_text() == "100 5\n"
 
     @pytest.mark.parametrize("call", [
         lambda: sieve(0),
@@ -148,13 +148,17 @@ class TestSquareWeight:
 
 class TestCheckpoint:
     def test_records_are_monotone(self, tmp_path):
+        # each record replaces the one before: the file is always one line
         path = tmp_path / "ck.txt"
-        list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
-        rows = [tuple(map(int, line.split()))
-                for line in path.read_text().splitlines()]
-        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-        assert [r[1] for r in rows] == sorted(r[1] for r in rows)
-        assert rows[-1] == (10_000, len(oracle_members(10_000)))
+        rows = []
+        for _ in sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path)):
+            if path.exists():
+                assert path.read_text().count("\n") == 1
+                rows.append(read_checkpoint(str(path)))
+        assert [end for end, _ in rows] == list(range(1000, 10_000, 1000))
+        assert [count for _, count in rows] == sorted(c for _, c in rows)
+        assert path.read_text() == f"10000 {len(oracle_members(10_000))}\n"
+        assert os.listdir(tmp_path) == ["ck.txt"]  # no .tmp left behind
 
     def test_resume_emits_remaining_members(self, tmp_path):
         path = tmp_path / "ck.txt"
@@ -194,8 +198,10 @@ class TestCheckpoint:
            st.data())
     def test_interrupted_and_torn_run_resumes(self, limit, chunk_size,
                                               workers, data):
-        # Delivery is at least once: a resumed run starts after the last
-        # complete record, and every member up to it was handed out.
+        # Delivery is at least once: a resumed run starts after the record,
+        # and every member up to it was handed out.  A kill between writing
+        # ck.txt.tmp and renaming it leaves that file, which is ignored; a
+        # cut record is never read as a smaller count.
         full = oracle_members(limit)
         with tempfile.TemporaryDirectory() as tmp:
             ck = Path(tmp) / "ck.txt"
@@ -206,17 +212,26 @@ class TestCheckpoint:
             handed = [m for _, members in islice(first, taken)
                       for m in members]
             first.close()
+            stray = data.draw(st.none() | st.binary(max_size=12),
+                              label="stray .tmp")
+            if stray is not None:
+                Path(path + ".tmp").write_bytes(stray)
             recorded = ck.read_bytes() if ck.exists() else b""
-            cut = data.draw(st.integers(0, len(recorded)), label="cut")
-            ck.write_bytes(recorded[:cut])
+            for cut in range(1, len(recorded)):
+                ck.write_bytes(recorded[:cut])
+                with pytest.raises(ValueError, match=re.escape(path)):
+                    read_checkpoint(path)
+            ck.write_bytes(recorded)  # empty when nothing was recorded
             done, count = read_checkpoint(path)
+            assert done == min(limit, max(taken - 1, 0) * chunk_size)
             before = [m for m in full if m <= done]
             assert count == len(before) and handed[:count] == before
             rest = [m for _, members in sieve_chunks(limit, workers,
                                                      chunk_size, path)
                     for m in members]
             assert rest == full[count:]
-            assert read_checkpoint(path) == (limit, len(full))
+            assert ck.read_bytes() == f"{limit} {len(full)}\n".encode()
+            assert os.listdir(tmp) == ["ck.txt"]
 
     def test_resume_across_2_32_independent_of_workers(self, tmp_path):
         # the chunk ending at 4,295,000,000 straddles 2^32
@@ -235,44 +250,66 @@ class TestCheckpoint:
         assert members == members_in_range(done + 1, limit)
 
     def test_non_monotone_rejected(self, tmp_path):
+        # two records, in order or not, are the old log format: refused
         path = tmp_path / "ck.txt"
-        path.write_text("100 5\n\n50 7\n")
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path} line 3: not monotone after '100 5'")):
-            read_checkpoint(str(path))
+        for content in (b"100 5\n50 7\n", b"100 5\n200 7\n", b"100 5\n\n"):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"checkpoint {path}: expected one line 'chunk_end count'")):
+                read_checkpoint(str(path))
 
-    def test_torn_last_line_resumes_at_every_cut(self, tmp_path):
-        full_path = tmp_path / "full.txt"
-        full = list(sieve(10_000, chunk_size=1000, checkpoint=str(full_path)))
-        lines = full_path.read_bytes().splitlines(keepends=True)
-        done = b"".join(lines[:3])
-        torn = lines[3]
+    def test_torn_record_refused_at_every_cut(self, tmp_path):
         path = tmp_path / "ck.txt"
-        for cut in range(len(torn) + 1):
+        full = list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
+        record = path.read_bytes()
+        assert record == f"10000 {len(full)}\n".encode()
+        path.write_bytes(b"")
+        assert read_checkpoint(str(path)) == (0, 0)
+        for cut in range(len(record)):
             for junk in (b"", b"\xff"):  # a torn tail may hold any byte
-                path.write_bytes(done + torn[:cut] + junk)
-                resumed_from = read_checkpoint(str(path))
-                rest = list(sieve(10_000, chunk_size=1000,
-                                  checkpoint=str(path)))
-                assert full[:resumed_from[1]] + rest == full
-                assert resumed_from[0] == (4000 if cut == len(torn) else 3000)
-                assert path.read_bytes() == full_path.read_bytes()
-                assert read_checkpoint(str(path)) == (10_000, len(full))
+                torn = record[:cut] + junk
+                if not torn:
+                    continue  # the empty file, which starts a run afresh
+                path.write_bytes(torn)
+                for call in (lambda: read_checkpoint(str(path)),
+                             lambda: sieve_chunks(10_000, 1, 1000, str(path))):
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"checkpoint {path}: expected one line")):
+                        call()
+                assert path.read_bytes() == torn
 
     @pytest.mark.parametrize("content, message", [
-        (b"4194304 12345\n83\n", "line 2: expected 'chunk_end count'"),
-        (b"5 x\n", "line 1: expected 'chunk_end count'"),
-        (b"\n5 1 7\n", "line 2: expected 'chunk_end count'"),
-        (b"10 5\n\xff\xfe 3\n", "line 2: expected 'chunk_end count'"),
-        (b"10 50\n", "line 1: count 50 exceeds chunk_end 10"),
+        (b"83\n", "expected one line 'chunk_end count'"),
+        (b"5 x\n", "expected one line 'chunk_end count'"),
+        (b"5 1 7\n", "expected one line 'chunk_end count'"),
+        (b"\xff\xfe 3\n", "expected one line 'chunk_end count'"),
+        (b"10 -1\n", "expected one line 'chunk_end count'"),
+        (b"10 50\n", "count 50 exceeds chunk_end 10"),
     ], ids=["one-field", "not-a-number", "three-fields", "not-utf-8",
-            "count-above-end"])
+            "negative", "count-above-end"])
     def test_complete_malformed_line_rejected(self, tmp_path, content,
                                               message):
         path = tmp_path / "ck.txt"
         path.write_bytes(content)
-        with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: {message}")):
             read_checkpoint(str(path))
+
+    def test_stray_tmp_is_ignored_and_overwritten(self, tmp_path):
+        # a kill between writing ck.txt.tmp and renaming it leaves the file
+        path, tmp = tmp_path / "ck.txt", tmp_path / "ck.txt.tmp"
+        full = list(sieve(10_000, chunk_size=1000))
+        first = sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path))
+        list(islice(first, 4))
+        first.close()
+        tmp.write_bytes(b"4000 9\xff")
+        done, count = read_checkpoint(str(path))
+        assert (done, count) == (3000, sum(m <= 3000 for m in full))
+        rest = sieve(10_000, chunk_size=1000, checkpoint=str(path))
+        assert tmp.read_bytes() == b"4000 9\xff"  # the call only reads
+        assert full[:count] + list(rest) == full
+        assert path.read_text() == f"10000 {len(full)}\n"
+        assert not tmp.exists()
 
     def test_resume_near_limit_skips_chunks_lazily(self, tmp_path):
         limit = 1 << 40
