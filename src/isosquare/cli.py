@@ -103,6 +103,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint", renamed=True)
+        _require_writable(args.checkpoint + ".tmp", "checkpoint")
     chunks = enumeration.sieve_chunks(args.limit, workers=args.workers,
                                       checkpoint=args.checkpoint)
     out = sys.stdout
@@ -111,8 +112,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Flushed before the generator resumes, which is when it records the
     # chunk in the checkpoint: a recorded member has left the process.
     for _, members in chunks:
-        if members:
-            out.write("\n".join(map(str, members)) + "\n")
+        out.write("%d\n" * len(members) % tuple(members))
         out.flush()
     return 0
 

@@ -1,18 +1,26 @@
 """High-throughput enumeration of isosquare numbers.
 
-The sieve tests B(m) = B(m^2) for every m up to a limit.  Below 2^63 the
-test runs on numpy popcounts (square_weight) in blocks of 2^16 integers,
-small enough that every temporary stays in cache.  numpy is imported on
-the first call into a sieve kernel, so importing this module, or running
-a CLI command that never sieves, does not load it.  One chunk loop runs a
-kernel over contiguous chunks of the range on worker threads and hands
-the results out in chunk order, so output is identical whatever the
-worker count.  The member kernel (members_in_range) lists a chunk's
-members for sieve_chunks and sieve, from 2^63 on in exact big-integer
-arithmetic, which holds the GIL.  sieve_chunks resumes from a one-record
-checkpoint, renamed into place after each chunk.  The odd-count kernel
-(odd_counts_in_range) only counts a chunk's odd members, all that
-counting needs, on numpy alone: counting refuses grid points above 2^63.
+The sieve tests B(m) = B(m^2) for integers m up to a limit.  Below 2^63
+the test runs on numpy, in blocks of BLOCK integers (BLOCK odd ones for
+the odd kernels) aligned to their span, small enough that every temporary
+stays in cache.  One block generator (_masks) reuses its buffers for
+every block, takes B(m) as B(base) plus a table entry, and squares m in
+one uint64 below 2^32 and in two uint64 limbs above, the high limb one
+scalar per block.  numpy is imported on the first call into a sieve
+kernel, so importing this module, or running a CLI command that never
+sieves, does not load it.  One chunk loop runs a kernel over contiguous
+chunks of the range on worker threads and hands the results out in chunk
+order, so output is identical whatever the worker count.  The member
+kernel (members_in_range) lists a chunk's members, from 2^63 on in exact
+big-integer arithmetic, which holds the GIL.  sieve_chunks and sieve list
+members through odd parts: m is a member iff 2m is, so once a chunk
+starts at twice the first integer of the run, only its odd integers are
+tested and its even members are doubled from earlier chunks, which keep
+about 0.24 p(limit) members for that.  sieve_chunks resumes from a
+one-record checkpoint, renamed into place after each chunk.  The
+odd-count kernel (odd_counts_in_range) only counts a chunk's odd members,
+all that counting needs, on numpy alone: counting refuses grid points
+above 2^63.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
@@ -32,7 +41,7 @@ from .membership import is_isosquare
 if TYPE_CHECKING:
     import numpy as np
 
-FAST_LIMIT = 1 << 63  # numpy path below: square_weight is exact there
+FAST_LIMIT = 1 << 63  # numpy path below: its two-limb square is exact there
 DEFAULT_CHUNK = 1 << 22
 BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
 
@@ -55,35 +64,83 @@ class RunRecord:
     length: int
 
 
-def square_weight(a: np.ndarray) -> np.ndarray:
-    """B(m^2) for each m of an increasing uint64 block with m < 2^63."""
-    import numpy as np
-    if a[-1] < 1 << 32:  # (2^32 - 1)^2 < 2^64: every square fits in a uint64
-        return np.bitwise_count(a * a)
-    # m = h*2^32 + l, so m^2 = h^2*2^64 + h*l*2^33 + l^2 with h*l < 2^63.
-    h, l = a >> 32, a & 0xFFFFFFFF
-    hl, ll = h * l, l * l
-    low = ll + (hl << 33)  # wraps modulo 2^64
-    high = h * h + (hl >> 31) + (low < ll)
-    return np.bitwise_count(low) + np.bitwise_count(high)
-
-
 def _require_positive(**values: int) -> None:
     for name, value in values.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+@cache
+def _weights(step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets step - 1, 2 * step - 1, ... below step * BLOCK (uint64)
+    and their binary weights (uint8), both read-only."""
+    import numpy as np
+    offsets = np.arange(step - 1, step * BLOCK, step, dtype=np.uint64)
+    weights = np.bitwise_count(offsets)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
+
+
+def _masks(lo: int, hi: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, mask) over the integers m = step - 1 (mod step) with
+    lo <= m <= hi < 2^63 (step 1 or 2): mask[i] tells whether
+    start + step * i is a member.  The mask is a view of a buffer that the
+    next block overwrites.
+
+    Blocks are aligned to step * BLOCK, so a block's integers are
+    base + offset with offset < step * BLOCK, B(m) = B(base) + B(offset)
+    comes from a table, and no block crosses a multiple of 2^32.
+    """
+    if lo > hi:
+        return
+    import numpy as np
+    offsets, weights = _weights(step)
+    span = step * BLOCK
+    size = min(BLOCK, (hi - lo) // step + 1)
+    limb, square, cross = (np.empty(size, np.uint64) for _ in range(3))
+    weight, high_weight = np.empty(size, np.uint8), np.empty(size, np.uint8)
+    mask = np.empty(size, np.bool_)
+    for base in range(lo // span * span, hi + 1, span):
+        i = max(lo - base, 0) // step
+        j = min((hi - base + 1) // step, BLOCK)
+        if i >= j:  # no odd integer of [lo, hi] in this block
+            continue
+        n = j - i
+        # m = h * 2^32 + l, with one h for the whole block
+        h = base >> 32
+        l = np.add(offsets[i:j], base & 0xFFFFFFFF, out=limb[:n])
+        w = weight[:n]
+        if not h:  # (2^32 - 1)^2 < 2^64: m^2 fits in a uint64
+            np.bitwise_count(np.multiply(l, l, out=square[:n]), out=w)
+        else:
+            # m^2 = h^2*2^64 + h*l*2^33 + l^2 with h*l < 2^63
+            ll = np.multiply(l, l, out=square[:n])
+            hl = np.multiply(l, h, out=cross[:n])
+            low = np.add(np.left_shift(hl, 33, out=l), ll, out=l)  # wraps
+            high = np.right_shift(hl, 31, out=hl)
+            high += h * h
+            high += np.less(low, ll, out=ll)  # the carry out of the low limb
+            np.bitwise_count(low, out=w)
+            w += np.bitwise_count(high, out=high_weight[:n])
+        # B(m^2) == B(base) + B(offset), in uint8 arithmetic modulo 256
+        w -= base.bit_count()
+        yield base + step * i + step - 1, np.equal(w, weights[i:j],
+                                                   out=mask[:n])
+
+
+def _members(lo: int, hi: int, step: int) -> np.ndarray:
+    """The members m = step - 1 (mod step) with lo <= m <= hi < 2^63,
+    increasing, as an int64 array."""
+    import numpy as np
+    found = [np.flatnonzero(mask) * step + start
+             for start, mask in _masks(lo, hi, step)]
+    return np.concatenate(found) if found else np.empty(0, np.int64)
+
+
 def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing (lo >= 1)."""
     _require_positive(lo=lo)
-    import numpy as np
-    found: list[int] = []
-    fast_hi = min(hi, FAST_LIMIT - 1)
-    for start in range(lo, fast_hi + 1, BLOCK):
-        a = np.arange(start, min(fast_hi, start + BLOCK - 1) + 1,
-                      dtype=np.uint64)
-        found += a[np.bitwise_count(a) == square_weight(a)].tolist()
+    found = _members(lo, min(hi, FAST_LIMIT - 1), 1).tolist()
     found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found
 
@@ -92,7 +149,7 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     """Odd members m with lo <= m <= p, for each p of the sorted points.
 
     Points lie in [lo - 1, hi] (1 <= lo, hi < 2^63).  Only odd integers are
-    tested, in blocks of BLOCK of them, and a block is counted, not listed.
+    tested, and a block is counted, not listed.
     """
     _require_positive(lo=lo)
     if hi >= FAST_LIMIT:
@@ -100,10 +157,8 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     import numpy as np
     counts: list[int] = []
     total, i = 0, 0
-    for start in range(lo | 1, hi + 1, 2 * BLOCK):
-        end = min(hi, start + 2 * BLOCK - 1)
-        a = np.arange(start, end + 1, 2, dtype=np.uint64)
-        mask = np.bitwise_count(a) == square_weight(a)
+    for start, mask in _masks(lo, hi, 2):
+        end = start + 2 * (len(mask) - 1)
         while i < len(points) and points[i] <= end:
             # the odd integers start, start + 2, ... up to points[i]
             counts.append(total + int(np.count_nonzero(
@@ -154,11 +209,50 @@ def sieve_chunks(limit: int, workers: int = 1,
     """
     _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
     if checkpoint is None:
-        return _chunk_loop(members_in_range, 1, limit, workers, chunk_size)
+        return _listed(1, limit, workers, chunk_size)
     done, count = read_checkpoint(checkpoint)
-    chunks = _chunk_loop(members_in_range, done + 1, limit, workers,
-                         chunk_size)
-    return _recorded(chunks, checkpoint, count)
+    return _recorded(_listed(done + 1, limit, workers, chunk_size),
+                     checkpoint, count)
+
+
+def _listed(first: int, last: int, workers: int, chunk_size: int
+            ) -> Iterator[tuple[int, list[int]]]:
+    """The chunks of [first, last] with their members, as _chunk_loop
+    yields them, listed through odd parts.
+
+    m is a member iff 2m is, so once a chunk [lo, hi] has lo >= 2 * first
+    its even members are twice the members of [ceil(lo / 2), hi // 2],
+    which lie in earlier chunks of this run: the workers test only its odd
+    integers.  Earlier chunks, and chunks that reach FAST_LIMIT, are tested
+    in full.  The members up to last // 2 that a later chunk may still
+    double are kept, one array per chunk, until they lie below lo / 2.
+    """
+    def kernel(lo: int, hi: int) -> np.ndarray | list[int]:
+        if hi >= FAST_LIMIT:
+            return members_in_range(lo, hi)
+        return _members(lo, hi, 2 if lo >= 2 * first else 1)
+
+    import numpy as np
+    kept: deque = deque()  # (chunk end, members <= last // 2) per chunk
+    lo = first
+    for hi, found in _chunk_loop(kernel, first, last, workers, chunk_size):
+        if hi < FAST_LIMIT:
+            if lo >= 2 * first:
+                half_lo, half_hi = (lo + 1) // 2, hi // 2
+                while kept and kept[0][0] < half_lo:
+                    kept.popleft()
+                # [half_lo, half_hi] lies in [first, lo - 1], where every
+                # chunk but the first is chunk_size long, and it is at most
+                # chunk_size // 2 + 1 long: it meets at most two chunks
+                doubled = [2 * m[np.searchsorted(m, half_lo):
+                                 np.searchsorted(m, half_hi, "right")]
+                           for _, m in islice(kept, 2)]
+                found = np.sort(np.concatenate([found, *doubled]))
+            if lo <= last // 2:
+                kept.append((hi, found[found <= last // 2]))
+            found = found.tolist()
+        yield hi, found
+        lo = hi + 1
 
 
 def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,

@@ -24,10 +24,12 @@ def run(capsys, *argv):
 
 def forbid_sieving(monkeypatch, message):
     """Make each way into the sieve fail: the member stream, the chunk loop
-    that it and counting share, and the odd-count kernel."""
+    that it and counting share, the odd-count kernel and the block
+    generator under every numpy kernel."""
     def fail(*args, **kwargs):
         raise AssertionError(message)
-    for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range"):
+    for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range",
+                 "_masks"):
         monkeypatch.setattr(enumeration, name, fail)
 
 
@@ -182,6 +184,35 @@ class TestEnumerate:
                              "--format", "csv", "--checkpoint", str(path))
         assert code == 2 and out == ""
         assert f"error: checkpoint location not writable: {path}" in err
+
+    def test_tmp_directory_refused_before_printing(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # The record is written to PATH.tmp first: a directory there would
+        # fail only after the first chunk was printed.
+        path = tmp_path / "ck.txt"
+        (tmp_path / "ck.txt.tmp").mkdir()
+        forbid_sieving(monkeypatch, "sieved with a directory at PATH.tmp")
+        code, out, err = run(capsys, "enumerate", "--limit", "10^7",
+                             "--checkpoint", str(path))
+        assert code == 2 and out == ""
+        assert f"error: checkpoint location not writable: {path}.tmp" in err
+        assert not path.exists()
+
+    def test_unwritable_tmp_refused_before_printing(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # As root every write is allowed, so os.access is told that
+        # PATH.tmp is read-only.
+        path, tmp = tmp_path / "ck.txt", tmp_path / "ck.txt.tmp"
+        tmp.write_bytes(b"4000 9")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda target, mode: (
+            access(target, mode) and str(target) != str(tmp)))
+        forbid_sieving(monkeypatch, "sieved with a read-only PATH.tmp")
+        code, out, err = run(capsys, "enumerate", "--limit", "10^7",
+                             "--checkpoint", str(path))
+        assert code == 2 and out == ""
+        assert f"error: checkpoint location not writable: {tmp}" in err
+        assert tmp.read_bytes() == b"4000 9" and not path.exists()
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     @pytest.mark.parametrize("content, message", [

@@ -9,7 +9,6 @@ from bisect import bisect_left
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
-                                   sieve_chunks, square_weight)
+                                   sieve_chunks)
 
 from conftest import oracle_is_member, oracle_members
 
@@ -138,12 +137,43 @@ class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
               (1 << 62) + 12345, (1 << 63) - 1]
 
-    # each value alone, then all in one block, which takes two limbs
+    # each value alone, then windows of two blocks ending at each value;
+    # from 2^32 on the block kernel squares in two limbs
     @pytest.mark.parametrize("block", [[m] for m in VALUES] + [VALUES])
     def test_matches_big_int(self, block):
-        a = np.array(block, dtype=np.uint64)
-        assert square_weight(a).tolist() == [(m * m).bit_count()
-                                             for m in block]
+        width = 0 if len(block) == 1 else 2 * BLOCK
+        for m in block:
+            for step in (1, 2):
+                got = {start + step * i: bool(member)
+                       for start, mask in enumeration._masks(m - width, m,
+                                                             step)
+                       for i, member in enumerate(mask)}
+                assert got == {x: (x * x).bit_count() == x.bit_count()
+                               for x in range(m - width, m + 1)
+                               if x % step == step - 1}
+
+
+class TestBlockKernel:
+    # Windows at aligned block ends: a multiple of 2 * BLOCK ends a block of
+    # both steps, 3 * BLOCK one of step 1 only.  Single integers, windows
+    # ending on the block end or starting one past it, even ends (which
+    # step 2 skips), 2^32 (one limb, then two) and the last block below 2^63.
+    WINDOWS = [(p + a, p + b)
+               for p in (2 * BLOCK, 3 * BLOCK, 1 << 32,
+                         (1 << 32) + 3 * BLOCK, 1 << 40, 1 << 63)
+               for a, b in ((-1, -1), (0, 0), (1, 1), (-40, -1), (0, 40),
+                            (-41, 40), (-40, 0), (1, 41))
+               if p + b < 1 << 63]
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_matches_oracle(self, lo, hi):
+        members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
+        odd = [m for m in members if m % 2]
+        assert members_in_range(lo, hi) == members
+        assert enumeration._members(lo, hi, 2).tolist() == odd
+        points = list(range(lo - 1, hi + 1))
+        assert odd_counts_in_range(lo, hi, points) == [
+            bisect_left(odd, p + 1) for p in points]
 
 
 class TestCheckpoint:
@@ -332,6 +362,76 @@ class TestCheckpoint:
         recorded = path.read_bytes()
         assert list(sieve_chunks(limit, 2, 1000, str(path))) == []
         assert path.read_bytes() == recorded
+
+
+class TestOddParts:
+    @staticmethod
+    def spy_members(monkeypatch):
+        calls = []  # (lo, hi, step) of every block-kernel listing
+        members = enumeration._members
+
+        def spy(lo, hi, step):
+            calls.append((lo, hi, step))
+            return members(lo, hi, step)
+        monkeypatch.setattr(enumeration, "_members", spy)
+        return calls
+
+    # Chunks of 101 start at 910 and 1011.  Resumed after 454, 504 or 505
+    # (first = 455, 505, 506), a chunk has lo at, just above or just below
+    # 2 * first; from there on only odd integers are tested.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("done, lo", [(454, 910), (504, 1011),
+                                          (505, 1011)])
+    def test_resume_around_twice_first(self, tmp_path, monkeypatch, workers,
+                                       done, lo):
+        full = oracle_members(3000)
+        count = bisect_left(full, done + 1)
+        path = tmp_path / "ck.txt"
+        path.write_text(f"{done} {count}\n")
+        calls = self.spy_members(monkeypatch)
+        rest = [m for _, chunk in sieve_chunks(3000, workers, 101, str(path))
+                for m in chunk]
+        assert rest == full[count:]
+        assert path.read_text() == f"3000 {len(full)}\n"
+        first = done + 1
+        assert sorted(calls)[0][0] == first
+        assert [step for c_lo, _, step in sorted(calls)] == [
+            2 if c_lo >= 2 * first else 1 for c_lo, _, _ in sorted(calls)]
+        assert (lo, lo + 100, 2 if lo >= 2 * first else 1) in calls
+
+    def test_chunks_from_fast_limit_tested_in_full(self, monkeypatch):
+        # With FAST_LIMIT at 2^20, the chunk ending there and every later
+        # one take members_in_range's full test, and none is kept.
+        fast, limit = 1 << 20, 1 << 21
+        monkeypatch.setattr(enumeration, "FAST_LIMIT", fast)
+        calls = self.spy_members(monkeypatch)
+        chunks = sieve_chunks(limit, 2, 1 << 18)
+        got = []
+        for end, members in chunks:
+            got += members
+            kept = chunks.gi_frame.f_locals["kept"]
+            assert all(kept_end < fast for kept_end, _ in kept)
+        assert got == [m for m in range(1, limit + 1)
+                       if m.bit_count() == (m * m).bit_count()]
+        assert max(hi for _, hi, _ in calls) == fast - 1
+        assert {step for _, _, step in calls} == {1, 2}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_members_lie_in_the_lower_half(self, workers):
+        # After each chunk [lo, hi], the members kept for doubling lie in
+        # [ceil(lo / 2), limit / 2], by whole chunks, each array its own.
+        limit = 200_001
+        chunks = sieve_chunks(limit, workers, 5000)
+        got, lo = [], 1
+        for hi, members in chunks:
+            got += members
+            kept = chunks.gi_frame.f_locals["kept"]
+            assert all(m.base is None and m.max(initial=0) <= limit // 2
+                       for _, m in kept)
+            if lo >= 2:
+                assert all(end >= (lo + 1) // 2 for end, _ in kept)
+            lo = hi + 1
+        assert got == members_in_range(1, limit)
 
 
 class TestCounting:
