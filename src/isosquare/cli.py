@@ -127,6 +127,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
+    """Write the chain's stage records, one line each, in one write."""
+    lines = []
     for stage in trace.stages:
         profile = membership.weight_profile(stage.value)
         record = {
@@ -138,10 +140,12 @@ def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
             "rule": stage.rule,
         }
         if fmt == "json-lines":
-            print(json.dumps(record))
+            lines.append(json.dumps(record) + "\n")
         else:
-            print("{stage:>9}  value={value}  bits={bits}  weight={weight}  "
-                  "square_weight={square_weight}  rule={rule}".format(**record))
+            lines.append("{stage:>9}  value={value}  bits={bits}  "
+                         "weight={weight}  square_weight={square_weight}  "
+                         "rule={rule}\n".format(**record))
+    sys.stdout.write("".join(lines))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -6,21 +6,23 @@ the odd kernels) aligned to their span, small enough that every temporary
 stays in cache.  One block generator (_masks) reuses its buffers for
 every block, takes B(m) as B(base) plus a table entry, and squares m in
 one uint64 below 2^32 and in two uint64 limbs above, the high limb one
-scalar per block.  numpy is imported on the first call into a sieve
-kernel, so importing this module, or running a CLI command that never
-sieves, does not load it.  One chunk loop runs a kernel over contiguous
-chunks of the range on worker threads and hands the results out in chunk
-order, so output is identical whatever the worker count.  The member
-kernel (members_in_range) lists a chunk's members, from 2^63 on in exact
-big-integer arithmetic, which holds the GIL.  sieve_chunks and sieve list
-members through odd parts: m is a member iff 2m is, so once a chunk
-starts at twice the first integer of the run, only its odd integers are
-tested and its even members are doubled from earlier chunks, which keep
-about 0.24 p(limit) members for that.  sieve_chunks resumes from a
-one-record checkpoint, renamed into place after each chunk.  The
-odd-count kernel (odd_counts_in_range) only counts a chunk's odd members,
-all that counting needs, on numpy alone: counting refuses grid points
-above 2^63.
+scalar per block.  numpy is imported on the first call into a block
+kernel: by the sieve and counting below 2^63, and by members_in_range on
+a window of BLOCK integers or more.  Importing this module, or running a
+CLI command that does none of these, does not load it.  One chunk loop
+runs a kernel over contiguous chunks of the range on worker threads and
+hands the results out in chunk order, so output is identical whatever
+the worker count.  The member kernel (members_in_range) lists a window's
+members; a window shorter than BLOCK, and every m from 2^63 on, is
+tested with is_isosquare in exact big-integer arithmetic, which holds
+the GIL.  sieve_chunks and sieve list members through odd parts: m is a
+member iff 2m is, so once a chunk starts at twice the first integer of
+the run, only its odd integers are tested and its even members are
+doubled from earlier chunks, which keep about 0.24 p(limit) members for
+that.  sieve_chunks resumes from a one-record checkpoint, renamed into
+place after each chunk.  The odd-count kernel (odd_counts_in_range) only
+counts a chunk's odd members, all that counting needs, on numpy alone:
+counting refuses grid points above 2^63.
 """
 
 from __future__ import annotations
@@ -138,8 +140,15 @@ def _members(lo: int, hi: int, step: int) -> np.ndarray:
 
 
 def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing (lo >= 1)."""
+    """All members m with lo <= m <= hi, increasing (lo >= 1).
+
+    A window of fewer than BLOCK integers, and every m >= 2^63, is tested
+    with is_isosquare, which needs no numpy; longer windows run on the
+    block kernel below 2^63.
+    """
     _require_positive(lo=lo)
+    if hi - lo + 1 < BLOCK:
+        return list(filter(is_isosquare, range(lo, hi + 1)))
     found = _members(lo, min(hi, FAST_LIMIT - 1), 1).tolist()
     found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found

@@ -320,8 +320,29 @@ class TestEnumerate:
         assert err == b""
 
 
+class TestClosedReader:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--family", "4001", "--format", "json-lines"],
+        ["enumerate", "--limit", "10^6"],
+    ], ids=["construct", "enumerate"])
+    def test_exits_cleanly(self, argv):
+        # The reader takes one line and closes stdout; the command's next
+        # write, or its exit flush, meets a closed pipe.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen([sys.executable, "-m", "isosquare.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
 class TestNumpyLoading:
-    """Only the sieve loads numpy; each case runs in a fresh interpreter."""
+    """Only the sieve and windows of BLOCK integers or more load numpy;
+    each case runs in a fresh interpreter."""
 
     @staticmethod
     def numpy_loaded(code):
@@ -339,14 +360,24 @@ class TestNumpyLoading:
         "from isosquare import cli; "
         "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
         "from isosquare import cli; cli.main(['enumerate', '--limit', '0'])",
+        "from isosquare import cli; cli.main(['props', '--suite', 'gaps'])",
+        "from isosquare import cli; "
+        "cli.main(['props', '--suite', 'all', '--cases', '50'])",
+        "from isosquare.enumeration import members_in_range; "
+        "members_in_range(1, 10)",
     ], ids=["import", "import-cli", "check", "construct", "props-lemmas",
-            "enumerate-limit-0"])
+            "enumerate-limit-0", "props-gaps", "props-all",
+            "short-window"])
     def test_not_loaded(self, code):
         assert not self.numpy_loaded(code)
 
     def test_loaded_by_sieve(self):
+        # a window of BLOCK integers, and any sieve, however short
         assert self.numpy_loaded("from isosquare.enumeration import "
-                                 "members_in_range; members_in_range(1, 10)")
+                                 "BLOCK, members_in_range; "
+                                 "members_in_range(1, BLOCK)")
+        assert self.numpy_loaded("from isosquare.enumeration import sieve; "
+                                 "list(sieve(10))")
 
 
 class TestCount:
@@ -431,6 +462,21 @@ class TestConstruct:
         assert len(records) == 12
         finals = {r["value"] for r in records if r["stage"] == "finalize"}
         assert len(finals) == 3
+
+    @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
+    def test_one_write_per_chain(self, monkeypatch, fmt):
+        class Stdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["construct", "--family", "41", "--format", fmt]) == 0
+        assert out.writes == 41
+        assert out.getvalue().count("\n") == 4 * 41
 
     def test_power_of_two_seed(self, capsys):
         code, _, err = run(capsys, "construct", "--seed", "4")
