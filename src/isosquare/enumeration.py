@@ -7,17 +7,16 @@ stays in cache.  One block generator (_masks) reuses its buffers for
 every block, takes B(m) as B(base) plus a table entry, and squares m in
 one uint64 below 2^32 and in two uint64 limbs above, the high limb one
 scalar per block.  numpy is imported on the first call into a block
-kernel: by the sieve and counting below 2^63, and by members_in_range on
-a window of BLOCK integers or more.  Importing this module, or running a
-CLI command that does none of these, does not load it.  One chunk loop
-runs a kernel over contiguous chunks of the range on worker threads and
-hands the results out in chunk order, so output is identical whatever
-the worker count.  The member kernel (members_in_range) lists a window's
-members; a window shorter than BLOCK, and every m from 2^63 on, is
-tested with is_isosquare in exact big-integer arithmetic, which holds
-the GIL.  sieve_chunks and sieve list members through odd parts: m is a
-member iff 2m is, so once a chunk starts at twice the first integer of
-the run, only its odd integers are tested and its even members are
+kernel, so importing this module, or running a CLI command that never
+sieves, does not load it; scan_gap tests a gap of fewer than BLOCK
+integers with is_isosquare, which costs less than importing numpy.  One
+chunk loop runs a kernel over contiguous chunks of the range on worker
+threads and hands the results out in chunk order, so output is identical
+whatever the worker count.  The member kernel (members_in_range) lists a
+chunk's members, from 2^63 on in exact big-integer arithmetic, which
+holds the GIL.  sieve_chunks and sieve list members through odd parts: m
+is a member iff 2m is, so once a chunk starts at twice the first integer
+of the run, only its odd integers are tested and its even members are
 doubled from earlier chunks, which keep about 0.24 p(limit) members for
 that.  sieve_chunks resumes from a one-record checkpoint, renamed into
 place after each chunk.  The odd-count kernel (odd_counts_in_range) only
@@ -140,15 +139,8 @@ def _members(lo: int, hi: int, step: int) -> np.ndarray:
 
 
 def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing (lo >= 1).
-
-    A window of fewer than BLOCK integers, and every m >= 2^63, is tested
-    with is_isosquare, which needs no numpy; longer windows run on the
-    block kernel below 2^63.
-    """
+    """All members m with lo <= m <= hi, increasing (lo >= 1)."""
     _require_positive(lo=lo)
-    if hi - lo + 1 < BLOCK:
-        return list(filter(is_isosquare, range(lo, hi + 1)))
     found = _members(lo, min(hi, FAST_LIMIT - 1), 1).tolist()
     found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
     return found
@@ -377,8 +369,15 @@ def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:
 
 
 def scan_gap(k: int) -> bool:
-    """True iff the open interval gap_interval(k) holds no member (k <= 31)."""
+    """True iff the open interval gap_interval(k) holds no member (k <= 31).
+
+    The gap holds 2^k - 1 integers.  Below BLOCK of them (k <= 16) they are
+    tested with is_isosquare, in at most about 15 ms, where importing numpy
+    takes about 0.15 s: props --suite gaps (k <= 10) loads no numpy.
+    """
     if k < 1 or gap_interval(k)[1] > FAST_LIMIT:
         raise ValueError(f"k must be in 1..31, got {k}")
     lo, hi = gap_interval(k)
+    if hi - lo - 1 < BLOCK:
+        return not any(map(is_isosquare, range(lo + 1, hi)))
     return not members_in_range(lo + 1, hi - 1)

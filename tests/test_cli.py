@@ -320,29 +320,9 @@ class TestEnumerate:
         assert err == b""
 
 
-class TestClosedReader:
-    @pytest.mark.parametrize("argv", [
-        ["construct", "--family", "4001", "--format", "json-lines"],
-        ["enumerate", "--limit", "10^6"],
-    ], ids=["construct", "enumerate"])
-    def test_exits_cleanly(self, argv):
-        # The reader takes one line and closes stdout; the command's next
-        # write, or its exit flush, meets a closed pipe.
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.Popen([sys.executable, "-m", "isosquare.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=env)
-        assert proc.stdout.readline().endswith(b"\n")
-        proc.stdout.close()
-        with proc.stderr:
-            err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
-        assert err == b""
-
-
 class TestNumpyLoading:
-    """Only the sieve and windows of BLOCK integers or more load numpy;
-    each case runs in a fresh interpreter."""
+    """Only the block kernels load numpy; each case runs in a fresh
+    interpreter."""
 
     @staticmethod
     def numpy_loaded(code):
@@ -363,21 +343,20 @@ class TestNumpyLoading:
         "from isosquare import cli; cli.main(['props', '--suite', 'gaps'])",
         "from isosquare import cli; "
         "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-        "from isosquare.enumeration import members_in_range; "
-        "members_in_range(1, 10)",
+        "from isosquare.enumeration import scan_gap; scan_gap(16)",
     ], ids=["import", "import-cli", "check", "construct", "props-lemmas",
-            "enumerate-limit-0", "props-gaps", "props-all",
-            "short-window"])
+            "enumerate-limit-0", "props-gaps", "props-all", "scan-gap-16"])
     def test_not_loaded(self, code):
         assert not self.numpy_loaded(code)
 
     def test_loaded_by_sieve(self):
-        # a window of BLOCK integers, and any sieve, however short
+        # any window or sieve, however short, and a gap of BLOCK integers
         assert self.numpy_loaded("from isosquare.enumeration import "
-                                 "BLOCK, members_in_range; "
-                                 "members_in_range(1, BLOCK)")
+                                 "members_in_range; members_in_range(1, 10)")
         assert self.numpy_loaded("from isosquare.enumeration import sieve; "
                                  "list(sieve(10))")
+        assert self.numpy_loaded("from isosquare.enumeration import "
+                                 "scan_gap; scan_gap(17)")
 
 
 class TestCount:
@@ -477,6 +456,19 @@ class TestConstruct:
         assert main(["construct", "--family", "41", "--format", fmt]) == 0
         assert out.writes == 41
         assert out.getvalue().count("\n") == 4 * 41
+
+    def test_closed_reader_ends_quietly(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isosquare.cli", "construct", "--family",
+             "4001", "--format", "json-lines"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b'{"stage": "seed"')
+        proc.stdout.close()  # 16,004 lines overflow the pipe
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_power_of_two_seed(self, capsys):
         code, _, err = run(capsys, "construct", "--seed", "4")

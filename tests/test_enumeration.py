@@ -6,7 +6,6 @@ import sys
 import tempfile
 import tracemalloc
 from bisect import bisect_left
-from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -16,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isosquare import enumeration
-from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, FAST_LIMIT,
-                                   CountSample, RunRecord, counting, find_runs,
+from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
+                                   RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
                                    sieve_chunks)
@@ -25,17 +24,6 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, FAST_LIMIT,
 from conftest import oracle_is_member, oracle_members
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def block_kernel_members(lo, hi):
-    """The members of [lo, min(hi, 2^63 - 1)] from the numpy block kernel,
-    which members_in_range skips for windows shorter than BLOCK."""
-    return enumeration._members(lo, min(hi, FAST_LIMIT - 1), 1).tolist()
-
-
-# The BLOCK-wide windows below 2^63 share most of their integers; the
-# oracle, at about 30 us an integer there, tests each once.
-cached_oracle = cache(oracle_is_member)
 
 
 class TestSieve:
@@ -79,7 +67,6 @@ class TestSieve:
         fast = [m for m in range(lo, lo + 2000)
                 if m.bit_count() == (m * m).bit_count()]
         assert members_in_range(lo, lo + 1999) == fast
-        assert block_kernel_members(lo, lo + 1999) == fast
 
     @pytest.mark.parametrize("lo, hi", [
         ((1 << 31) - 1000, (1 << 31) + 1000),  # straddles 2^31
@@ -90,18 +77,10 @@ class TestSieve:
         ((1 << 32) + 5, (1 << 32) + 2 * BLOCK + 13),  # two-limb squares
         ((1 << 63) - 2000, (1 << 63) - 1),     # ends at member 2^63-1
         ((1 << 63) - 1000, (1 << 63) + 1000),  # numpy and big-int paths
-        # one integer short of BLOCK (is_isosquare), then BLOCK (numpy)
-        (1 << 32, (1 << 32) + BLOCK - 2),
-        (1 << 32, (1 << 32) + BLOCK - 1),
-        ((1 << 63) - BLOCK + 1, (1 << 63) - 1),
-        ((1 << 63) - BLOCK, (1 << 63) - 1),
-        ((1 << 63) - BLOCK, (1 << 63) + 40),   # numpy, then big-int
     ])
     def test_matches_oracle_across_boundaries(self, lo, hi):
-        members = [m for m in range(lo, hi + 1) if cached_oracle(m)]
-        assert members_in_range(lo, hi) == members
-        assert block_kernel_members(lo, hi) == [m for m in members
-                                                if m < FAST_LIMIT]
+        assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
+                                            if oracle_is_member(m)]
 
     @pytest.mark.parametrize("lo", [0, -3])
     def test_non_positive_lo_rejected(self, lo):
@@ -191,7 +170,6 @@ class TestBlockKernel:
         members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
         odd = [m for m in members if m % 2]
         assert members_in_range(lo, hi) == members
-        assert block_kernel_members(lo, hi) == members
         assert enumeration._members(lo, hi, 2).tolist() == odd
         points = list(range(lo - 1, hi + 1))
         assert odd_counts_in_range(lo, hi, points) == [
@@ -627,8 +605,8 @@ class TestFindRuns:
 
 
 class TestScanGap:
-    # 16: just above 2^32, on is_isosquare (2^16 - 1 integers); 17: numpy's
-    # two-limb squares (2^17 - 1 integers)
+    # 16: just above 2^32, 2^16 - 1 integers on is_isosquare; 17: 2^17 - 1
+    # integers on the block kernel's two-limb squares
     @pytest.mark.parametrize("k", [*range(1, 11), 16, 17])
     def test_gap_is_empty(self, k):
         assert scan_gap(k)
