@@ -11,12 +11,14 @@ the fluctuation profile p(n) * ln(n) / n^alpha.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lgamma
+from typing import TYPE_CHECKING
 
 from .enumeration import CountSample
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ def model_probability(k: int, l: int) -> Fraction:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= l <= k + 1:
         raise ValueError(f"l must be in 0..{k + 1}, got {l}")
+    from fractions import Fraction
     return Fraction(comb(2 * k, l) + comb(2 * k + 1, l), 3 * (1 << (2 * k)))
 
 
@@ -85,6 +88,7 @@ def fit_exponent(samples: list[CountSample]) -> FitResult:
     samples with distinct n are required.  No log-n correction is
     applied: the fit is statistics.linear_regression, a pure power law.
     """
+    import statistics
     usable = [s for s in samples if s.count >= 1 and s.n >= 2]
     if len(usable) < 2:
         raise ValueError(f"need at least 2 usable samples, got {len(usable)}")

@@ -50,39 +50,55 @@ def _inflate_strictly(n: int) -> None:
         raise cons.PostconditionError("strict defect inequality failed")
 
 
+def _randint(seed: int) -> Callable[[int, int], int]:
+    """randint(a, b) of random.Random(seed): the same rejection sample of
+    getrandbits, without randrange's argument checks, which cost more than
+    the draw itself."""
+    getrandbits = random.Random(seed).getrandbits
+
+    def randint(a: int, b: int) -> int:
+        width = b - a + 1
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return a + r
+    return randint
+
+
 def _mult_mersenne_inputs(cases: int) -> Iterator[tuple[int, int]]:
     """Exhaustive nu <= 12, then random (n, nu) with n < 2^nu, nu <= 40."""
     for nu in range(1, 13):
         for n in range(1, 1 << nu):
             yield n, nu
-    rng = random.Random(0)
+    randint = _randint(0)
     for _ in range(cases):
-        nu = rng.randint(1, 40)
-        yield rng.randint(1, (1 << nu) - 1), nu
+        nu = randint(1, 40)
+        yield randint(1, (1 << nu) - 1), nu
 
 
 def _affix_one_inputs(cases: int) -> Iterator[tuple[int, int]]:
-    rng = random.Random(1)
+    randint = _randint(1)
     for _ in range(cases):
-        n = rng.randint(1, 1 << 40)
-        yield n, n.bit_length() + 1 + rng.randint(0, 20)
+        n = randint(1, 1 << 40)
+        yield n, n.bit_length() + 1 + randint(0, 20)
 
 
 def _subtract_compose_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
-    rng = random.Random(2)
+    randint = _randint(2)
     for _ in range(cases):
-        n = rng.randint(0, 1 << 30) * 2 + 1
-        m = rng.randint(0, 1 << 30) * 2 + 1
+        n = randint(0, 1 << 30) * 2 + 1
+        m = randint(0, 1 << 30) * 2 + 1
         k, h = n.bit_length(), m.bit_length()
-        yield n, m, max(2 * h - 1, h + k + 1) + rng.randint(0, 10)
+        yield n, m, max(2 * h - 1, h + k + 1) + randint(0, 10)
 
 
 def _subtract_mersenne_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
-    rng = random.Random(3)
+    randint = _randint(3)
     for _ in range(cases):
-        n = rng.randint(0, 1 << 30) * 2 + 1
-        h = n.bit_length() + rng.randint(1, 10)
-        yield n, h, 2 * h + 1 + rng.randint(0, 10)
+        n = randint(0, 1 << 30) * 2 + 1
+        h = n.bit_length() + randint(1, 10)
+        yield n, h, 2 * h + 1 + randint(0, 10)
 
 
 def _finalize_member_inputs(limit: int) -> Iterator[tuple[int, int]]:
@@ -138,8 +154,11 @@ SUITES: dict[str, Callable[[int], list[str]]] = {
     for name in ("lemmas", "gaps", "tuples", "mersenne")}
 
 
-def run_suite(name: str, cases: int = DEFAULT_CASES) -> list[str]:
-    """Run one named suite, or all of them; returns counterexamples."""
+def run_suite(name: str, cases: int | None = None) -> list[str]:
+    """Run one named suite, or all of them, with DEFAULT_CASES random cases
+    unless `cases` is given; returns counterexamples."""
+    if cases is None:
+        cases = DEFAULT_CASES
     if name == "all":
         failures = []
         for runner in SUITES.values():

@@ -5,20 +5,31 @@ stdout early), 1 negative verdict, 2 usage or precondition error; a
 malformed number is a usage error from argparse, naming its argument.
 Structured output is CSV with a single header row or JSON lines with one
 object per line; integers are read and printed in decimal at any size.
+Each command imports the modules it runs and no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import analysis, checks, constructions, enumeration, membership
 from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
 
+if TYPE_CHECKING:
+    from .constructions import ConstructionTrace
+
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
+
+# A stage record per format.  Labels and rules are lowercase words and the
+# value is a decimal string, so no JSON field needs escaping.
+_RECORDS = {
+    "json-lines": '{"stage": "%s", "value": "%d", "bits": %d, "weight": %d, '
+                  '"square_weight": %d, "rule": "%s"}\n',
+    "plain": "%9s  value=%d  bits=%d  weight=%d  square_weight=%d  "
+             "rule=%s\n",
+}
 
 
 def _typed(parse: Callable[[str], object]) -> Callable[[str], object]:
@@ -51,6 +62,7 @@ def _parse_triple(text: str) -> PropertyTriple:
 
 
 def _parse_grid(spec: str, limit: int) -> list[int]:
+    from . import analysis
     try:
         if not spec.startswith("geometric:"):
             return [parse_limit(p) for p in spec.split(",")]
@@ -101,6 +113,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import enumeration
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint", renamed=True)
         _require_writable(args.checkpoint + ".tmp", "checkpoint")
@@ -118,37 +131,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import enumeration
     grid = _parse_grid(args.grid, args.limit)
     samples = enumeration.counting(args.limit, grid, workers=args.workers)
-    print("n,count")
-    for s in samples:
-        print(f"{s.n},{s.count}")
+    sys.stdout.write("n,count\n" + "".join([f"{s.n},{s.count}\n"
+                                             for s in samples]))
     return 0
 
 
-def _emit_trace(trace: constructions.ConstructionTrace, fmt: str) -> None:
+def _emit_trace(trace: ConstructionTrace, fmt: str) -> None:
     """Write the chain's stage records, one line each, in one write."""
-    lines = []
-    for stage in trace.stages:
-        profile = membership.weight_profile(stage.value)
-        record = {
-            "stage": stage.label,
-            "value": str(stage.value),
-            "bits": stage.value.bit_length(),
-            "weight": profile.weight,
-            "square_weight": profile.square_weight,
-            "rule": stage.rule,
-        }
-        if fmt == "json-lines":
-            lines.append(json.dumps(record) + "\n")
-        else:
-            lines.append("{stage:>9}  value={value}  bits={bits}  "
-                         "weight={weight}  square_weight={square_weight}  "
-                         "rule={rule}\n".format(**record))
-    sys.stdout.write("".join(lines))
+    record = _RECORDS[fmt]
+    sys.stdout.write("".join([
+        record % (s.label, s.value, s.value.bit_length(), s.value.bit_count(),
+                  (s.value * s.value).bit_count(), s.rule)
+        for s in trace.stages]))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import constructions
     if args.seed is not None:
         traces = [constructions.construct_one(args.seed)]
     else:
@@ -159,6 +160,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis, enumeration
     if args.limit < 1 << 12:
         raise ValueError(f"limit must be >= 2^12, got {args.limit}")
     _require_writable(args.out, "--out")
@@ -188,6 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
+    from . import checks
     failures = checks.run_suite(args.suite, cases=args.cases)
     if failures:
         for f in failures:
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="run verification suites")
     p.add_argument("--suite", required=True)
-    p.add_argument("--cases", type=positive_int, default=checks.DEFAULT_CASES)
+    p.add_argument("--cases", type=positive_int)
     p.set_defaults(func=cmd_props)
 
     return parser

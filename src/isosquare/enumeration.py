@@ -7,9 +7,10 @@ stays in cache.  One block generator (_masks) reuses its buffers for
 every block, takes B(m) as B(base) plus a table entry, and squares m in
 one uint64 below 2^32 and in two uint64 limbs above, the high limb one
 scalar per block.  numpy is imported on the first call into a block
-kernel, so importing this module, or running a CLI command that never
-sieves, does not load it; scan_gap tests a gap of fewer than BLOCK
-integers with is_isosquare, which costs less than importing numpy.  One
+kernel and concurrent.futures on the first chunk loop, so importing this
+module, or running a CLI command that never sieves, loads neither;
+scan_gap tests a gap of fewer than BLOCK integers with is_isosquare,
+which costs less than importing numpy.  One
 chunk loop runs a kernel over contiguous chunks of the range on worker
 threads and hands the results out in chunk order, so output is identical
 whatever the worker count.  The member kernel (members_in_range) lists a
@@ -29,7 +30,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
@@ -264,6 +264,7 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     1, 1 + chunk_size, ...; the first starts at `first`."""
     if first > last:
         return
+    from concurrent.futures import ThreadPoolExecutor
     starts = iter(range((first - 1) // chunk_size * chunk_size + 1, last + 1,
                         chunk_size))
     queued: deque = deque()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from isosquare import checks, constructions
@@ -59,4 +61,20 @@ class TestRunSuite:
                             lambda cases: calls.append(cases) or ["patched"])
         assert checks.run_suite("mersenne", cases=7) == ["patched"]
         assert checks.run_suite("all", cases=7) == ["patched"]
-        assert calls == [7, 7]
+        assert checks.run_suite("mersenne") == ["patched"]
+        assert calls == [7, 7, checks.DEFAULT_CASES]
+
+
+class TestDraws:
+    # The generators' ranges, a width-1 range (nu = 1 in mult_mersenne)
+    # and ranges just past a power of two, where half the draws are
+    # rejected.
+    RANGES = [(1, 40), (1, 1), (1, (1 << 17) - 1), (1, 1 << 40), (0, 20),
+              (0, 1 << 30), (0, 10), (1, 10), (5, 5), (0, 1 << 12)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_sequence_as_random_randint(self, seed):
+        randint, rng = checks._randint(seed), random.Random(seed)
+        for _ in range(50):
+            for a, b in self.RANGES:
+                assert randint(a, b) == rng.randint(a, b)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ import pytest
 
 from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
+from isosquare.membership import weight_profile
 
 from conftest import oracle_is_member, oracle_members
 
@@ -31,6 +33,15 @@ def forbid_sieving(monkeypatch, message):
     for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range",
                  "_masks"):
         monkeypatch.setattr(enumeration, name, fail)
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 @contextmanager
@@ -320,34 +331,52 @@ class TestEnumerate:
         assert err == b""
 
 
+# What `import isosquare.cli`, `check` and `--help` must not load.
+PACKAGE = {"isosquare.constructions", "isosquare.enumeration",
+           "isosquare.analysis", "isosquare.checks"}
+HEAVY = {"json", "concurrent.futures", "numpy"}
+CLI = "from isosquare import cli; "
+
+
 class TestNumpyLoading:
-    """Only the block kernels load numpy; each case runs in a fresh
-    interpreter."""
+    """Each command loads only the modules it runs, and only the block
+    kernels load numpy; each case runs in a fresh interpreter."""
 
     @staticmethod
-    def numpy_loaded(code):
-        script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    def loaded(code):
+        script = f"{code}\nimport sys\nprint(*sys.modules)"
         proc = subprocess.run([sys.executable, "-c", script],
                               env={**os.environ, "PYTHONPATH": str(SRC)},
                               capture_output=True, text=True, timeout=60)
-        return proc.stdout.splitlines()[-1] == "True"
+        return set(proc.stdout.splitlines()[-1].split())
 
-    @pytest.mark.parametrize("code", [
-        "import isosquare",
-        "import isosquare.cli",
-        "from isosquare import cli; cli.main(['check', '316'])",
-        "from isosquare import cli; cli.main(['construct', '--seed', '5'])",
-        "from isosquare import cli; "
-        "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
-        "from isosquare import cli; cli.main(['enumerate', '--limit', '0'])",
-        "from isosquare import cli; cli.main(['props', '--suite', 'gaps'])",
-        "from isosquare import cli; "
-        "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-        "from isosquare.enumeration import scan_gap; scan_gap(16)",
-    ], ids=["import", "import-cli", "check", "construct", "props-lemmas",
-            "enumerate-limit-0", "props-gaps", "props-all", "scan-gap-16"])
-    def test_not_loaded(self, code):
-        assert not self.numpy_loaded(code)
+    @classmethod
+    def numpy_loaded(cls, code):
+        return "numpy" in cls.loaded(code)
+
+    @pytest.mark.parametrize("code, unloaded", [
+        ("import isosquare",
+         PACKAGE | HEAVY | {"isosquare.membership", "isosquare.cli"}),
+        ("import isosquare.cli", PACKAGE | HEAVY),
+        (CLI + "cli.main(['check', '316'])", PACKAGE | HEAVY),
+        (CLI + "\ntry:\n    cli.main(['--help'])\n"
+         "except SystemExit:\n    pass", PACKAGE | HEAVY),
+        (CLI + "cli.main(['construct', '--seed', '5'])",
+         PACKAGE - {"isosquare.constructions"} | HEAVY),
+        (CLI + "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
+         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+        (CLI + "cli.main(['enumerate', '--limit', '0'])", {"numpy"}),
+        (CLI + "cli.main(['props', '--suite', 'gaps'])",
+         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+        (CLI + "cli.main(['props', '--suite', 'all', '--cases', '50'])",
+         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+        ("from isosquare.enumeration import scan_gap; scan_gap(16)",
+         {"concurrent.futures", "numpy"}),
+    ], ids=["import", "import-cli", "check", "help", "construct",
+            "props-lemmas", "enumerate-limit-0", "props-gaps", "props-all",
+            "scan-gap-16"])
+    def test_not_loaded(self, code, unloaded):
+        assert self.loaded(code) & unloaded == set()
 
     def test_loaded_by_sieve(self):
         # any window or sieve, however short, and a gap of BLOCK integers
@@ -360,6 +389,14 @@ class TestNumpyLoading:
 
 
 class TestCount:
+    def test_one_write(self, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["count", "--limit", "10^5",
+                     "--grid", "geometric:1024:1.189"]) == 0
+        assert out.writes == 1
+        assert out.getvalue().count("\n") == 1 + 27
+
     def test_explicit_grid(self, capsys):
         code, out, _ = run(capsys, "count", "--limit", "20",
                            "--grid", "2,17")
@@ -444,18 +481,43 @@ class TestConstruct:
 
     @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
     def test_one_write_per_chain(self, monkeypatch, fmt):
-        class Stdout(io.StringIO):
-            writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                return super().write(text)
-
-        out = Stdout()
+        out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["construct", "--family", "41", "--format", fmt]) == 0
         assert out.writes == 41
         assert out.getvalue().count("\n") == 4 * 41
+
+    @pytest.mark.parametrize("option, value", [("--family", "41"),
+                                               ("--seed", "10^300")])
+    def test_json_lines_are_canonical(self, capsys, option, value):
+        # the records are formatted by hand; json.dumps would write these
+        code, out, _ = run(capsys, "construct", option, value,
+                           "--format", "json-lines")
+        assert code == 0
+        for line in out.splitlines():
+            record = json.loads(line)
+            assert line == json.dumps(record)
+            with digit_cap(0):
+                n = int(record["value"])
+            profile = weight_profile(n)
+            assert (record["bits"], record["weight"],
+                    record["square_weight"]) == (
+                n.bit_length(), profile.weight, profile.square_weight)
+
+    def test_plain_lines_match_json_lines(self, capsys):
+        _, plain, _ = run(capsys, "construct", "--family", "41")
+        _, lines, _ = run(capsys, "construct", "--family", "41",
+                          "--format", "json-lines")
+        assert plain.splitlines() == [
+            "{stage:>9}  value={value}  bits={bits}  weight={weight}  "
+            "square_weight={square_weight}  rule={rule}".format(
+                **json.loads(line)) for line in lines.splitlines()]
+
+    def test_labels_and_rules_need_no_escaping(self):
+        for trace in constructions.family_traces(41):
+            for stage in trace.stages:
+                assert re.fullmatch("[a-z-]+", stage.label)
+                assert re.fullmatch("[a-z-]+", stage.rule)
 
     def test_closed_reader_ends_quietly(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -1,0 +1,65 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import isosquare
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every public name of the package, by the module that defines it.
+EXPORTS = {
+    "membership": ["ISOSQUARE", "PropertyTriple", "WeightProfile",
+                   "digit_sum", "is_isosquare", "satisfies",
+                   "weight_profile"],
+    "constructions": ["ConstructionStage", "ConstructionTrace",
+                      "PostconditionError", "affix_one", "construct_family",
+                      "construct_one", "family_traces", "finalize_member",
+                      "four_tuple", "gap_interval", "gap_weight_identity",
+                      "inflate", "mersenne_member", "mult_mersenne",
+                      "near_power_witness", "normalize_defect",
+                      "subtract_compose", "subtract_mersenne"],
+    "enumeration": ["CountSample", "RunRecord", "counting", "find_runs",
+                    "members_in_range", "scan_gap", "sieve"],
+    "analysis": ["FitResult", "ProfilePoint", "alpha_limit",
+                 "alpha_theoretical", "cross_binomial_sum", "fit_exponent",
+                 "fluctuation_profile", "geometric_grid",
+                 "model_probability"],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items()
+         for name in names]
+
+
+class TestLazyNamespace:
+    def test_all_lists_every_public_name(self):
+        assert sorted(isosquare.__all__) == sorted(name for _, name in NAMES)
+
+    @pytest.mark.parametrize("module, name", NAMES)
+    def test_name_is_its_module_object(self, module, name):
+        defined = getattr(importlib.import_module(f"isosquare.{module}"),
+                          name)
+        assert getattr(isosquare, name) is defined
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from isosquare import *", namespace)
+        for module, name in NAMES:
+            assert namespace[name] is getattr(
+                importlib.import_module(f"isosquare.{module}"), name)
+
+    def test_modules_resolve_without_their_own_import(self):
+        script = ("import isosquare\n"
+                  f"for m in {list(EXPORTS)}:\n"
+                  "    print(getattr(isosquare, m).__name__)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split() == [f"isosquare.{m}" for m in EXPORTS]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            isosquare.no_such_name
+        assert not hasattr(isosquare, "DEFAULT_CHUNK")
