@@ -11,9 +11,8 @@ the fluctuation profile p(n) * ln(n) / n^alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb, lgamma
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .enumeration import CountSample
 
@@ -21,16 +20,14 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     alpha_hat: float
     intercept: float
     residual_rms: float
     sample_count: int
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     """Fluctuation-profile sample: value = count * ln(n) / n^alpha.
 
     log2_n is the abscissa used for period-1 inspection.

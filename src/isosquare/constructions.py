@@ -12,8 +12,8 @@ distinct members cheap to build.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable, NamedTuple
 
 from .membership import is_isosquare
 
@@ -34,8 +34,7 @@ def _ensure(cond: bool, msg: str, *args: object) -> None:
         raise PostconditionError(msg.format(*args))
 
 
-@dataclass(frozen=True)
-class ConstructionStage:
+class ConstructionStage(NamedTuple):
     """One audited step of a construction chain."""
 
     label: str
@@ -43,18 +42,30 @@ class ConstructionStage:
     rule: str
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    """Audited chain of stages ending in a verified isosquare number."""
-
+class _Stages(NamedTuple):
     stages: tuple[ConstructionStage, ...]
 
-    def __post_init__(self) -> None:
+
+class ConstructionTrace(_Stages):
+    """Audited chain of stages ending in a verified isosquare number."""
+
+    __slots__ = ()
+
+    def __new__(cls, stages: tuple[ConstructionStage, ...]
+                ) -> ConstructionTrace:
+        self = super().__new__(cls, stages)
         _ensure(self.stages != (), "trace must have at least one stage")
         values = [s.value for s in self.stages]
         _ensure(all(a < b for a, b in zip(values, values[1:])),
                 "stage values must be strictly increasing")
         _ensure(is_isosquare(self.final), "final stage is not a member")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[ConstructionStage, ...]]
+              ) -> ConstructionTrace:
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def final(self) -> int:

@@ -31,12 +31,11 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence,
+                    TypeVar)
 
-from .constructions import gap_interval
 from .membership import is_isosquare
 
 if TYPE_CHECKING:
@@ -49,16 +48,14 @@ BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class CountSample:
+class CountSample(NamedTuple):
     """Counting-function sample: number of members strictly below n."""
 
     n: int
     count: int
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Maximal run of consecutive members starting at start."""
 
     start: int
@@ -376,6 +373,7 @@ def scan_gap(k: int) -> bool:
     tested with is_isosquare, in at most about 15 ms, where importing numpy
     takes about 0.15 s: props --suite gaps (k <= 10) loads no numpy.
     """
+    from .constructions import gap_interval
     if k < 1 or gap_interval(k)[1] > FAST_LIMIT:
         raise ValueError(f"k must be in 1..31, got {k}")
     lo, hi = gap_interval(k)

@@ -7,7 +7,7 @@ case is (2, 1, 2): B(n) = B(n^2), called isosquare here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
 def digit_sum(n: int, base: int = 2) -> int:
@@ -30,28 +30,37 @@ def digit_sum(n: int, base: int = 2) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class PropertyTriple:
-    """Parameters (base, multiplier, power) of the family predicate."""
-
+class _Triple(NamedTuple):
     base: int = 2
     multiplier: int = 1
     power: int = 2
 
-    def __post_init__(self) -> None:
+
+class PropertyTriple(_Triple):
+    """Parameters (base, multiplier, power) of the family predicate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: int, **kwargs: int) -> PropertyTriple:
+        self = super().__new__(cls, *args, **kwargs)
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.multiplier < 1:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
         if self.power < 2:
             raise ValueError(f"power must be >= 2, got {self.power}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> PropertyTriple:
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 ISOSQUARE = PropertyTriple(2, 1, 2)
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     """Binary weights of n and n^2, plus the defect B(n^2) - 2*B(n).
 
     The construction chain branches on defect: seeds are driven to

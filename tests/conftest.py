@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and checks for the test suite.
 
 The oracle digit sum uses repeated division only, independent of the
 popcount paths under test.
@@ -23,6 +23,25 @@ def oracle_is_member(n: int) -> bool:
 
 def oracle_members(limit: int) -> list[int]:
     return [m for m in range(1, limit + 1) if oracle_is_member(m)]
+
+
+def check_record(cls: type, values: dict[str, object]) -> None:
+    """What every record of the package keeps, whatever implements it: it
+    builds by position and by keyword, two built from equal values are equal
+    and hash equal, no attribute can be assigned and repr names each
+    field."""
+    by_position, by_keyword = cls(*values.values()), cls(**values)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert {f: getattr(by_keyword, f) for f in values} == values
+    for field, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, field, value)
+    with pytest.raises(AttributeError):
+        by_keyword.not_a_field = 0
+    text = repr(by_keyword)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{field}=" in text for field in values)
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,13 @@ from math import comb
 
 import pytest
 
-from isosquare.analysis import (alpha_limit, alpha_theoretical,
-                                cross_binomial_sum, fit_exponent,
-                                fluctuation_profile, geometric_grid,
-                                model_probability)
+from isosquare.analysis import (FitResult, ProfilePoint, alpha_limit,
+                                alpha_theoretical, cross_binomial_sum,
+                                fit_exponent, fluctuation_profile,
+                                geometric_grid, model_probability)
 from isosquare.enumeration import CountSample
+
+from conftest import check_record
 
 
 class TestModelProbability:
@@ -69,6 +71,15 @@ class TestAlpha:
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < alpha_theoretical()
         assert alpha_theoretical() - vals[-1] < 5e-4
+
+
+class TestRecords:
+    def test_fit_result(self):
+        check_record(FitResult, {"alpha_hat": 0.75, "intercept": -1.5,
+                                 "residual_rms": 0.01, "sample_count": 12})
+
+    def test_profile_point(self):
+        check_record(ProfilePoint, {"n": 1024, "log2_n": 10.0, "value": 0.5})
 
 
 class TestFitExponent:

@@ -335,6 +335,8 @@ class TestEnumerate:
 PACKAGE = {"isosquare.constructions", "isosquare.enumeration",
            "isosquare.analysis", "isosquare.checks"}
 HEAVY = {"json", "concurrent.futures", "numpy"}
+# No command needs these: the package's records are NamedTuples.
+RECORDS = {"dataclasses", "inspect"}
 CLI = "from isosquare import cli; "
 
 
@@ -356,25 +358,30 @@ class TestNumpyLoading:
 
     @pytest.mark.parametrize("code, unloaded", [
         ("import isosquare",
-         PACKAGE | HEAVY | {"isosquare.membership", "isosquare.cli"}),
-        ("import isosquare.cli", PACKAGE | HEAVY),
-        (CLI + "cli.main(['check', '316'])", PACKAGE | HEAVY),
+         PACKAGE | HEAVY | RECORDS
+         | {"isosquare.membership", "isosquare.cli"}),
+        ("import isosquare.cli", PACKAGE | HEAVY | RECORDS),
+        (CLI + "cli.main(['check', '316'])", PACKAGE | HEAVY | RECORDS),
         (CLI + "\ntry:\n    cli.main(['--help'])\n"
-         "except SystemExit:\n    pass", PACKAGE | HEAVY),
+         "except SystemExit:\n    pass", PACKAGE | HEAVY | RECORDS),
         (CLI + "cli.main(['construct', '--seed', '5'])",
-         PACKAGE - {"isosquare.constructions"} | HEAVY),
+         PACKAGE - {"isosquare.constructions"} | HEAVY | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
         (CLI + "cli.main(['enumerate', '--limit', '0'])", {"numpy"}),
         (CLI + "cli.main(['props', '--suite', 'gaps'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"}),
+         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
         ("from isosquare.enumeration import scan_gap; scan_gap(16)",
          {"concurrent.futures", "numpy"}),
+        # the sieve commands run no construction, fit or rational arithmetic
+        (CLI + "cli.main(['count', '--limit', '10^3', '--grid', '1000'])",
+         {"isosquare.constructions", "isosquare.checks", "statistics",
+          "fractions"}),
     ], ids=["import", "import-cli", "check", "help", "construct",
             "props-lemmas", "enumerate-limit-0", "props-gaps", "props-all",
-            "scan-gap-16"])
+            "scan-gap-16", "count"])
     def test_not_loaded(self, code, unloaded):
         assert self.loaded(code) & unloaded == set()
 

@@ -7,7 +7,7 @@ from isosquare.constructions import (ConstructionStage, ConstructionTrace,
                                      PostconditionError)
 from isosquare.membership import is_isosquare, weight_profile
 
-from conftest import oracle_is_member
+from conftest import check_record, oracle_is_member
 
 B = lambda n: n.bit_count()
 
@@ -351,6 +351,24 @@ class TestConstructFamily:
         traces = cons.family_traces(5)
         seeds = [t.stages[0].value for t in traces]
         assert seeds == [9, 10, 11, 12, 13]
+
+
+class TestRecords:
+    def test_stage(self):
+        check_record(ConstructionStage,
+                     {"label": "seed", "value": 5, "rule": "seed"})
+
+    def test_trace(self):
+        check_record(ConstructionTrace,
+                     {"stages": cons.construct_one(5).stages})
+
+    def test_replace_and_make_are_checked(self):
+        trace = cons.construct_one(5)
+        assert trace._replace(stages=trace.stages[1:]).final == trace.final
+        with pytest.raises(PostconditionError, match="at least one stage"):
+            trace._replace(stages=())
+        with pytest.raises(PostconditionError, match="not a member"):
+            ConstructionTrace._make([trace.stages[:1]])
 
 
 class TestTraceValidation:

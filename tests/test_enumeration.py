@@ -21,7 +21,7 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    read_checkpoint, scan_gap, sieve,
                                    sieve_chunks)
 
-from conftest import oracle_is_member, oracle_members
+from conftest import check_record, oracle_is_member, oracle_members
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -602,6 +602,18 @@ class TestFindRuns:
         # report the full maximal run
         runs = find_runs(317, min_length=2)
         assert runs[-1] == RunRecord(316, 4)
+
+
+class TestRecords:
+    def test_count_sample(self):
+        check_record(CountSample, {"n": 1000, "count": 100})
+
+    def test_run_record(self):
+        check_record(RunRecord, {"start": 316, "length": 4})
+
+    def test_records_are_tuples(self):
+        # records with equal values compare equal, whatever their type
+        assert CountSample(1, 4) == RunRecord(1, 4) == (1, 4)
 
 
 class TestScanGap:

@@ -4,15 +4,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isosquare.membership import (ISOSQUARE, PropertyTriple, is_isosquare,
-                                  satisfies, weight_profile)
+from isosquare.membership import (ISOSQUARE, PropertyTriple, WeightProfile,
+                                  is_isosquare, satisfies, weight_profile)
 
-from conftest import oracle_is_member
+from conftest import check_record, oracle_is_member
 
 
 class TestPropertyTriple:
     def test_defaults(self):
-        assert ISOSQUARE == PropertyTriple(2, 1, 2)
+        assert ISOSQUARE == PropertyTriple(2, 1, 2) == PropertyTriple()
+        assert PropertyTriple(3) == PropertyTriple(3, 1, 2)
+        assert PropertyTriple(power=3) == PropertyTriple(2, 1, 3)
+
+    def test_record(self):
+        check_record(PropertyTriple, {"base": 3, "multiplier": 2, "power": 5})
+
+    def test_replace_and_make_are_checked(self):
+        assert ISOSQUARE._replace(power=3) == PropertyTriple(2, 1, 3)
+        assert type(ISOSQUARE._replace(power=3)) is PropertyTriple
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            ISOSQUARE._replace(base=1)
+        with pytest.raises(ValueError, match="power must be >= 2"):
+            PropertyTriple._make((2, 1, 1))
 
     @pytest.mark.parametrize("kwargs", [
         {"base": 1}, {"multiplier": 0}, {"power": 1},
@@ -79,6 +92,10 @@ class TestIsIsosquare:
 
 
 class TestWeightProfile:
+    def test_record(self):
+        check_record(WeightProfile,
+                     {"weight": 2, "square_weight": 3, "defect": -1})
+
     def test_five(self):
         p = weight_profile(5)
         assert (p.weight, p.square_weight, p.defect) == (2, 3, -1)
