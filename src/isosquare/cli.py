@@ -5,7 +5,8 @@ stdout early), 1 negative verdict, 2 usage or precondition error; a
 malformed number is a usage error from argparse, naming its argument.
 Structured output is CSV with a single header row or JSON lines with one
 object per line; integers are read and printed in decimal at any size.
-Each command imports the modules it runs and no others.
+Each command imports the modules it runs and no others.  `run` is the
+process entry point; `main` is the in-process API.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
 
@@ -255,6 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at devnull once its reader left (as `enumerate | head`
+    does), so that what is still buffered goes nowhere, quietly."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     # Python caps decimal int <-> str at 4,300 digits; lifted until return.
     cap = sys.get_int_max_str_digits()
@@ -263,9 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
-        # The reader left (as `enumerate | head` does): not an error.  Send
-        # what is still buffered to devnull so the exit flush stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()  # not an error
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -274,5 +283,31 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(cap)
 
 
+def run() -> NoReturn:
+    """Run main() on sys.argv as the whole process, then end it.
+
+    The sieve makes no BLAS call, so OpenBLAS gets one thread instead of
+    an idle worker that spins on another core.  os._exit skips the
+    interpreter's teardown, whose collection passes over what numpy
+    created cost a sieve command tens of milliseconds; each command has
+    closed its files and joined its threads when main returns.  A write
+    error in the final flush is reported like one in a command.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: usage error or --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -686,3 +686,98 @@ class TestProps:
         assert len(lines) == 29
         assert lines[0] == "FAIL mersenne_member(2): injected"
         assert all(line.startswith("FAIL ") for line in lines)
+
+
+def cli_process(argv, env=None, **kwargs):
+    """Run `python -m isosquare.cli ARGV` on this checkout's src."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "isosquare.cli", *argv],
+                          env=env, timeout=120, **kwargs)
+
+
+class TestProcessEntry:
+    """run() ends the process itself, after main() and a final flush."""
+
+    @pytest.mark.parametrize("argv, code, files", [
+        (["enumerate", "--limit", "10^5", "--workers", "2", "--format",
+          "csv", "--checkpoint", "run.ckpt"], 0, ["run.ckpt"]),
+        (["count", "--limit", "10^5", "--grid", "geometric:1024:2"], 0, []),
+        (["analyze", "--limit", "2^16", "--out", "profile.csv"], 0,
+         ["profile.csv"]),
+        (["construct", "--family", "41", "--format", "json-lines"], 0, []),
+        (["props", "--suite", "lemmas", "--cases", "50"], 0, []),
+        (["check", "5"], 1, []),
+        (["check", "ten"], 2, []),
+    ], ids=["enumerate", "count", "analyze", "construct", "props", "check",
+            "usage-error"])
+    def test_same_as_main(self, capsys, monkeypatch, tmp_path, argv, code,
+                          files):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+        proc = cli_process(argv, cwd=tmp_path / "process",
+                           capture_output=True)
+        monkeypatch.chdir(tmp_path / "main")
+        try:
+            returned = main(argv)
+        except SystemExit as exc:
+            returned = exc.code
+        out, err = capsys.readouterr()
+        assert returned == code and proc.returncode == code
+        assert proc.stdout == out.encode() and proc.stderr == err.encode()
+        written = [{p.name: p.read_bytes()
+                    for p in (tmp_path / side).iterdir()}
+                   for side in ("process", "main")]
+        assert written[0] == written[1] and sorted(written[0]) == files
+        if files == ["run.ckpt"]:
+            assert written[0]["run.ckpt"] == b"100000 %d\n" % len(
+                out.splitlines()[1:])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_final_flush_error_is_reported(self):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # the output waits for exit
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["check", "316"], env=env, stdout=full,
+                               stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+    def test_reader_closed_before_final_flush(self):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cli_process(["check", "5"], env=env, stdout=write,
+                               stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux /proc")
+    def test_sieve_command_ends_with_one_thread(self):
+        script = (
+            "import os, sys\n"
+            "from isosquare import cli\n"
+            "exit_ = os._exit\n"
+            "def counted(code):\n"
+            "    os.write(2, b'%d' % len(os.listdir('/proc/self/task')))\n"
+            "    exit_(code)\n"
+            "os._exit = counted\n"
+            "sys.argv[1:] = ['count', '--limit', '10^6', '--grid', "
+            "'1000,10^6', '--workers', '2']\n"
+            "cli.run()\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"1")
+
+    def test_main_leaves_environment_alone(self, capsys):
+        before = dict(os.environ)
+        assert main(["count", "--limit", "10^4", "--grid", "1000"]) == 0
+        assert dict(os.environ) == before

@@ -2,13 +2,16 @@ import importlib
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import isosquare
+from isosquare import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Every public name of the package, by the module that defines it.
 EXPORTS = {
@@ -63,3 +66,10 @@ class TestLazyNamespace:
         with pytest.raises(AttributeError, match="no_such_name"):
             isosquare.no_such_name
         assert not hasattr(isosquare, "DEFAULT_CHUNK")
+
+
+def test_console_script_is_run():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["isosquare"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
