@@ -286,14 +286,11 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Run main() on sys.argv as the whole process, then end it.
 
-    The sieve makes no BLAS call, so OpenBLAS gets one thread instead of
-    an idle worker that spins on another core.  os._exit skips the
-    interpreter's teardown, whose collection passes over what numpy
-    created cost a sieve command tens of milliseconds; each command has
-    closed its files and joined its threads when main returns.  A write
-    error in the final flush is reported like one in a command.
+    os._exit skips the interpreter's teardown and its collection passes;
+    each command has closed its files and joined its threads when main
+    returns.  A write error in the final flush is reported like one in a
+    command.
     """
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         code = main()
     except SystemExit as exc:  # argparse: usage error or --help

@@ -1,49 +1,37 @@
-"""High-throughput enumeration of isosquare numbers.
+"""High-throughput enumeration of isosquare numbers, 1 <= m < 2^63.
 
-The sieve tests B(m) = B(m^2) for integers m up to a limit.  Below 2^63
-the test runs on numpy, in blocks of BLOCK integers (BLOCK odd ones for
-the odd kernels) aligned to their span, small enough that every temporary
-stays in cache.  One block generator (_masks) reuses its buffers for
-every block, takes B(m) as B(base) plus a table entry, and squares m in
-one uint64 below 2^32 and in two uint64 limbs above, the high limb one
-scalar per block.  numpy is imported on the first call into a block
-kernel and concurrent.futures on the first chunk loop, so importing this
-module, or running a CLI command that never sieves, loads neither;
-scan_gap tests a gap of fewer than BLOCK integers with is_isosquare,
-which costs less than importing numpy.  One
-chunk loop runs a kernel over contiguous chunks of the range on worker
-threads and hands the results out in chunk order, so output is identical
-whatever the worker count.  The member kernel (members_in_range) lists a
-chunk's members, from 2^63 on in exact big-integer arithmetic, which
-holds the GIL.  sieve_chunks and sieve list members through odd parts: m
-is a member iff 2m is, so once a chunk starts at twice the first integer
-of the run, only its odd integers are tested and its even members are
-doubled from earlier chunks, which keep about 0.24 p(limit) members for
-that.  sieve_chunks resumes from a one-record checkpoint, renamed into
-place after each chunk.  The odd-count kernel (odd_counts_in_range) only
-counts a chunk's odd members, all that counting needs, on numpy alone:
-counting refuses grid points above 2^63.
+The C kernel _sieve.c is compiled on the first kernel call, cached in the
+package's __pycache__ and called through ctypes, which releases the GIL;
+importing this module loads no ctypes.  A chunk loop runs a kernel over
+chunks on worker threads and hands the results out in order, so output
+is the same for any worker count.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from contextlib import closing
+from contextlib import ExitStack, closing
 from functools import cache
 from itertools import islice
+from threading import Lock
 from typing import (TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence,
                     TypeVar)
 
 from .membership import is_isosquare
 
 if TYPE_CHECKING:
-    import numpy as np
+    from ctypes import CDLL
 
-FAST_LIMIT = 1 << 63  # numpy path below: its two-limb square is exact there
+TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
-BLOCK = 1 << 16  # numpy path works in blocks this long to stay in cache
+BLOCK = 1 << 16  # integers per kernel call, so its output buffer stays small
+_SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+_FLAGS = ["-O3", "-shared", "-fPIC"]
+_BUILD = Lock()  # one thread at a time looks the library up or builds it
 
 T = TypeVar("T")
 
@@ -68,102 +56,96 @@ def _require_positive(**values: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _require_below_top(name: str, value: int) -> None:
+    if value >= TOP:
+        raise ValueError(f"{name} must be below 2^63, got {value}")
+
+
 @cache
-def _weights(step: int) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets step - 1, 2 * step - 1, ... below step * BLOCK (uint64)
-    and their binary weights (uint8), both read-only."""
-    import numpy as np
-    offsets = np.arange(step - 1, step * BLOCK, step, dtype=np.uint64)
-    weights = np.bitwise_count(offsets)
-    offsets.flags.writeable = weights.flags.writeable = False
-    return offsets, weights
+def _kernel() -> CDLL:
+    """_sieve.c compiled and loaded, its entry points declared.
 
-
-def _masks(lo: int, hi: int, step: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, mask) over the integers m = step - 1 (mod step) with
-    lo <= m <= hi < 2^63 (step 1 or 2): mask[i] tells whether
-    start + step * i is a member.  The mask is a view of a buffer that the
-    next block overwrites.
-
-    Blocks are aligned to step * BLOCK, so a block's integers are
-    base + offset with offset < step * BLOCK, B(m) = B(base) + B(offset)
-    comes from a table, and no block crosses a multiple of 2^32.
+    It is cached in _CACHE under a name keyed by the source, the compiler
+    command and the platform; where _CACHE cannot be written, it is built
+    in a temporary directory, removed once the library is loaded.  The
+    compiler writes a name of this process's own, renamed into place, so
+    processes that build at once each leave a complete library.
     """
-    if lo > hi:
-        return
-    import numpy as np
-    offsets, weights = _weights(step)
-    span = step * BLOCK
-    size = min(BLOCK, (hi - lo) // step + 1)
-    limb, square, cross = (np.empty(size, np.uint64) for _ in range(3))
-    weight, high_weight = np.empty(size, np.uint8), np.empty(size, np.uint8)
-    mask = np.empty(size, np.bool_)
-    for base in range(lo // span * span, hi + 1, span):
-        i = max(lo - base, 0) // step
-        j = min((hi - base + 1) // step, BLOCK)
-        if i >= j:  # no odd integer of [lo, hi] in this block
-            continue
-        n = j - i
-        # m = h * 2^32 + l, with one h for the whole block
-        h = base >> 32
-        l = np.add(offsets[i:j], base & 0xFFFFFFFF, out=limb[:n])
-        w = weight[:n]
-        if not h:  # (2^32 - 1)^2 < 2^64: m^2 fits in a uint64
-            np.bitwise_count(np.multiply(l, l, out=square[:n]), out=w)
-        else:
-            # m^2 = h^2*2^64 + h*l*2^33 + l^2 with h*l < 2^63
-            ll = np.multiply(l, l, out=square[:n])
-            hl = np.multiply(l, h, out=cross[:n])
-            low = np.add(np.left_shift(hl, 33, out=l), ll, out=l)  # wraps
-            high = np.right_shift(hl, 31, out=hl)
-            high += h * h
-            high += np.less(low, ll, out=ll)  # the carry out of the low limb
-            np.bitwise_count(low, out=w)
-            w += np.bitwise_count(high, out=high_weight[:n])
-        # B(m^2) == B(base) + B(offset), in uint8 arithmetic modulo 256
-        w -= base.bit_count()
-        yield base + step * i + step - 1, np.equal(w, weights[i:j],
-                                                   out=mask[:n])
+    import ctypes
+    import hashlib
+    import sysconfig
+    # under the lock: sysconfig fills its variables on first use, and a
+    # thread racing that sees only some of them
+    with _BUILD, ExitStack() as stack:
+        command = [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS]
+        with open(_SOURCE, "rb") as fh:
+            key = repr((fh.read(), command, sysconfig.get_platform()))
+        name = f"_sieve.{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+        path = os.path.join(_CACHE, name)
+        if not os.path.exists(path):
+            import subprocess
+            if not _writable(_CACHE):
+                import tempfile
+                private = stack.enter_context(tempfile.TemporaryDirectory())
+                path = os.path.join(private, name)
+            partial = f"{path}.{os.getpid()}.tmp"
+            done = subprocess.run([*command, "-o", partial, _SOURCE],
+                                  capture_output=True, text=True,
+                                  errors="replace")
+            if done.returncode:
+                raise OSError(f"cannot compile the sieve kernel: "
+                              f"{' '.join(command)} exited with "
+                              f"{done.returncode}: {done.stderr.strip()}")
+            os.replace(partial, path)
+        lib = ctypes.CDLL(path)
+    u64, size, to = ctypes.c_uint64, ctypes.c_size_t, ctypes.POINTER
+    lib.isq_members.argtypes = [u64, u64, u64, to(ctypes.c_int64)]
+    lib.isq_members.restype = size
+    lib.isq_odd_counts.argtypes = [u64, u64, to(u64), size, to(u64)]
+    lib.isq_odd_counts.restype = None
+    return lib
 
 
-def _members(lo: int, hi: int, step: int) -> np.ndarray:
-    """The members m = step - 1 (mod step) with lo <= m <= hi < 2^63,
-    increasing, as an int64 array."""
-    import numpy as np
-    found = [np.flatnonzero(mask) * step + start
-             for start, mask in _masks(lo, hi, step)]
-    return np.concatenate(found) if found else np.empty(0, np.int64)
+def _writable(directory: str) -> bool:
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
 
 
-def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing (lo >= 1)."""
-    _require_positive(lo=lo)
-    found = _members(lo, min(hi, FAST_LIMIT - 1), 1).tolist()
-    found += filter(is_isosquare, range(max(lo, FAST_LIMIT), hi + 1))
+def _members(lo: int, hi: int, step: int) -> list[int]:
+    """The members m = step - 1 (mod step) with lo <= m <= hi < 2^63
+    (step 1 or 2), increasing.  Each kernel call tests BLOCK of them."""
+    from ctypes import c_int64
+    kernel = _kernel()
+    out = (c_int64 * BLOCK)()
+    found: list[int] = []
+    for start in range(lo | (step - 1), hi + 1, step * BLOCK):
+        end = min(hi, start + step * (BLOCK - 1))
+        found += out[:kernel.isq_members(start, end, step, out)]
     return found
 
 
-def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
-    """Odd members m with lo <= m <= p, for each p of the sorted points.
-
-    Points lie in [lo - 1, hi] (1 <= lo, hi < 2^63).  Only odd integers are
-    tested, and a block is counted, not listed.
-    """
+def members_in_range(lo: int, hi: int) -> list[int]:
+    """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63)."""
     _require_positive(lo=lo)
-    if hi >= FAST_LIMIT:
-        raise ValueError(f"hi must be below 2^63, got {hi}")
-    import numpy as np
-    counts: list[int] = []
-    total, i = 0, 0
-    for start, mask in _masks(lo, hi, 2):
-        end = start + 2 * (len(mask) - 1)
-        while i < len(points) and points[i] <= end:
-            # the odd integers start, start + 2, ... up to points[i]
-            counts.append(total + int(np.count_nonzero(
-                mask[:(points[i] - start) // 2 + 1])))
-            i += 1
-        total += int(np.count_nonzero(mask))
-    return counts + [total] * (len(points) - i)
+    _require_below_top("hi", hi)
+    return _members(lo, hi, 1)
+
+
+def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
+    """Odd members m with lo <= m <= p, for each p of the sorted points,
+    which lie in [lo - 1, hi] (1 <= lo, hi < 2^63)."""
+    _require_positive(lo=lo)
+    _require_below_top("hi", hi)
+    from ctypes import c_uint64
+    n = len(points)
+    counts = (c_uint64 * n)()
+    # min(): a lo past hi counts nothing, and one from 2^64 on would wrap
+    _kernel().isq_odd_counts(min(lo, TOP), hi, (c_uint64 * n)(*points), n,
+                             counts)
+    return counts[:]
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
@@ -195,17 +177,18 @@ def sieve_chunks(limit: int, workers: int = 1,
                  ) -> Iterator[tuple[int, list[int]]]:
     """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
 
-    The arguments and the checkpoint are checked (read, not written) at the
-    call; sieving starts when the result is first advanced.  Chunks come in
-    order, each with its members increasing; `workers` threads sieve at
-    most 2 * workers + 1 chunks ahead of the consumer.  With a checkpoint
-    path, its one record "chunk_end count" is replaced only when the
-    consumer resumes the generator after receiving that chunk, so a
-    recorded chunk was handed out in full.  A later run resumes after the
-    recorded chunk, at no cost per chunk skipped; a chunk handed out but
-    not recorded is produced again.
+    The arguments and the checkpoint are checked (read, not written) and
+    the kernel loaded at the call; sieving starts when the result is first
+    advanced.  Chunks come in order, members increasing, with `workers`
+    threads at most 2 * workers + 1 chunks ahead of the consumer.  The
+    checkpoint's one record "chunk_end count" is replaced only when the
+    consumer resumes after that chunk, so a recorded chunk was handed out
+    in full.  A later run resumes after it, at no cost per chunk skipped;
+    a chunk handed out but not recorded is produced again.
     """
     _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
+    _require_below_top("limit", limit)
+    _kernel()
     if checkpoint is None:
         return _listed(1, limit, workers, chunk_size)
     done, count = read_checkpoint(checkpoint)
@@ -215,40 +198,32 @@ def sieve_chunks(limit: int, workers: int = 1,
 
 def _listed(first: int, last: int, workers: int, chunk_size: int
             ) -> Iterator[tuple[int, list[int]]]:
-    """The chunks of [first, last] with their members, as _chunk_loop
-    yields them, listed through odd parts.
-
-    m is a member iff 2m is, so once a chunk [lo, hi] has lo >= 2 * first
-    its even members are twice the members of [ceil(lo / 2), hi // 2],
-    which lie in earlier chunks of this run: the workers test only its odd
-    integers.  Earlier chunks, and chunks that reach FAST_LIMIT, are tested
-    in full.  The members up to last // 2 that a later chunk may still
-    double are kept, one array per chunk, until they lie below lo / 2.
-    """
-    def kernel(lo: int, hi: int) -> np.ndarray | list[int]:
-        if hi >= FAST_LIMIT:
-            return members_in_range(lo, hi)
+    """The chunks of [first, last] with their members, listed through odd
+    parts: once a chunk [lo, hi] has lo >= 2 * first, its even members are
+    twice the members of [ceil(lo / 2), hi // 2], listed before, and only
+    its odd integers are tested.  The members up to last // 2 that a later
+    chunk may still double are kept, 8 bytes each in an array per chunk,
+    until they lie below lo / 2."""
+    def kernel(lo: int, hi: int) -> list[int]:
         return _members(lo, hi, 2 if lo >= 2 * first else 1)
 
-    import numpy as np
-    kept: deque = deque()  # (chunk end, members <= last // 2) per chunk
+    kept: deque = deque()  # (chunk end, array of its members <= last // 2)
     lo = first
     for hi, found in _chunk_loop(kernel, first, last, workers, chunk_size):
-        if hi < FAST_LIMIT:
-            if lo >= 2 * first:
-                half_lo, half_hi = (lo + 1) // 2, hi // 2
-                while kept and kept[0][0] < half_lo:
-                    kept.popleft()
-                # [half_lo, half_hi] lies in [first, lo - 1], where every
-                # chunk but the first is chunk_size long, and it is at most
-                # chunk_size // 2 + 1 long: it meets at most two chunks
-                doubled = [2 * m[np.searchsorted(m, half_lo):
-                                 np.searchsorted(m, half_hi, "right")]
-                           for _, m in islice(kept, 2)]
-                found = np.sort(np.concatenate([found, *doubled]))
-            if lo <= last // 2:
-                kept.append((hi, found[found <= last // 2]))
-            found = found.tolist()
+        if lo >= 2 * first:
+            half_lo, half_hi = (lo + 1) // 2, hi // 2
+            while kept and kept[0][0] < half_lo:
+                kept.popleft()
+            # [half_lo, half_hi] lies in [first, lo - 1], where every
+            # chunk but the first is chunk_size long, and it is at most
+            # chunk_size // 2 + 1 long: it meets at most two chunks
+            for _, m in islice(kept, 2):
+                found += [2 * x for x in m[bisect_left(m, half_lo):
+                                           bisect_right(m, half_hi)]]
+            found.sort()
+        if lo <= last // 2:
+            kept.append((hi, array("q", found[:bisect_right(found,
+                                                            last // 2)])))
         yield hi, found
         lo = hi + 1
 
@@ -295,11 +270,8 @@ def _recorded(chunks: Iterator[tuple[int, list[int]]], checkpoint: str,
 
 def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
           checkpoint: str | None = None) -> Iterator[int]:
-    """Yield every member m <= limit in increasing order.
-
-    The members of sieve_chunks, flattened; arguments and checkpoints
-    behave as there.
-    """
+    """Yield every member m <= limit in increasing order: the members of
+    sieve_chunks, flattened; arguments and checkpoints behave as there."""
     chunks = sieve_chunks(limit, workers, chunk_size, checkpoint)
     return (m for _, members in chunks for m in members)
 
@@ -310,19 +282,18 @@ def counting(limit: int, grid: Sequence[int],
 
     m is a member iff 2m is, since B(2m) = B(m) and (2m)^2 = 4m^2, so
     p(n) = sum over j >= 0 of O((n - 1) >> j), where O(x) counts the odd
-    members <= x.  Only the odd integers up to max(grid) - 1 <= 2^63 - 1
-    are sieved, in chunks on `workers` threads as in sieve_chunks, and
-    each chunk returns just its counts at the query points (n - 1) >> j;
-    no member is listed.
+    members <= x: each chunk of the odd integers up to max(grid) - 1 only
+    returns its counts at those points, on `workers` threads.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid and (grid[0] < 1 or grid[-1] > limit):
         raise ValueError("grid points must lie in [1, limit]")
-    if grid and grid[-1] > FAST_LIMIT:
+    if grid and grid[-1] > TOP:
         raise ValueError("grid points must be at most 2^63")
     _require_positive(limit=limit, workers=workers)
+    _kernel()
     points = sorted({(n - 1) >> j for n in grid
                      for j in range((n - 1).bit_length())})
 
@@ -370,11 +341,11 @@ def scan_gap(k: int) -> bool:
     """True iff the open interval gap_interval(k) holds no member (k <= 31).
 
     The gap holds 2^k - 1 integers.  Below BLOCK of them (k <= 16) they are
-    tested with is_isosquare, in at most about 15 ms, where importing numpy
-    takes about 0.15 s: props --suite gaps (k <= 10) loads no numpy.
+    tested with is_isosquare: for k <= 10 (props --suite gaps) that takes
+    under a millisecond, where loading the kernel takes about 9 ms.
     """
     from .constructions import gap_interval
-    if k < 1 or gap_interval(k)[1] > FAST_LIMIT:
+    if k < 1 or gap_interval(k)[1] > TOP:
         raise ValueError(f"k must be in 1..31, got {k}")
     lo, hi = gap_interval(k)
     if hi - lo - 1 < BLOCK:

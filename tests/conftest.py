@@ -50,3 +50,16 @@ def members_16() -> list[int]:
     expected = [1, 2, 3, 4, 6, 7, 8, 12, 14, 15, 16]
     assert oracle_members(16) == expected
     return expected
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """The sieve kernel unloaded, with its cache moved to an empty
+    directory (the fixture's value, not yet created), so that the next
+    kernel call compiles it; unloaded again after the test."""
+    from isosquare import enumeration
+    cache = tmp_path / "kernel-cache"
+    monkeypatch.setattr(enumeration, "_CACHE", str(cache))
+    enumeration._kernel.cache_clear()
+    yield cache
+    enumeration._kernel.cache_clear()

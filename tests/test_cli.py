@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import sysconfig
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,12 +27,12 @@ def run(capsys, *argv):
 
 def forbid_sieving(monkeypatch, message):
     """Make each way into the sieve fail: the member stream, the chunk loop
-    that it and counting share, the odd-count kernel and the block
-    generator under every numpy kernel."""
+    that it and counting share, the odd-count kernel and the compiled
+    kernel under every one of them."""
     def fail(*args, **kwargs):
         raise AssertionError(message)
     for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range",
-                 "_masks"):
+                 "_kernel"):
         monkeypatch.setattr(enumeration, name, fail)
 
 
@@ -334,15 +335,18 @@ class TestEnumerate:
 # What `import isosquare.cli`, `check` and `--help` must not load.
 PACKAGE = {"isosquare.constructions", "isosquare.enumeration",
            "isosquare.analysis", "isosquare.checks"}
-HEAVY = {"json", "concurrent.futures", "numpy"}
+HEAVY = {"json", "concurrent.futures"}
+# What loading the sieve kernel imports (subprocess only to compile it).
+KERNEL = {"ctypes", "subprocess", "hashlib"}
 # No command needs these: the package's records are NamedTuples.
 RECORDS = {"dataclasses", "inspect"}
 CLI = "from isosquare import cli; "
 
 
 class TestNumpyLoading:
-    """Each command loads only the modules it runs, and only the block
-    kernels load numpy; each case runs in a fresh interpreter."""
+    """Each command loads only the modules it runs, only the sieve loads
+    its kernel, and nothing loads numpy; each case runs in a fresh
+    interpreter."""
 
     @staticmethod
     def loaded(code):
@@ -352,47 +356,51 @@ class TestNumpyLoading:
                               capture_output=True, text=True, timeout=60)
         return set(proc.stdout.splitlines()[-1].split())
 
-    @classmethod
-    def numpy_loaded(cls, code):
-        return "numpy" in cls.loaded(code)
-
     @pytest.mark.parametrize("code, unloaded", [
         ("import isosquare",
-         PACKAGE | HEAVY | RECORDS
+         PACKAGE | HEAVY | KERNEL | RECORDS
          | {"isosquare.membership", "isosquare.cli"}),
-        ("import isosquare.cli", PACKAGE | HEAVY | RECORDS),
-        (CLI + "cli.main(['check', '316'])", PACKAGE | HEAVY | RECORDS),
+        ("import isosquare.cli", PACKAGE | HEAVY | KERNEL | RECORDS),
+        (CLI + "cli.main(['check', '316'])",
+         PACKAGE | HEAVY | KERNEL | RECORDS),
         (CLI + "\ntry:\n    cli.main(['--help'])\n"
-         "except SystemExit:\n    pass", PACKAGE | HEAVY | RECORDS),
+         "except SystemExit:\n    pass", PACKAGE | HEAVY | KERNEL | RECORDS),
         (CLI + "cli.main(['construct', '--seed', '5'])",
-         PACKAGE - {"isosquare.constructions"} | HEAVY | RECORDS),
+         PACKAGE - {"isosquare.constructions"} | HEAVY | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
-        (CLI + "cli.main(['enumerate', '--limit', '0'])", {"numpy"}),
+         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
+        (CLI + "cli.main(['enumerate', '--limit', '0'])", KERNEL),
         (CLI + "cli.main(['props', '--suite', 'gaps'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
+         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures", "numpy"} | RECORDS),
+         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
         ("from isosquare.enumeration import scan_gap; scan_gap(16)",
-         {"concurrent.futures", "numpy"}),
+         {"concurrent.futures"} | KERNEL),
         # the sieve commands run no construction, fit or rational arithmetic
         (CLI + "cli.main(['count', '--limit', '10^3', '--grid', '1000'])",
          {"isosquare.constructions", "isosquare.checks", "statistics",
           "fractions"}),
+        (CLI + "cli.main(['enumerate', '--limit', '10^3'])",
+         {"isosquare.constructions", "isosquare.checks",
+          "isosquare.analysis"}),
+        (CLI + "cli.main(['analyze', '--limit', '2^12', '--out', "
+         "'/dev/null'])", {"isosquare.constructions", "isosquare.checks"}),
     ], ids=["import", "import-cli", "check", "help", "construct",
             "props-lemmas", "enumerate-limit-0", "props-gaps", "props-all",
-            "scan-gap-16", "count"])
+            "scan-gap-16", "count", "enumerate", "analyze"])
     def test_not_loaded(self, code, unloaded):
-        assert self.loaded(code) & unloaded == set()
+        assert self.loaded(code) & (unloaded | {"numpy"}) == set()
 
     def test_loaded_by_sieve(self):
         # any window or sieve, however short, and a gap of BLOCK integers
-        assert self.numpy_loaded("from isosquare.enumeration import "
-                                 "members_in_range; members_in_range(1, 10)")
-        assert self.numpy_loaded("from isosquare.enumeration import sieve; "
-                                 "list(sieve(10))")
-        assert self.numpy_loaded("from isosquare.enumeration import "
-                                 "scan_gap; scan_gap(17)")
+        for code in ("from isosquare.enumeration import members_in_range; "
+                     "members_in_range(1, 10)",
+                     "from isosquare.enumeration import sieve; "
+                     "list(sieve(10))",
+                     "from isosquare.enumeration import scan_gap; "
+                     "scan_gap(17)"):
+            loaded = self.loaded(code)
+            assert {"ctypes", "hashlib"} <= loaded and "numpy" not in loaded
 
 
 class TestCount:
@@ -686,6 +694,30 @@ class TestProps:
         assert len(lines) == 29
         assert lines[0] == "FAIL mersenne_member(2): injected"
         assert all(line.startswith("FAIL ") for line in lines)
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--limit", "10^5", "--format", "csv"],
+        ["count", "--limit", "10^5", "--grid", "1000,10^5"],
+        ["analyze", "--limit", "2^14", "--out", "profile.csv"],
+    ], ids=["enumerate", "count", "analyze"])
+    def test_compiler_failure_is_an_error(self, capsys, monkeypatch,
+                                          tmp_path, fresh_kernel, argv):
+        # The kernel is built before anything is written: no csv header,
+        # no profile, no library and no traceback.
+        compiler = tmp_path / "cc"
+        compiler.write_text("#!/bin/sh\necho 'cc: cannot build' >&2\n"
+                            "exit 1\n")
+        compiler.chmod(0o755)
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", str(compiler))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--workers", "2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot compile the sieve kernel: {compiler} "
+                       "-O3 -shared -fPIC exited with 1: cc: cannot build\n")
+        assert sorted(os.listdir(tmp_path)) == ["cc", fresh_kernel.name]
+        assert os.listdir(fresh_kernel) == []
 
 
 def cli_process(argv, env=None, **kwargs):

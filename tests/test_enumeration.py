@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import tracemalloc
 from bisect import bisect_left
@@ -74,13 +75,30 @@ class TestSieve:
         ((1 << 32) - 1000, (1 << 32) + 1000),
         ((1 << 32), (1 << 32) + 2000),         # squares overflow 64 bits
         (BLOCK - 3, 3 * BLOCK + 5),            # two block boundaries, partial tail
-        ((1 << 32) + 5, (1 << 32) + 2 * BLOCK + 13),  # two-limb squares
+        ((1 << 32) + 5, (1 << 32) + 2 * BLOCK + 13),  # 128-bit squares
         ((1 << 63) - 2000, (1 << 63) - 1),     # ends at member 2^63-1
-        ((1 << 63) - 1000, (1 << 63) + 1000),  # numpy and big-int paths
     ])
     def test_matches_oracle_across_boundaries(self, lo, hi):
         assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
                                             if oracle_is_member(m)]
+
+    def test_window_from_2_63_rejected(self):
+        # the sieve's range is [1, 2^63); is_isosquare is exact beyond it
+        for hi in ((1 << 63) + 1000, 1 << 63):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"hi must be below 2^63, got {hi}")):
+                members_in_range((1 << 63) - 1000, hi)
+
+    def test_limit_from_2_63_rejected_at_call(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieved before checking the limit")
+        monkeypatch.setattr(enumeration, "_chunk_loop", fail)
+        for limit in (1 << 63, (1 << 63) + 1, 1 << 64):
+            message = re.escape(f"limit must be below 2^63, got {limit}")
+            for call in (lambda: sieve(limit), lambda: sieve_chunks(limit),
+                         lambda: find_runs(limit)):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
     @pytest.mark.parametrize("lo", [0, -3])
     def test_non_positive_lo_rejected(self, lo):
@@ -117,49 +135,61 @@ class TestSieve:
         with pytest.raises(ValueError, match="must be >= 1"):
             call()  # no iteration: the error comes before any chunk
 
-    def test_first_numpy_import_in_worker_threads(self):
-        # A fresh interpreter first imports numpy inside both sieve workers.
-        script = ("from isosquare.enumeration import sieve\n"
-                  "print(*sieve(2**20, workers=2, chunk_size=2**14))")
-        proc = subprocess.run([sys.executable, "-c", script],
+    def test_first_kernel_load_in_worker_threads(self, tmp_path):
+        # A fresh interpreter with an empty kernel cache first calls the
+        # kernel in two threads at once: it is compiled once, and both
+        # windows come out right.
+        script = ("import subprocess, sys, threading\n"
+                  "from isosquare import enumeration\n"
+                  "enumeration._CACHE = sys.argv[1]\n"
+                  "compiles, run = [], subprocess.run\n"
+                  "subprocess.run = lambda *a, **k: compiles.append(a) "
+                  "or run(*a, **k)\n"
+                  "found = {}\n"
+                  "def work(lo):\n"
+                  "    found[lo] = enumeration.members_in_range(lo, lo + "
+                  "2**15 - 1)\n"
+                  "threads = [threading.Thread(target=work, args=(lo,))\n"
+                  "           for lo in (1, 2**15 + 1)]\n"
+                  "for t in threads: t.start()\n"
+                  "for t in threads: t.join()\n"
+                  "print(len(compiles), *found[1], *found[2**15 + 1])")
+        cache = tmp_path / "cache"
+        proc = subprocess.run([sys.executable, "-c", script, str(cache)],
                               env={**os.environ, "PYTHONPATH": str(SRC)},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and proc.stderr == ""
-        members = list(map(int, proc.stdout.split()))
-        # The first four chunks, where both workers import numpy, against the
-        # oracle (all of 2^20 takes it seconds); the rest against 1 worker.
-        head = members[:bisect_left(members, 2**16 + 1)]
-        assert head == oracle_members(2**16)
-        assert members == list(sieve(2**20))
+        compiles, *members = map(int, proc.stdout.split())
+        assert compiles == 1
+        assert members == oracle_members(2**16)
+        assert len(os.listdir(cache)) == 1
 
 
 class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
               (1 << 62) + 12345, (1 << 63) - 1]
 
-    # each value alone, then windows of two blocks ending at each value;
-    # from 2^32 on the block kernel squares in two limbs
+    # each value alone, then windows of two blocks ending at each value,
+    # which the kernel tests in three calls (step 1) or one to two (step 2);
+    # from 2^32 on it squares in an unsigned __int128
     @pytest.mark.parametrize("block", [[m] for m in VALUES] + [VALUES])
     def test_matches_big_int(self, block):
         width = 0 if len(block) == 1 else 2 * BLOCK
         for m in block:
             for step in (1, 2):
-                got = {start + step * i: bool(member)
-                       for start, mask in enumeration._masks(m - width, m,
-                                                             step)
-                       for i, member in enumerate(mask)}
-                assert got == {x: (x * x).bit_count() == x.bit_count()
-                               for x in range(m - width, m + 1)
-                               if x % step == step - 1}
+                assert enumeration._members(m - width, m, step) == [
+                    x for x in range(m - width, m + 1)
+                    if x % step == step - 1
+                    and (x * x).bit_count() == x.bit_count()]
 
 
 class TestBlockKernel:
-    # Windows at aligned block ends: a multiple of 2 * BLOCK ends a block of
-    # both steps, 3 * BLOCK one of step 1 only.  Single integers, windows
-    # ending on the block end or starting one past it, even ends (which
-    # step 2 skips), 2^32 (one limb, then two) and the last block below 2^63.
+    # Single integers, windows ending at p or starting one past it, and
+    # even ends (which step 2 skips), around multiples of BLOCK, a chunk
+    # end, 2^32 (one uint64 square, then an unsigned __int128), 2^40 and
+    # the last integers below 2^63.
     WINDOWS = [(p + a, p + b)
-               for p in (2 * BLOCK, 3 * BLOCK, 1 << 32,
+               for p in (2 * BLOCK, 3 * BLOCK, DEFAULT_CHUNK, 1 << 32,
                          (1 << 32) + 3 * BLOCK, 1 << 40, 1 << 63)
                for a, b in ((-1, -1), (0, 0), (1, 1), (-40, -1), (0, 40),
                             (-41, 40), (-40, 0), (1, 41))
@@ -170,10 +200,96 @@ class TestBlockKernel:
         members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
         odd = [m for m in members if m % 2]
         assert members_in_range(lo, hi) == members
-        assert enumeration._members(lo, hi, 2).tolist() == odd
+        assert enumeration._members(lo, hi, 2) == odd
         points = list(range(lo - 1, hi + 1))
         assert odd_counts_in_range(lo, hi, points) == [
             bisect_left(odd, p + 1) for p in points]
+
+
+# Lists the members up to 2^12 in a fresh interpreter, with the kernel
+# cached in argv[1]; with "no-compiler", running the compiler fails.
+KERNEL_RUN = ("import subprocess, sys\n"
+              "from isosquare import enumeration\n"
+              "enumeration._CACHE = sys.argv[1]\n"
+              "if sys.argv[2:] == ['no-compiler']:\n"
+              "    def refuse(*args, **kwargs):\n"
+              "        raise AssertionError('the compiler ran')\n"
+              "    subprocess.run = refuse\n"
+              "print(*enumeration.members_in_range(1, 2**12))\n")
+
+
+class TestKernel:
+    """_sieve.c is compiled once into its cache, then loaded from there."""
+
+    @staticmethod
+    def start(cache, *args):
+        return subprocess.Popen(
+            [sys.executable, "-c", KERNEL_RUN, str(cache), *args],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    @staticmethod
+    def members(proc):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == ""
+        return list(map(int, out.split()))
+
+    def test_second_process_does_not_compile(self, tmp_path):
+        cache = tmp_path / "cache"
+        assert self.members(self.start(cache)) == oracle_members(2**12)
+        (library,) = cache.iterdir()
+        built = library.stat()
+        assert self.members(self.start(cache, "no-compiler")) == \
+            oracle_members(2**12)
+        assert list(cache.iterdir()) == [library]
+        assert (library.stat().st_ino, library.stat().st_mtime_ns) == (
+            built.st_ino, built.st_mtime_ns)
+
+    def test_first_uses_at_once_leave_one_library(self, tmp_path):
+        cache = tmp_path / "cache"
+        together = [self.start(cache) for _ in range(2)]
+        for proc in together:
+            assert self.members(proc) == oracle_members(2**12)
+        (library,) = cache.iterdir()
+        assert re.fullmatch(r"_sieve\.[0-9a-f]{16}\.so", library.name)
+        # complete: a later process loads it without compiling
+        assert self.members(self.start(cache, "no-compiler")) == \
+            oracle_members(2**12)
+
+    @pytest.mark.parametrize("how", ["not-a-directory", "read-only"])
+    def test_unwritable_cache_builds_privately(self, monkeypatch, tmp_path,
+                                               fresh_kernel, how):
+        # As root every write is allowed, so os.access is told the cache
+        # is read-only.  The private build goes to a temporary directory,
+        # removed once the library is loaded.
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        if how == "not-a-directory":
+            blocker = tmp_path / "file"
+            blocker.write_text("")
+            monkeypatch.setattr(enumeration, "_CACHE", str(blocker / "c"))
+        else:
+            fresh_kernel.mkdir()
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda target, mode: (
+                access(target, mode) and str(target) != str(fresh_kernel)))
+        lo, hi = (1 << 32) - 3000, (1 << 32) + 3000
+        members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
+        assert members_in_range(lo, hi) == members
+        assert odd_counts_in_range(lo, hi, [hi]) == [
+            sum(m % 2 for m in members)]
+        assert list(private.iterdir()) == []
+        if how == "read-only":
+            assert list(fresh_kernel.iterdir()) == []
+
+    def test_compiles_without_warnings(self, tmp_path):
+        command = (sysconfig.get_config_var("CC") or "cc").split()
+        proc = subprocess.run(
+            [*command, *enumeration._FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernel.so"), enumeration._SOURCE],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCheckpoint:
@@ -399,34 +515,17 @@ class TestOddParts:
             2 if c_lo >= 2 * first else 1 for c_lo, _, _ in sorted(calls)]
         assert (lo, lo + 100, 2 if lo >= 2 * first else 1) in calls
 
-    def test_chunks_from_fast_limit_tested_in_full(self, monkeypatch):
-        # With FAST_LIMIT at 2^20, the chunk ending there and every later
-        # one take members_in_range's full test, and none is kept.
-        fast, limit = 1 << 20, 1 << 21
-        monkeypatch.setattr(enumeration, "FAST_LIMIT", fast)
-        calls = self.spy_members(monkeypatch)
-        chunks = sieve_chunks(limit, 2, 1 << 18)
-        got = []
-        for end, members in chunks:
-            got += members
-            kept = chunks.gi_frame.f_locals["kept"]
-            assert all(kept_end < fast for kept_end, _ in kept)
-        assert got == [m for m in range(1, limit + 1)
-                       if m.bit_count() == (m * m).bit_count()]
-        assert max(hi for _, hi, _ in calls) == fast - 1
-        assert {step for _, _, step in calls} == {1, 2}
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kept_members_lie_in_the_lower_half(self, workers):
         # After each chunk [lo, hi], the members kept for doubling lie in
-        # [ceil(lo / 2), limit / 2], by whole chunks, each array its own.
+        # [ceil(lo / 2), limit / 2], by whole chunks, 8 bytes each.
         limit = 200_001
         chunks = sieve_chunks(limit, workers, 5000)
         got, lo = [], 1
         for hi, members in chunks:
             got += members
             kept = chunks.gi_frame.f_locals["kept"]
-            assert all(m.base is None and m.max(initial=0) <= limit // 2
+            assert all(m.typecode == "q" and max(m, default=0) <= limit // 2
                        for _, m in kept)
             if lo >= 2:
                 assert all(end >= (lo + 1) // 2 for end, _ in kept)
@@ -541,8 +640,8 @@ class TestOddCounts:
         return [bisect_left(odd, p + 1) for p in points]
 
     @pytest.mark.parametrize("lo, hi", [
-        ((1 << 32) - 1001, (1 << 32) + 999),       # one two-limb block
-        ((1 << 32) - 2 * BLOCK - 500, (1 << 32) + 500),  # one limb, then two
+        ((1 << 32) - 1001, (1 << 32) + 999),       # straddles 2^32
+        ((1 << 32) - 2 * BLOCK - 500, (1 << 32) + 500),  # two blocks
         ((1 << 32) - 3, (1 << 32) + 1),
         ((1 << 63) - 999, (1 << 63) - 1),          # ends at member 2^63 - 1
         (2, 2 * BLOCK + 10),                       # a block end
@@ -618,7 +717,7 @@ class TestRecords:
 
 class TestScanGap:
     # 16: just above 2^32, 2^16 - 1 integers on is_isosquare; 17: 2^17 - 1
-    # integers on the block kernel's two-limb squares
+    # integers on the kernel's unsigned __int128 squares
     @pytest.mark.parametrize("k", [*range(1, 11), 16, 17])
     def test_gap_is_empty(self, k):
         assert scan_gap(k)

@@ -73,3 +73,10 @@ def test_console_script_is_run():
         target = tomllib.load(fh)["project"]["scripts"]["isosquare"]
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is cli.run
+
+
+def test_kernel_source_is_package_data():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "_sieve.c" in data["isosquare"]
+    assert (SRC / "isosquare" / "_sieve.c").is_file()
