@@ -232,9 +232,13 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
                 workers: int, chunk_size: int) -> Iterator[tuple[int, T]]:
     """Yield (chunk_end, kernel(lo, chunk_end)) for chunks covering
     [first, last], in order, run on `workers` threads at most
-    2 * workers + 1 chunks ahead of the consumer.  Chunks keep the grid
-    1, 1 + chunk_size, ...; the first starts at `first`."""
+    2 * workers + 1 chunks ahead of the consumer; a range within one chunk
+    runs in the calling thread.  Chunks keep the grid 1, 1 + chunk_size,
+    ...; the first starts at `first`."""
     if first > last:
+        return
+    if (first - 1) // chunk_size == (last - 1) // chunk_size:
+        yield last, kernel(first, last)
         return
     from concurrent.futures import ThreadPoolExecutor
     starts = iter(range((first - 1) // chunk_size * chunk_size + 1, last + 1,

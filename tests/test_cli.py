@@ -376,10 +376,11 @@ class TestNumpyLoading:
          {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
         ("from isosquare.enumeration import scan_gap; scan_gap(16)",
          {"concurrent.futures"} | KERNEL),
-        # the sieve commands run no construction, fit or rational arithmetic
+        # the sieve commands run no construction, fit or rational arithmetic,
+        # and a range within one chunk starts no thread
         (CLI + "cli.main(['count', '--limit', '10^3', '--grid', '1000'])",
          {"isosquare.constructions", "isosquare.checks", "statistics",
-          "fractions"}),
+          "fractions", "concurrent.futures"}),
         (CLI + "cli.main(['enumerate', '--limit', '10^3'])",
          {"isosquare.constructions", "isosquare.checks",
           "isosquare.analysis"}),
