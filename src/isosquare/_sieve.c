@@ -1,13 +1,13 @@
 /* The sieve's kernel, compiled and called through ctypes by enumeration.py:
-   tests B(m) = B(m^2) for 1 <= m < 2^63.  On x86-64 the loader picks the
-   POPCNT build of each entry point where the CPU has that instruction. */
+   tests B(m) = B(m^2) for 1 <= m < 2^63.  It has two paths.  The scalar
+   loops test one m at a time; on x86-64 the loader picks the POPCNT build
+   of each entry point where the CPU has that instruction.  The vector
+   loops (x86-64 with AVX-512F and VPOPCNTDQ) test 8 at a time and leave
+   the last fewer than 8 to the scalar loops.  isq_select picks the path
+   once, before any scan runs; the loader then checks both entry points
+   against is_isosquare. */
 #include <stddef.h>
 #include <stdint.h>
-#ifdef __x86_64__
-#define DISPATCH __attribute__((target_clones("popcnt", "default")))
-#else
-#define DISPATCH
-#endif
 #define W(x) __builtin_popcountll(x)
 
 /* Counts the members among m = *next, *next + step, ... <= end, writing
@@ -32,12 +32,91 @@ static inline size_t scan(uint64_t *next, uint64_t end, uint64_t step,
     return found;
 }
 
+#ifdef __x86_64__
+#include <immintrin.h>
+#define DISPATCH __attribute__((target_clones("popcnt", "default")))
+#define VECTOR __attribute__((target("avx512f,avx512vpopcntdq")))
+#define HAS_VECTOR (__builtin_cpu_supports("avx512f") \
+                    && __builtin_cpu_supports("avx512vpopcntdq"))
+
+/* scan while 8 integers m, ..., m + 7 * step are left, one in each lane:
+   writes the members to out unless it is NULL, leaves *next at the first
+   m not tested and returns how many members there are.  Below 2^32 one
+   32 x 32-bit multiply squares m.  Above, with m = a * 2^32 + b, m^2 =
+   a^2 * 2^64 + ab * 2^33 + b^2, where a < 2^31 keeps 2ab below 2^64:
+   the low word b^2 + (ab << 33) carries at most 1 into the high word
+   a^2 + (ab >> 31). */
+VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
+                           int64_t *out)
+{
+    size_t found = 0;
+    uint64_t m = *next;
+    __m512i v = _mm512_add_epi64(
+        _mm512_set1_epi64((int64_t)m),
+        _mm512_mul_epu32(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                         _mm512_set1_epi64((int64_t)step)));
+    const __m512i stride = _mm512_set1_epi64((int64_t)(8 * step));
+    __mmask8 member;
+    for (; m + 7 * step <= end && (m + 7 * step) >> 32 == 0; m += 8 * step) {
+        member = _mm512_cmpeq_epi64_mask(
+            _mm512_popcnt_epi64(v),
+            _mm512_popcnt_epi64(_mm512_mul_epu32(v, v)));
+        if (out) _mm512_mask_compressstoreu_epi64(out + found, member, v);
+        found += W(member);
+        v = _mm512_add_epi64(v, stride);
+    }
+    for (; m + 7 * step <= end; m += 8 * step) {
+        __m512i a = _mm512_srli_epi64(v, 32);
+        __m512i b2 = _mm512_mul_epu32(v, v), ab = _mm512_mul_epu32(a, v);
+        __m512i low = _mm512_add_epi64(b2, _mm512_slli_epi64(ab, 33));
+        __m512i high = _mm512_add_epi64(_mm512_mul_epu32(a, a),
+                                        _mm512_srli_epi64(ab, 31));
+        high = _mm512_mask_add_epi64(high, _mm512_cmplt_epu64_mask(low, b2),
+                                     high, _mm512_set1_epi64(1));
+        member = _mm512_cmpeq_epi64_mask(
+            _mm512_popcnt_epi64(v),
+            _mm512_add_epi64(_mm512_popcnt_epi64(low),
+                             _mm512_popcnt_epi64(high)));
+        if (out) _mm512_mask_compressstoreu_epi64(out + found, member, v);
+        found += W(member);
+        v = _mm512_add_epi64(v, stride);
+    }
+    *next = m;
+    return found;
+}
+#else
+#define DISPATCH
+#define HAS_VECTOR 0
+#define scan8(next, end, step, out) 0
+#endif
+
+static int vector;  /* written only by isq_select */
+
+/* Selects the loops both entry points run from now on: path 1 the vector
+   ones where the CPU has them (else the scalar ones), path 0 the scalar
+   ones; a negative path keeps the selection.  Returns 1 if the vector
+   loops are selected, else 0.  Call it before any scan runs, not during
+   one. */
+int isq_select(int path)
+{
+    if (path >= 0) vector = path && HAS_VECTOR;
+    return vector;
+}
+
+/* scan on the selected path. */
+static inline size_t scan_path(uint64_t *next, uint64_t end, uint64_t step,
+                               int64_t *out)
+{
+    size_t found = vector ? scan8(next, end, step, out) : 0;
+    return found + scan(next, end, step, out ? out + found : NULL);
+}
+
 /* Lists the members among lo, lo + step, ... <= hi < 2^63 in out, which
    holds an entry per integer tested, and returns how many there are. */
 DISPATCH size_t isq_members(uint64_t lo, uint64_t hi, uint64_t step,
                             int64_t *out)
 {
-    return scan(&lo, hi, step, out);
+    return scan_path(&lo, hi, step, out);
 }
 
 /* counts[i] = the odd members m with lo <= m <= min(points[i], hi < 2^63),
@@ -47,7 +126,7 @@ DISPATCH void isq_odd_counts(uint64_t lo, uint64_t hi, const uint64_t *points,
 {
     uint64_t m = lo | 1, total = 0;
     for (size_t i = 0; i < n; i++) {
-        total += scan(&m, points[i] < hi ? points[i] : hi, 2, NULL);
+        total += scan_path(&m, points[i] < hi ? points[i] : hi, 2, NULL);
         counts[i] = total;
     }
 }

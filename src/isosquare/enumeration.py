@@ -2,9 +2,14 @@
 
 The C kernel _sieve.c is compiled on the first kernel call, cached in the
 package's __pycache__ and called through ctypes, which releases the GIL;
-importing this module loads no ctypes.  A chunk loop runs a kernel over
-chunks on worker threads and hands the results out in order, so output
-is the same for any worker count.
+importing this module loads no ctypes.  The kernel has a scalar path and,
+on x86-64 CPUs with AVX-512 VPOPCNTDQ, a vector path that tests 8
+integers at a time.  Loading it selects the path once, through its
+isq_select, before any sieve thread starts, then checks both entry points
+against is_isosquare on windows at the kernel's range boundaries and
+raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
+on worker threads and hands the results out in order, so output is the
+same for any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ BLOCK = 1 << 16  # integers per kernel call, so its output buffer stays small
 _SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
-_BUILD = Lock()  # one thread at a time looks the library up or builds it
+_BUILD = Lock()  # one thread at a time loads the kernel
+# Windows on which each load checks the selected path against is_isosquare:
+# one straddles 2^32, where m^2 outgrows a uint64, and one ends at 2^63 - 1;
+# at step 1 and 2 each leaves a tail of fewer than 8 to the scalar loops.
+_CHECKED = ((2**32 - 45, 2**32 + 44), (TOP - 90, TOP - 1))
 
 T = TypeVar("T")
 
@@ -61,9 +70,19 @@ def _require_below_top(name: str, value: int) -> None:
         raise ValueError(f"{name} must be below 2^63, got {value}")
 
 
-@cache
 def _kernel() -> CDLL:
-    """_sieve.c compiled and loaded, its entry points declared.
+    """The kernel of _load.  The lock lets one thread at a time call _load,
+    so the first call loads, selects and checks the kernel once, before
+    any thread runs it, and no thread reads sysconfig's variables while
+    another fills them on their first use."""
+    with _BUILD:
+        return _load()
+
+
+@cache
+def _load() -> CDLL:
+    """_sieve.c compiled and loaded, its entry points declared, the vector
+    path selected where the CPU has it and checked (_check).
 
     It is cached in _CACHE under a name keyed by the source, the compiler
     command and the platform; where _CACHE cannot be written, it is built
@@ -74,9 +93,7 @@ def _kernel() -> CDLL:
     import ctypes
     import hashlib
     import sysconfig
-    # under the lock: sysconfig fills its variables on first use, and a
-    # thread racing that sees only some of them
-    with _BUILD, ExitStack() as stack:
+    with ExitStack() as stack:
         command = [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS]
         with open(_SOURCE, "rb") as fh:
             key = repr((fh.read(), command, sysconfig.get_platform()))
@@ -103,7 +120,31 @@ def _kernel() -> CDLL:
     lib.isq_members.restype = size
     lib.isq_odd_counts.argtypes = [u64, u64, to(u64), size, to(u64)]
     lib.isq_odd_counts.restype = None
+    lib.isq_select.argtypes = [ctypes.c_int]
+    lib.isq_select.restype = ctypes.c_int
+    lib.isq_select(1)
+    _check(lib)
     return lib
+
+
+def _check(lib: CDLL) -> None:
+    """Raise OSError unless both entry points of the selected path agree
+    with is_isosquare on the _CHECKED windows."""
+    from ctypes import c_int64, c_uint64
+    for lo, hi in _CHECKED:
+        members = [m for m in range(lo, hi + 1) if is_isosquare(m)]
+        odd = [m for m in members if m % 2]
+        out = (c_int64 * (hi - lo + 1))()
+        listed = [out[:lib.isq_members(lo | (step - 1), hi, step, out)]
+                  for step in (1, 2)]
+        points = [lo - 1, (lo + hi) // 2, hi]
+        counts = (c_uint64 * 3)()
+        lib.isq_odd_counts(lo, hi, (c_uint64 * 3)(*points), 3, counts)
+        if listed != [members, odd] or counts[:] != [bisect_right(odd, p)
+                                                     for p in points]:
+            path = "vector" if lib.isq_select(-1) else "scalar"
+            raise OSError(f"the sieve kernel's {path} path disagrees with "
+                          f"is_isosquare on [{lo}, {hi}]")
 
 
 def _writable(directory: str) -> bool:
@@ -139,6 +180,15 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     which lie in [lo - 1, hi] (1 <= lo, hi < 2^63)."""
     _require_positive(lo=lo)
     _require_below_top("hi", hi)
+    if (any(b < a for a, b in zip(points, points[1:]))
+            or points and (points[0] < lo - 1 or points[-1] > hi)):
+        raise ValueError(f"points must be sorted and lie in [lo - 1, hi] = "
+                         f"[{lo - 1}, {hi}]")
+    return _odd_counts(lo, hi, points)
+
+
+def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
+    """odd_counts_in_range, with its arguments taken as valid."""
     from ctypes import c_uint64
     n = len(points)
     counts = (c_uint64 * n)()
@@ -303,7 +353,7 @@ def counting(limit: int, grid: Sequence[int],
 
     def chunk_counts(lo: int, hi: int) -> list[int]:
         inside = points[bisect_left(points, lo):bisect_right(points, hi)]
-        return odd_counts_in_range(lo, hi, inside + [hi])
+        return _odd_counts(lo, hi, inside + [hi])
 
     found, below = [], 0  # O(p) for the points p of the chunks so far
     for _, counts in _chunk_loop(chunk_counts, 1, max(points, default=0),

@@ -53,13 +53,37 @@ def members_16() -> list[int]:
 
 
 @pytest.fixture
-def fresh_kernel(monkeypatch, tmp_path):
+def unloaded_kernel():
+    """The sieve kernel unloaded, so that the next kernel call loads,
+    selects and checks it again; unloaded again after the test."""
+    from isosquare import enumeration
+    enumeration._load.cache_clear()
+    yield
+    enumeration._load.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path, unloaded_kernel):
     """The sieve kernel unloaded, with its cache moved to an empty
     directory (the fixture's value, not yet created), so that the next
-    kernel call compiles it; unloaded again after the test."""
+    kernel call compiles it."""
     from isosquare import enumeration
     cache = tmp_path / "kernel-cache"
     monkeypatch.setattr(enumeration, "_CACHE", str(cache))
-    enumeration._kernel.cache_clear()
-    yield cache
-    enumeration._kernel.cache_clear()
+    return cache
+
+
+@pytest.fixture
+def kernel_paths():
+    """A function whose calls each iterate over the paths of the sieve
+    kernel this CPU has, "scalar" then "vector", with each selected in
+    turn; the loader's choice is selected again after the test."""
+    from isosquare import enumeration
+    kernel = enumeration._kernel()
+
+    def each():
+        for path, vector in (("scalar", 0), ("vector", 1)):
+            if kernel.isq_select(vector) == vector:
+                yield path
+    yield each
+    kernel.isq_select(1)

@@ -12,7 +12,7 @@ import pytest
 
 from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
-from isosquare.membership import weight_profile
+from isosquare.membership import is_isosquare, weight_profile
 
 from conftest import oracle_is_member, oracle_members
 
@@ -31,8 +31,7 @@ def forbid_sieving(monkeypatch, message):
     kernel under every one of them."""
     def fail(*args, **kwargs):
         raise AssertionError(message)
-    for name in ("sieve_chunks", "_chunk_loop", "odd_counts_in_range",
-                 "_kernel"):
+    for name in ("sieve_chunks", "_chunk_loop", "_odd_counts", "_kernel"):
         monkeypatch.setattr(enumeration, name, fail)
 
 
@@ -698,11 +697,13 @@ class TestProps:
 
 
 class TestKernelBuild:
-    @pytest.mark.parametrize("argv", [
+    SIEVING = pytest.mark.parametrize("argv", [
         ["enumerate", "--limit", "10^5", "--format", "csv"],
         ["count", "--limit", "10^5", "--grid", "1000,10^5"],
         ["analyze", "--limit", "2^14", "--out", "profile.csv"],
     ], ids=["enumerate", "count", "analyze"])
+
+    @SIEVING
     def test_compiler_failure_is_an_error(self, capsys, monkeypatch,
                                           tmp_path, fresh_kernel, argv):
         # The kernel is built before anything is written: no csv header,
@@ -719,6 +720,40 @@ class TestKernelBuild:
                        "-O3 -shared -fPIC exited with 1: cc: cannot build\n")
         assert sorted(os.listdir(tmp_path)) == ["cc", fresh_kernel.name]
         assert os.listdir(fresh_kernel) == []
+
+    @SIEVING
+    def test_failed_load_check_is_an_error(self, capsys, monkeypatch,
+                                           tmp_path, unloaded_kernel, argv):
+        # The load checks the selected path against is_isosquare; a path
+        # that disagrees stops the command before it writes anything.
+        monkeypatch.setattr(enumeration, "is_isosquare",
+                            lambda m: not is_isosquare(m))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--workers", "2")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the sieve kernel's (scalar|vector) path "
+                            r"disagrees with is_isosquare on "
+                            r"\[4294967251, 4294967340\]\n", err)
+        assert os.listdir(tmp_path) == []
+
+    def test_output_same_on_both_paths(self, capsys, monkeypatch, tmp_path,
+                                       kernel_paths):
+        # stdout and the files written, at 10^6 and resumed from 300,000
+        monkeypatch.chdir(tmp_path)
+        runs = {}
+        for path in kernel_paths():
+            Path("ck.txt").write_text("300000 9\n")
+            runs[path] = [run(capsys, *argv) for argv in (
+                ["enumerate", "--limit", "10^6", "--format", "csv"],
+                ["enumerate", "--limit", "10^6", "--checkpoint", "ck.txt"],
+                ["count", "--limit", "10^6", "--grid", "geometric:2:1.189"],
+                ["analyze", "--limit", "10^6", "--out", "profile.csv"])]
+            runs[path] += [Path(f).read_text()
+                           for f in ("ck.txt", "profile.csv")]
+        if len(runs) < 2:
+            pytest.skip("the CPU has no AVX-512 VPOPCNTDQ: one path only")
+        assert runs["scalar"] == runs["vector"]
+        assert all(code == 0 for code, _, _ in runs["vector"][:4])
 
 
 def cli_process(argv, env=None, **kwargs):

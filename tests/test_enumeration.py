@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isosquare import enumeration
@@ -21,6 +21,7 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
                                    sieve_chunks)
+from isosquare.membership import is_isosquare
 
 from conftest import check_record, oracle_is_member, oracle_members
 
@@ -63,11 +64,12 @@ class TestSieve:
         reference = list(sieve(50_000))
         assert list(sieve(50_000, chunk_size=777)) == reference
 
-    def test_matches_python_popcount_above_2_31(self):
+    def test_matches_python_popcount_above_2_31(self, kernel_paths):
         lo = (1 << 31) + 1
         fast = [m for m in range(lo, lo + 2000)
                 if m.bit_count() == (m * m).bit_count()]
-        assert members_in_range(lo, lo + 1999) == fast
+        for path in kernel_paths():
+            assert members_in_range(lo, lo + 1999) == fast, path
 
     @pytest.mark.parametrize("lo, hi", [
         ((1 << 31) - 1000, (1 << 31) + 1000),  # straddles 2^31
@@ -78,9 +80,10 @@ class TestSieve:
         ((1 << 32) + 5, (1 << 32) + 2 * BLOCK + 13),  # 128-bit squares
         ((1 << 63) - 2000, (1 << 63) - 1),     # ends at member 2^63-1
     ])
-    def test_matches_oracle_across_boundaries(self, lo, hi):
-        assert members_in_range(lo, hi) == [m for m in range(lo, hi + 1)
-                                            if oracle_is_member(m)]
+    def test_matches_oracle_across_boundaries(self, kernel_paths, lo, hi):
+        members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
+        for path in kernel_paths():
+            assert members_in_range(lo, hi) == members, path
 
     def test_window_from_2_63_rejected(self):
         # the sieve's range is [1, 2^63); is_isosquare is exact beyond it
@@ -171,23 +174,27 @@ class TestSquareWeight:
 
     # each value alone, then windows of two blocks ending at each value,
     # which the kernel tests in three calls (step 1) or one to two (step 2);
-    # from 2^32 on it squares in an unsigned __int128
+    # from 2^32 on it squares in 128 bits, on either path
     @pytest.mark.parametrize("block", [[m] for m in VALUES] + [VALUES])
-    def test_matches_big_int(self, block):
+    def test_matches_big_int(self, kernel_paths, block):
         width = 0 if len(block) == 1 else 2 * BLOCK
         for m in block:
             for step in (1, 2):
-                assert enumeration._members(m - width, m, step) == [
-                    x for x in range(m - width, m + 1)
-                    if x % step == step - 1
-                    and (x * x).bit_count() == x.bit_count()]
+                expected = [x for x in range(m - width, m + 1)
+                            if x % step == step - 1
+                            and (x * x).bit_count() == x.bit_count()]
+                for path in kernel_paths():
+                    assert enumeration._members(m - width, m, step) == \
+                        expected, path
 
 
 class TestBlockKernel:
+    """Both entry points on each path of the kernel this CPU has."""
+
     # Single integers, windows ending at p or starting one past it, and
     # even ends (which step 2 skips), around multiples of BLOCK, a chunk
-    # end, 2^32 (one uint64 square, then an unsigned __int128), 2^40 and
-    # the last integers below 2^63.
+    # end, 2^32 (one uint64 square, then 128 bits), 2^40 and the last
+    # integers below 2^63.
     WINDOWS = [(p + a, p + b)
                for p in (2 * BLOCK, 3 * BLOCK, DEFAULT_CHUNK, 1 << 32,
                          (1 << 32) + 3 * BLOCK, 1 << 40, 1 << 63)
@@ -195,15 +202,46 @@ class TestBlockKernel:
                             (-41, 40), (-40, 0), (1, 41))
                if p + b < 1 << 63]
 
-    @pytest.mark.parametrize("lo, hi", WINDOWS)
-    def test_matches_oracle(self, lo, hi):
-        members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
+    @staticmethod
+    def check(kernel_paths, lo, hi, points, member=oracle_is_member):
+        """members_in_range, _members(..., 2) and odd_counts_in_range at
+        the points, on each path, against the member predicate."""
+        members = [m for m in range(lo, hi + 1) if member(m)]
         odd = [m for m in members if m % 2]
-        assert members_in_range(lo, hi) == members
-        assert enumeration._members(lo, hi, 2) == odd
-        points = list(range(lo - 1, hi + 1))
-        assert odd_counts_in_range(lo, hi, points) == [
-            bisect_left(odd, p + 1) for p in points]
+        counts = [bisect_left(odd, p + 1) for p in points]
+        for path in kernel_paths():
+            assert members_in_range(lo, hi) == members, path
+            assert enumeration._members(lo, hi, 2) == odd, path
+            assert odd_counts_in_range(lo, hi, points) == counts, path
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_matches_oracle(self, kernel_paths, lo, hi):
+        self.check(kernel_paths, lo, hi, list(range(lo - 1, hi + 1)))
+
+    # The vector loops take 8 integers at a time and leave the rest to the
+    # scalar ones: windows of every length up to 17 (at step 1 and 2) that
+    # start at 1 or end at, or start at, a block end, a chunk end, the last
+    # integer whose square fits a uint64, 2^32, 2^40 and 2^63 - 1.
+    @pytest.mark.parametrize("p", [1, 2 * BLOCK, DEFAULT_CHUNK, (1 << 32) - 1,
+                                   1 << 32, 1 << 40, (1 << 63) - 1])
+    def test_every_tail_length(self, kernel_paths, p):
+        for length in range(18):
+            for lo in {p, p - length + 1}:
+                hi = lo + length - 1
+                if lo >= 1 and hi < 1 << 63:
+                    self.check(kernel_paths, lo, hi,
+                               [lo - 1, (lo + hi) // 2, hi][:length + 1])
+
+    # Random windows of up to 300 integers, at every magnitude below 2^63.
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 63).flatmap(
+        lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+        st.integers(0, 300))
+    def test_paths_agree_with_is_isosquare(self, kernel_paths, lo, width):
+        hi = min(lo + width - 1, (1 << 63) - 1)
+        self.check(kernel_paths, lo, hi, [lo - 1, (lo + hi) // 2, hi],
+                   member=is_isosquare)
 
 
 # Lists the members up to 2^12 in a fresh interpreter, with the kernel
@@ -282,6 +320,36 @@ class TestKernel:
         assert list(private.iterdir()) == []
         if how == "read-only":
             assert list(fresh_kernel.iterdir()) == []
+
+    def test_vector_path_chosen_where_the_cpu_has_it(self):
+        # A kernel that ran the scalar path there would count right, only
+        # slower: a fresh process must load it on the vector path.
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+        if not re.search(r"\bavx512_vpopcntdq\b", cpuinfo):
+            pytest.skip("the CPU has no AVX-512 VPOPCNTDQ (avx512_vpopcntdq "
+                        "in /proc/cpuinfo)")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from isosquare import enumeration\n"
+             "print(enumeration._kernel().isq_select(-1))"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+    def test_load_check_mismatch_raises(self, monkeypatch, unloaded_kernel):
+        # Each load compares both entry points of the selected path with
+        # is_isosquare; told other answers, it refuses the kernel.
+        monkeypatch.setattr(enumeration, "is_isosquare",
+                            lambda m: not is_isosquare(m))
+        for _ in range(2):  # a refused kernel is not cached
+            with pytest.raises(OSError, match=re.escape(
+                    "path disagrees with is_isosquare on "
+                    "[4294967251, 4294967340]")):
+                enumeration._kernel()
+        monkeypatch.undo()
+        assert members_in_range(1, 16) == oracle_members(16)
 
     def test_compiles_without_warnings(self, tmp_path):
         command = (sysconfig.get_config_var("CC") or "cc").split()
@@ -574,7 +642,7 @@ class TestCounting:
         def kernel(lo, hi, points):
             asked.append((lo, hi))
             return [0] * len(points)
-        monkeypatch.setattr(enumeration, "odd_counts_in_range", kernel)
+        monkeypatch.setattr(enumeration, "_odd_counts", kernel)
         monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 1 << 62)
         assert counting(1 << 64, [1 << 63]) == [CountSample(1 << 63, 0)]
         assert sorted(asked) == [(1, 1 << 62),
@@ -647,7 +715,7 @@ class TestOddCounts:
         (2, 2 * BLOCK + 10),                       # a block end
         (1, 1),
     ])
-    def test_matches_oracle(self, lo, hi):
+    def test_matches_oracle(self, kernel_paths, lo, hi):
         # lo - 1, lo, hi, odd and even points inside, and around the second
         # block's start and the two range boundaries
         second = (lo | 1) + 2 * BLOCK
@@ -657,12 +725,25 @@ class TestOddCounts:
         points = sorted({lo - 1, lo, hi, *inner,
                          *[p for p in edges if lo <= p <= hi]})
         assert hi == lo or {p % 2 for p in points} == {0, 1}
-        assert odd_counts_in_range(lo, hi, points) == self.expected(lo, hi,
-                                                                    points)
+        expected = self.expected(lo, hi, points)
+        for path in kernel_paths():
+            assert odd_counts_in_range(lo, hi, points) == expected, path
 
     def test_repeated_points_and_empty_range(self):
         assert odd_counts_in_range(6, 15, [5, 7, 7, 15, 15]) == [0, 1, 1, 2, 2]
         assert odd_counts_in_range(5, 4, [4]) == [0]
+        assert odd_counts_in_range(1, 1000, [0, 100, 1000]) == [0, 8, 36]
+
+    # Unsorted points counted [36, 36] for [1000, 100]; a negative point
+    # wrapped to 2^64 - 1 and was clamped to hi, as was one above hi.
+    @pytest.mark.parametrize("lo, points", [
+        (1, [1000, 100]), (1, [7, 6, 1000]), (1, [-1]), (1, [-1, 9]),
+        (1, [5, 1001]), (10, [8])])
+    def test_points_unsorted_or_outside_rejected(self, lo, points):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points must be sorted and lie in [lo - 1, hi] = "
+                f"[{lo - 1}, 1000]")):
+            odd_counts_in_range(lo, 1000, points)
 
     @pytest.mark.parametrize("hi", [1 << 63, (1 << 63) + 1, 1 << 64])
     def test_hi_from_2_63_rejected(self, hi):
