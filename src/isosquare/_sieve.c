@@ -111,12 +111,11 @@ static inline size_t scan_path(uint64_t *next, uint64_t end, uint64_t step,
     return found + scan(next, end, step, out ? out + found : NULL);
 }
 
-/* Lists the members among lo, lo + step, ... <= hi < 2^63 in out, which
-   holds an entry per integer tested, and returns how many there are. */
-DISPATCH size_t isq_members(uint64_t lo, uint64_t hi, uint64_t step,
-                            int64_t *out)
+/* Lists the members among lo, ..., hi < 2^63 in out, which holds an entry
+   per integer, and returns how many there are. */
+DISPATCH size_t isq_members(uint64_t lo, uint64_t hi, int64_t *out)
 {
-    return scan_path(&lo, hi, step, out);
+    return scan_path(&lo, hi, 1, out);
 }
 
 /* counts[i] = the odd members m with lo <= m <= min(points[i], hi < 2^63),

@@ -9,13 +9,13 @@ isq_select, before any sieve thread starts, then checks both entry points
 against is_isosquare on windows at the kernel's range boundaries and
 raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
 on worker threads and hands the results out in order, so output is the
-same for any worker count.
+same for any worker count.  The sieve tests every integer of each chunk;
+counting tests only the odd ones, since m is a member iff 2m is.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import ExitStack, closing
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
-BLOCK = 1 << 16  # integers per kernel call, so its output buffer stays small
+BLOCK = 1 << 16  # integers per kernel call of members_in_range, 8 bytes each
 _SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
@@ -116,7 +116,7 @@ def _load() -> CDLL:
             os.replace(partial, path)
         lib = ctypes.CDLL(path)
     u64, size, to = ctypes.c_uint64, ctypes.c_size_t, ctypes.POINTER
-    lib.isq_members.argtypes = [u64, u64, u64, to(ctypes.c_int64)]
+    lib.isq_members.argtypes = [u64, u64, to(ctypes.c_int64)]
     lib.isq_members.restype = size
     lib.isq_odd_counts.argtypes = [u64, u64, to(u64), size, to(u64)]
     lib.isq_odd_counts.restype = None
@@ -135,13 +135,11 @@ def _check(lib: CDLL) -> None:
         members = [m for m in range(lo, hi + 1) if is_isosquare(m)]
         odd = [m for m in members if m % 2]
         out = (c_int64 * (hi - lo + 1))()
-        listed = [out[:lib.isq_members(lo | (step - 1), hi, step, out)]
-                  for step in (1, 2)]
         points = [lo - 1, (lo + hi) // 2, hi]
         counts = (c_uint64 * 3)()
         lib.isq_odd_counts(lo, hi, (c_uint64 * 3)(*points), 3, counts)
-        if listed != [members, odd] or counts[:] != [bisect_right(odd, p)
-                                                     for p in points]:
+        if (out[:lib.isq_members(lo, hi, out)] != members
+                or counts[:] != [bisect_right(odd, p) for p in points]):
             path = "vector" if lib.isq_select(-1) else "scalar"
             raise OSError(f"the sieve kernel's {path} path disagrees with "
                           f"is_isosquare on [{lo}, {hi}]")
@@ -155,24 +153,19 @@ def _writable(directory: str) -> bool:
     return os.access(directory, os.W_OK)
 
 
-def _members(lo: int, hi: int, step: int) -> list[int]:
-    """The members m = step - 1 (mod step) with lo <= m <= hi < 2^63
-    (step 1 or 2), increasing.  Each kernel call tests BLOCK of them."""
+def members_in_range(lo: int, hi: int) -> list[int]:
+    """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63).
+    Each kernel call tests BLOCK of them."""
+    _require_positive(lo=lo)
+    _require_below_top("hi", hi)
     from ctypes import c_int64
     kernel = _kernel()
     out = (c_int64 * BLOCK)()
     found: list[int] = []
-    for start in range(lo | (step - 1), hi + 1, step * BLOCK):
-        end = min(hi, start + step * (BLOCK - 1))
-        found += out[:kernel.isq_members(start, end, step, out)]
+    for start in range(lo, hi + 1, BLOCK):
+        end = min(hi, start + BLOCK - 1)
+        found += out[:kernel.isq_members(start, end, out)]
     return found
-
-
-def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63)."""
-    _require_positive(lo=lo)
-    _require_below_top("hi", hi)
-    return _members(lo, hi, 1)
 
 
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
@@ -229,53 +222,22 @@ def sieve_chunks(limit: int, workers: int = 1,
 
     The arguments and the checkpoint are checked (read, not written) and
     the kernel loaded at the call; sieving starts when the result is first
-    advanced.  Chunks come in order, members increasing, with `workers`
-    threads at most 2 * workers + 1 chunks ahead of the consumer.  The
-    checkpoint's one record "chunk_end count" is replaced only when the
-    consumer resumes after that chunk, so a recorded chunk was handed out
-    in full.  A later run resumes after it, at no cost per chunk skipped;
-    a chunk handed out but not recorded is produced again.
+    advanced.  Each chunk is listed by one members_in_range call, on
+    `workers` threads at most 2 * workers + 1 chunks ahead of the consumer:
+    those chunks are all the run holds.  Chunks come in order, members
+    increasing.  The checkpoint's one record "chunk_end count" is replaced
+    only when the consumer resumes after that chunk, so a recorded chunk
+    was handed out in full.  A later run resumes after it, at no cost per
+    chunk skipped; a chunk handed out but not recorded is produced again.
     """
     _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
     _require_below_top("limit", limit)
     _kernel()
     if checkpoint is None:
-        return _listed(1, limit, workers, chunk_size)
+        return _chunk_loop(members_in_range, 1, limit, workers, chunk_size)
     done, count = read_checkpoint(checkpoint)
-    return _recorded(_listed(done + 1, limit, workers, chunk_size),
-                     checkpoint, count)
-
-
-def _listed(first: int, last: int, workers: int, chunk_size: int
-            ) -> Iterator[tuple[int, list[int]]]:
-    """The chunks of [first, last] with their members, listed through odd
-    parts: once a chunk [lo, hi] has lo >= 2 * first, its even members are
-    twice the members of [ceil(lo / 2), hi // 2], listed before, and only
-    its odd integers are tested.  The members up to last // 2 that a later
-    chunk may still double are kept, 8 bytes each in an array per chunk,
-    until they lie below lo / 2."""
-    def kernel(lo: int, hi: int) -> list[int]:
-        return _members(lo, hi, 2 if lo >= 2 * first else 1)
-
-    kept: deque = deque()  # (chunk end, array of its members <= last // 2)
-    lo = first
-    for hi, found in _chunk_loop(kernel, first, last, workers, chunk_size):
-        if lo >= 2 * first:
-            half_lo, half_hi = (lo + 1) // 2, hi // 2
-            while kept and kept[0][0] < half_lo:
-                kept.popleft()
-            # [half_lo, half_hi] lies in [first, lo - 1], where every
-            # chunk but the first is chunk_size long, and it is at most
-            # chunk_size // 2 + 1 long: it meets at most two chunks
-            for _, m in islice(kept, 2):
-                found += [2 * x for x in m[bisect_left(m, half_lo):
-                                           bisect_right(m, half_hi)]]
-            found.sort()
-        if lo <= last // 2:
-            kept.append((hi, array("q", found[:bisect_right(found,
-                                                            last // 2)])))
-        yield hi, found
-        lo = hi + 1
+    return _recorded(_chunk_loop(members_in_range, done + 1, limit, workers,
+                                 chunk_size), checkpoint, count)
 
 
 def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,

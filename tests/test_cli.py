@@ -827,6 +827,10 @@ class TestProcessEntry:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs Linux /proc")
     def test_sieve_command_ends_with_one_thread(self):
+        # The grid's top point lies within the first chunk, so counting runs
+        # in the calling thread and starts no pool.  The guarantee holds
+        # only for runs of one chunk: after more, the pool's threads may
+        # still exist at os._exit.
         script = (
             "import os, sys\n"
             "from isosquare import cli\n"
@@ -839,7 +843,6 @@ class TestProcessEntry:
             "'1000,10^6', '--workers', '2']\n"
             "cli.run()\n")
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        env.pop("OPENBLAS_NUM_THREADS", None)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, timeout=120)

@@ -168,24 +168,34 @@ class TestSieve:
         assert len(os.listdir(cache)) == 1
 
 
+def check_odd_counts(lo, hi, odd):
+    """odd_counts_in_range on [lo, hi] against its sorted odd members, at
+    points 32 apart (16 odd integers, two vectors of 8) from each start
+    lo - 1, lo + 1, ..., lo + 29: so every odd integer is tested in a full
+    vector in most calls, and together the counts pin down each one."""
+    for start in range(lo - 1, lo + 31, 2):
+        points = sorted({lo - 1, hi, *range(start, hi + 1, 32)})
+        assert odd_counts_in_range(lo, hi, points) == [
+            bisect_left(odd, p + 1) for p in points]
+
+
 class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
               (1 << 62) + 12345, (1 << 63) - 1]
 
     # each value alone, then windows of two blocks ending at each value,
-    # which the kernel tests in three calls (step 1) or one to two (step 2);
-    # from 2^32 on it squares in 128 bits, on either path
+    # which members_in_range tests in three kernel calls; their odd
+    # integers are counted too; from 2^32 on the kernel squares in 128
+    # bits, on either path
     @pytest.mark.parametrize("block", [[m] for m in VALUES] + [VALUES])
     def test_matches_big_int(self, kernel_paths, block):
         width = 0 if len(block) == 1 else 2 * BLOCK
         for m in block:
-            for step in (1, 2):
-                expected = [x for x in range(m - width, m + 1)
-                            if x % step == step - 1
-                            and (x * x).bit_count() == x.bit_count()]
-                for path in kernel_paths():
-                    assert enumeration._members(m - width, m, step) == \
-                        expected, path
+            expected = [x for x in range(m - width, m + 1)
+                        if (x * x).bit_count() == x.bit_count()]
+            for path in kernel_paths():
+                assert members_in_range(m - width, m) == expected, path
+                check_odd_counts(m - width, m, [x for x in expected if x % 2])
 
 
 class TestBlockKernel:
@@ -204,15 +214,15 @@ class TestBlockKernel:
 
     @staticmethod
     def check(kernel_paths, lo, hi, points, member=oracle_is_member):
-        """members_in_range, _members(..., 2) and odd_counts_in_range at
-        the points, on each path, against the member predicate."""
+        """members_in_range, odd_counts_in_range at the points and
+        check_odd_counts, on each path, against the member predicate."""
         members = [m for m in range(lo, hi + 1) if member(m)]
         odd = [m for m in members if m % 2]
         counts = [bisect_left(odd, p + 1) for p in points]
         for path in kernel_paths():
             assert members_in_range(lo, hi) == members, path
-            assert enumeration._members(lo, hi, 2) == odd, path
             assert odd_counts_in_range(lo, hi, points) == counts, path
+            check_odd_counts(lo, hi, odd)
 
     @pytest.mark.parametrize("lo, hi", WINDOWS)
     def test_matches_oracle(self, kernel_paths, lo, hi):
@@ -549,20 +559,24 @@ class TestCheckpoint:
 
 
 class TestOddParts:
+    """The sieve lists each chunk on its own: no chunk's members are
+    doubled from an earlier chunk's, whatever the resume point."""
+
     @staticmethod
     def spy_members(monkeypatch):
-        calls = []  # (lo, hi, step) of every block-kernel listing
-        members = enumeration._members
+        calls = []  # (lo, hi) of every members_in_range call
+        members = enumeration.members_in_range
 
-        def spy(lo, hi, step):
-            calls.append((lo, hi, step))
-            return members(lo, hi, step)
-        monkeypatch.setattr(enumeration, "_members", spy)
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return members(lo, hi)
+        monkeypatch.setattr(enumeration, "members_in_range", spy)
         return calls
 
     # Chunks of 101 start at 910 and 1011.  Resumed after 454, 504 or 505
     # (first = 455, 505, 506), a chunk has lo at, just above or just below
-    # 2 * first; from there on only odd integers are tested.
+    # 2 * first, the first chunk whose even members are doubles of members
+    # the run listed before; each chunk is still listed by one call.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("done, lo", [(454, 910), (504, 1011),
                                           (505, 1011)])
@@ -573,32 +587,13 @@ class TestOddParts:
         path = tmp_path / "ck.txt"
         path.write_text(f"{done} {count}\n")
         calls = self.spy_members(monkeypatch)
-        rest = [m for _, chunk in sieve_chunks(3000, workers, 101, str(path))
-                for m in chunk]
-        assert rest == full[count:]
+        chunks = list(sieve_chunks(3000, workers, 101, str(path)))
+        assert [m for _, chunk in chunks for m in chunk] == full[count:]
         assert path.read_text() == f"3000 {len(full)}\n"
-        first = done + 1
-        assert sorted(calls)[0][0] == first
-        assert [step for c_lo, _, step in sorted(calls)] == [
-            2 if c_lo >= 2 * first else 1 for c_lo, _, _ in sorted(calls)]
-        assert (lo, lo + 100, 2 if lo >= 2 * first else 1) in calls
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_kept_members_lie_in_the_lower_half(self, workers):
-        # After each chunk [lo, hi], the members kept for doubling lie in
-        # [ceil(lo / 2), limit / 2], by whole chunks, 8 bytes each.
-        limit = 200_001
-        chunks = sieve_chunks(limit, workers, 5000)
-        got, lo = [], 1
-        for hi, members in chunks:
-            got += members
-            kept = chunks.gi_frame.f_locals["kept"]
-            assert all(m.typecode == "q" and max(m, default=0) <= limit // 2
-                       for _, m in kept)
-            if lo >= 2:
-                assert all(end >= (lo + 1) // 2 for end, _ in kept)
-            lo = hi + 1
-        assert got == members_in_range(1, limit)
+        ends = [hi for hi, _ in chunks]
+        assert sorted(calls) == list(zip([done + 1] + [e + 1 for e in ends],
+                                         ends))
+        assert (lo, lo + 100) in calls
 
 
 class TestCounting:
