@@ -83,16 +83,22 @@ def fit_exponent(samples: list[CountSample]) -> FitResult:
 
     Samples with count = 0 or n < 2 are dropped; at least two usable
     samples with distinct n are required.  No log-n correction is
-    applied: the fit is statistics.linear_regression, a pure power law.
+    applied: the fit is a pure power law, computed as
+    statistics.linear_regression computes it (means, then sxy / sxx, each
+    sum a math.fsum), so it gives the same floats.
     """
-    import statistics
     usable = [s for s in samples if s.count >= 1 and s.n >= 2]
     if len(usable) < 2:
         raise ValueError(f"need at least 2 usable samples, got {len(usable)}")
     xs = [math.log(s.n) for s in usable]
     ys = [math.log(s.count) for s in usable]
     n = len(usable)
-    slope, intercept = statistics.linear_regression(xs, ys)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    if not sxx:
+        raise ValueError("all usable samples share one n")
+    slope = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    intercept = ybar - slope * xbar
     rss = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
     return FitResult(alpha_hat=slope, intercept=intercept,
                      residual_rms=math.sqrt(rss / n), sample_count=n)

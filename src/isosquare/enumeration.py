@@ -91,13 +91,13 @@ def _load() -> CDLL:
     processes that build at once each leave a complete library.
     """
     import ctypes
-    import hashlib
     import sysconfig
+    from binascii import crc32
     with ExitStack() as stack:
         command = [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS]
         with open(_SOURCE, "rb") as fh:
             key = repr((fh.read(), command, sysconfig.get_platform()))
-        name = f"_sieve.{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+        name = f"_sieve.{crc32(key.encode()):08x}.so"
         path = os.path.join(_CACHE, name)
         if not os.path.exists(path):
             import subprocess
@@ -245,29 +245,58 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     """Yield (chunk_end, kernel(lo, chunk_end)) for chunks covering
     [first, last], in order, run on `workers` threads at most
     2 * workers + 1 chunks ahead of the consumer; a range within one chunk
-    runs in the calling thread.  Chunks keep the grid 1, 1 + chunk_size,
-    ...; the first starts at `first`."""
+    runs in the calling thread.  A chunk's exception is raised in the
+    consumer.  On close the chunks not yet started are dropped and every
+    thread is joined.  Chunks keep the grid 1, 1 + chunk_size, ...; the
+    first starts at `first`."""
     if first > last:
         return
     if (first - 1) // chunk_size == (last - 1) // chunk_size:
         yield last, kernel(first, last)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+    from threading import Thread
+    tasks: SimpleQueue = SimpleQueue()  # (lo, hi, result box), None: stop
+    closed = False
+
+    def work() -> None:
+        while (task := tasks.get()) is not None:
+            lo, hi, box = task
+            if closed:
+                continue
+            try:
+                box.put((kernel(lo, hi), None))
+            except BaseException as exc:  # raised in the consumer
+                box.put((None, exc))
+
     starts = iter(range((first - 1) // chunk_size * chunk_size + 1, last + 1,
                         chunk_size))
     queued: deque = deque()
-    pool = ThreadPoolExecutor(max_workers=workers)
+    # daemon: a chunk loop that is never closed cannot hold up exit
+    threads = [Thread(target=work, daemon=True) for _ in range(workers)]
     try:
+        for thread in threads:
+            thread.start()
         while True:
             for lo in islice(starts, 2 * workers + 1 - len(queued)):
                 hi = min(last, lo + chunk_size - 1)
-                queued.append((hi, pool.submit(kernel, max(lo, first), hi)))
+                box: SimpleQueue = SimpleQueue()
+                tasks.put((max(lo, first), hi, box))
+                queued.append((hi, box))
             if not queued:
                 return
-            hi, future = queued.popleft()
-            yield hi, future.result()
+            hi, box = queued.popleft()
+            result, exc = box.get()
+            if exc is not None:
+                raise exc
+            yield hi, result
     finally:
-        pool.shutdown(cancel_futures=True)
+        closed = True
+        for _ in threads:
+            tasks.put(None)
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
 
 
 def _recorded(chunks: Iterator[tuple[int, list[int]]], checkpoint: str,
@@ -358,7 +387,7 @@ def scan_gap(k: int) -> bool:
 
     The gap holds 2^k - 1 integers.  Below BLOCK of them (k <= 16) they are
     tested with is_isosquare: for k <= 10 (props --suite gaps) that takes
-    under a millisecond, where loading the kernel takes about 9 ms.
+    under a millisecond, where loading the kernel takes about 4 ms.
     """
     from .constructions import gap_interval
     if k < 1 or gap_interval(k)[1] > TOP:

@@ -1,8 +1,12 @@
 import math
+import statistics
 from fractions import Fraction
 from math import comb
 
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isosquare.analysis import (FitResult, ProfilePoint, alpha_limit,
                                 alpha_theoretical, cross_binomial_sum,
@@ -110,6 +114,22 @@ class TestFitExponent:
     def test_all_samples_share_one_n(self):
         with pytest.raises(ValueError):
             fit_exponent([CountSample(100, 5), CountSample(100, 7)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(CountSample, st.integers(2, 2**40),
+                              st.integers(1, 2**40)),
+                    min_size=2, unique_by=lambda s: s.n))
+    def test_same_floats_as_statistics(self, samples):
+        # statistics.linear_regression is the reference the fit reproduces
+        xs = [math.log(s.n) for s in samples]
+        ys = [math.log(s.count) for s in samples]
+        slope, intercept = statistics.linear_regression(xs, ys)
+        rms = math.sqrt(sum((y - slope * x - intercept) ** 2
+                            for x, y in zip(xs, ys)) / len(samples))
+        fit = fit_exponent(samples)
+        assert fit.sample_count == len(samples)
+        assert [v.hex() for v in fit[:3]] == [
+            v.hex() for v in (slope, intercept, rms)]
 
 
 class TestFluctuationProfile:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -334,9 +335,12 @@ class TestEnumerate:
 # What `import isosquare.cli`, `check` and `--help` must not load.
 PACKAGE = {"isosquare.constructions", "isosquare.enumeration",
            "isosquare.analysis", "isosquare.checks"}
-HEAVY = {"json", "concurrent.futures"}
+HEAVY = {"json"}
 # What loading the sieve kernel imports (subprocess only to compile it).
-KERNEL = {"ctypes", "subprocess", "hashlib"}
+KERNEL = {"ctypes", "subprocess"}
+# No command needs these: the chunk loop runs plain threads, the kernel's
+# cache key is a crc32 and the exponent fit sums with math.fsum.
+UNUSED = {"concurrent.futures", "logging", "hashlib", "statistics"}
 # No command needs these: the package's records are NamedTuples.
 RECORDS = {"dataclasses", "inspect"}
 CLI = "from isosquare import cli; "
@@ -367,29 +371,48 @@ class TestNumpyLoading:
         (CLI + "cli.main(['construct', '--seed', '5'])",
          PACKAGE - {"isosquare.constructions"} | HEAVY | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
+         {"isosquare.analysis"} | KERNEL | RECORDS),
         (CLI + "cli.main(['enumerate', '--limit', '0'])", KERNEL),
         (CLI + "cli.main(['props', '--suite', 'gaps'])",
-         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
+         {"isosquare.analysis"} | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-         {"isosquare.analysis", "concurrent.futures"} | KERNEL | RECORDS),
-        ("from isosquare.enumeration import scan_gap; scan_gap(16)",
-         {"concurrent.futures"} | KERNEL),
-        # the sieve commands run no construction, fit or rational arithmetic,
-        # and a range within one chunk starts no thread
+         {"isosquare.analysis"} | KERNEL | RECORDS),
+        ("from isosquare.enumeration import scan_gap; scan_gap(16)", KERNEL),
+        # the sieve commands run no construction, fit or rational arithmetic
         (CLI + "cli.main(['count', '--limit', '10^3', '--grid', '1000'])",
-         {"isosquare.constructions", "isosquare.checks", "statistics",
-          "fractions", "concurrent.futures"}),
+         {"isosquare.constructions", "isosquare.checks", "fractions"}),
         (CLI + "cli.main(['enumerate', '--limit', '10^3'])",
          {"isosquare.constructions", "isosquare.checks",
           "isosquare.analysis"}),
         (CLI + "cli.main(['analyze', '--limit', '2^12', '--out', "
          "'/dev/null'])", {"isosquare.constructions", "isosquare.checks"}),
+        # three chunks each, on two threads
+        (CLI + "cli.main(['count', '--limit', '10^7', '--grid', '1000,10^7', "
+         "'--workers', '2'])",
+         {"isosquare.constructions", "isosquare.checks", "fractions"}),
+        (CLI + "cli.main(['enumerate', '--limit', '10^7', '--workers', '2'])",
+         {"isosquare.constructions", "isosquare.checks",
+          "isosquare.analysis"}),
+        (CLI + "cli.main(['analyze', '--limit', '10^7', '--workers', '2', "
+         "'--out', '/dev/null'])",
+         {"isosquare.constructions", "isosquare.checks"}),
     ], ids=["import", "import-cli", "check", "help", "construct",
             "props-lemmas", "enumerate-limit-0", "props-gaps", "props-all",
-            "scan-gap-16", "count", "enumerate", "analyze"])
+            "scan-gap-16", "count", "enumerate", "analyze", "count-chunks",
+            "enumerate-chunks", "analyze-chunks"])
     def test_not_loaded(self, code, unloaded):
-        assert self.loaded(code) & (unloaded | {"numpy"}) == set()
+        assert self.loaded(code) & (unloaded | UNUSED | {"numpy"}) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--limit", "10^3", "--grid", "1000"],
+        ["enumerate", "--limit", "10^3"],
+        ["analyze", "--limit", "2^12", "--out", "/dev/null"],
+    ], ids=["count", "enumerate", "analyze"])
+    def test_one_chunk_starts_no_thread(self, capsys, monkeypatch, argv):
+        def start(thread):
+            raise AssertionError("a range within one chunk started a thread")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert main([*argv, "--workers", "2"]) == 0
 
     def test_loaded_by_sieve(self):
         # any window or sieve, however short, and a gap of BLOCK integers
@@ -400,7 +423,8 @@ class TestNumpyLoading:
                      "from isosquare.enumeration import scan_gap; "
                      "scan_gap(17)"):
             loaded = self.loaded(code)
-            assert {"ctypes", "hashlib"} <= loaded and "numpy" not in loaded
+            assert "ctypes" in loaded
+            assert loaded & {"hashlib", "numpy"} == set()
 
 
 class TestCount:
@@ -828,9 +852,9 @@ class TestProcessEntry:
                         reason="needs Linux /proc")
     def test_sieve_command_ends_with_one_thread(self):
         # The grid's top point lies within the first chunk, so counting runs
-        # in the calling thread and starts no pool.  The guarantee holds
-        # only for runs of one chunk: after more, the pool's threads may
-        # still exist at os._exit.
+        # in the calling thread and starts no thread.  The guarantee holds
+        # only for runs of one chunk: after more, the chunk loop's threads
+        # are joined but the OS may not yet have ended them at os._exit.
         script = (
             "import os, sys\n"
             "from isosquare import cli\n"

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
+import time
 import tracemalloc
 from bisect import bisect_left
 from itertools import islice
@@ -179,6 +181,93 @@ def check_odd_counts(lo, hi, odd):
             bisect_left(odd, p + 1) for p in points]
 
 
+class TestChunkLoop:
+    """_chunk_loop's contract, on 10 chunks of 10 integers: chunks come in
+    order, at most 2 * workers + 1 ahead of the consumer, a chunk's
+    exception reaches the consumer, and closing drops the chunks not yet
+    started and joins every thread.  Warnings are errors, so an exception
+    left unhandled in a thread fails the test."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_in_order_under_fast_switching(self, workers):
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            chunks = list(enumeration._chunk_loop(
+                lambda lo, hi: (lo, hi), 5, 100, workers, 10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert chunks == [(10, (5, 10))] + [
+            (hi, (hi - 9, hi)) for hi in range(20, 101, 10)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_chunk_exception_reaches_consumer(self, workers, k):
+        before = threading.active_count()
+        failure = RuntimeError("chunk failed")
+
+        def kernel(lo, hi):
+            if lo == 10 * k + 1:
+                raise failure
+            return lo
+
+        yielded = []
+        with pytest.raises(RuntimeError) as raised:
+            for _, lo in enumeration._chunk_loop(kernel, 1, 100, workers, 10):
+                yielded.append(lo)
+        assert raised.value is failure
+        assert yielded == list(range(1, 10 * k, 10))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("taken", [1, 3])
+    def test_no_kernel_call_past_the_lookahead(self, workers, taken):
+        # Holding chunk `taken`, the consumer has let 2 * workers more start.
+        before = threading.active_count()
+        started = []
+        chunks = enumeration._chunk_loop(
+            lambda lo, hi: started.append(lo // 10), 1, 100, workers, 10)
+        list(islice(chunks, taken))
+        ahead = list(range(min(10, taken + 2 * workers)))
+        deadline = time.monotonic() + 30
+        while len(started) < len(ahead) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)  # time for any call past the lookahead to start
+        chunks.close()
+        assert sorted(started) == ahead
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("taken", [1, 3])
+    def test_close_drops_chunks_not_started(self, workers, taken):
+        # Chunks from index `taken` on wait at the gate, so when the
+        # consumer closes the loop, at most `workers` of them have started
+        # and the rest of the lookahead is still queued; the gate opens
+        # only after the close has begun.
+        before = threading.active_count()
+        started, gate = [], threading.Event()
+
+        def kernel(lo, hi):
+            started.append(lo // 10)
+            if lo // 10 >= taken:
+                assert gate.wait(timeout=30)
+            return lo
+
+        chunks = enumeration._chunk_loop(kernel, 1, 100, workers, 10)
+        assert [lo for _, lo in islice(chunks, taken)] == list(
+            range(1, 10 * taken, 10))
+        opener = threading.Timer(0.2, gate.set)
+        opener.start()
+        chunks.close()
+        opener.join(timeout=30)
+        assert not opener.is_alive()
+        assert set(range(taken)) <= set(started)
+        assert set(started) <= set(range(taken + workers))
+        assert threading.active_count() == before
+
+
 class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
               (1 << 62) + 12345, (1 << 63) - 1]
@@ -299,7 +388,7 @@ class TestKernel:
         for proc in together:
             assert self.members(proc) == oracle_members(2**12)
         (library,) = cache.iterdir()
-        assert re.fullmatch(r"_sieve\.[0-9a-f]{16}\.so", library.name)
+        assert re.fullmatch(r"_sieve\.[0-9a-f]{8}\.so", library.name)
         # complete: a later process loads it without compiling
         assert self.members(self.start(cache, "no-compiler")) == \
             oracle_members(2**12)
