@@ -4,10 +4,11 @@
    of each entry point where the CPU has that instruction.  The vector
    loops (x86-64 with AVX-512F and VPOPCNTDQ) test 8 at a time and leave
    the last fewer than 8 to the scalar loops.  isq_select picks the path
-   once, before any scan runs; the loader then checks both entry points
+   once, before any scan runs; the loader then checks every entry point
    against is_isosquare. */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #define W(x) __builtin_popcountll(x)
 
 /* Counts the members among m = *next, *next + step, ... <= end, writing
@@ -61,7 +62,8 @@ VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
         member = _mm512_cmpeq_epi64_mask(
             _mm512_popcnt_epi64(v),
             _mm512_popcnt_epi64(_mm512_mul_epu32(v, v)));
-        if (out) _mm512_mask_compressstoreu_epi64(out + found, member, v);
+        if (out && member)  /* most vectors hold none; skip the slow store */
+            _mm512_mask_compressstoreu_epi64(out + found, member, v);
         found += W(member);
         v = _mm512_add_epi64(v, stride);
     }
@@ -77,7 +79,8 @@ VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
             _mm512_popcnt_epi64(v),
             _mm512_add_epi64(_mm512_popcnt_epi64(low),
                              _mm512_popcnt_epi64(high)));
-        if (out) _mm512_mask_compressstoreu_epi64(out + found, member, v);
+        if (out && member)  /* most vectors hold none; skip the slow store */
+            _mm512_mask_compressstoreu_epi64(out + found, member, v);
         found += W(member);
         v = _mm512_add_epi64(v, stride);
     }
@@ -92,7 +95,7 @@ VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
 
 static int vector;  /* written only by isq_select */
 
-/* Selects the loops both entry points run from now on: path 1 the vector
+/* Selects the loops every entry point runs from now on: path 1 the vector
    ones where the CPU has them (else the scalar ones), path 0 the scalar
    ones; a negative path keeps the selection.  Returns 1 if the vector
    loops are selected, else 0.  Call it before any scan runs, not during
@@ -128,4 +131,35 @@ DISPATCH void isq_odd_counts(uint64_t lo, uint64_t hi, const uint64_t *points,
         total += scan_path(&m, points[i] < hi ? points[i] : hi, 2, NULL);
         counts[i] = total;
     }
+}
+
+/* Two decimal digits for each of 00, ..., 99. */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* Writes the members among lo, ..., hi < 2^63 to text in decimal, one a
+   line ("digits\n", at most 20 bytes), and returns the bytes written.
+   scratch holds an entry per integer, text 20 bytes per integer. */
+DISPATCH size_t isq_members_text(uint64_t lo, uint64_t hi, int64_t *scratch,
+                                 char *text)
+{
+    size_t n = scan_path(&lo, hi, 1, scratch);
+    /* the members increase, and so do their digits; 10^digits stays at
+       most 10^19 < 2^64 */
+    uint64_t next_digit = 10;
+    size_t digits = 1;
+    char *p = text;
+    for (size_t i = 0; i < n; i++) {
+        uint64_t m = (uint64_t)scratch[i];
+        for (; m >= next_digit; next_digit *= 10) digits++;
+        char *q = p + digits;
+        *q = '\n';
+        for (; m >= 100; m /= 100) memcpy(q -= 2, PAIRS + 2 * (m % 100), 2);
+        if (m >= 10) memcpy(q - 2, PAIRS + 2 * m, 2);
+        else q[-1] = (char)('0' + m);
+        p += digits + 1;
+    }
+    return (size_t)(p - text);
 }

@@ -118,15 +118,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.checkpoint is not None:
         _require_writable(args.checkpoint, "checkpoint", renamed=True)
         _require_writable(args.checkpoint + ".tmp", "checkpoint")
-    chunks = enumeration.sieve_chunks(args.limit, workers=args.workers,
-                                      checkpoint=args.checkpoint)
+    chunks = enumeration.sieve_text_chunks(args.limit, workers=args.workers,
+                                           checkpoint=args.checkpoint)
     out = sys.stdout
     if args.format == "csv":
         out.write("n\n")
     # Flushed before the generator resumes, which is when it records the
     # chunk in the checkpoint: a recorded member has left the process.
-    for _, members in chunks:
-        out.write("%d\n" * len(members) % tuple(members))
+    for _, text in chunks:
+        out.write(text)
         out.flush()
     return 0
 

@@ -5,12 +5,14 @@ package's __pycache__ and called through ctypes, which releases the GIL;
 importing this module loads no ctypes.  The kernel has a scalar path and,
 on x86-64 CPUs with AVX-512 VPOPCNTDQ, a vector path that tests 8
 integers at a time.  Loading it selects the path once, through its
-isq_select, before any sieve thread starts, then checks both entry points
+isq_select, before any sieve thread starts, then checks every entry point
 against is_isosquare on windows at the kernel's range boundaries and
 raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
 on worker threads and hands the results out in order, so output is the
-same for any worker count.  The sieve tests every integer of each chunk;
-counting tests only the odd ones, since m is a member iff 2m is.
+same for any worker count.  The sieve tests every integer of each chunk
+and hands out its members as a list (sieve_chunks) or as the decimal
+text the kernel writes (sieve_text_chunks); counting tests only the odd
+ones, since m is a member iff 2m is.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ if TYPE_CHECKING:
 
 TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
-BLOCK = 1 << 16  # integers per kernel call of members_in_range, 8 bytes each
+BLOCK = 1 << 16  # integers per kernel call, 8 bytes each in its member list
+LINE = 20  # bytes of the longest member line: 19 digits below 2^63, "\n"
 _SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
@@ -118,6 +121,9 @@ def _load() -> CDLL:
     u64, size, to = ctypes.c_uint64, ctypes.c_size_t, ctypes.POINTER
     lib.isq_members.argtypes = [u64, u64, to(ctypes.c_int64)]
     lib.isq_members.restype = size
+    lib.isq_members_text.argtypes = [u64, u64, to(ctypes.c_int64),
+                                     ctypes.c_char_p]
+    lib.isq_members_text.restype = size
     lib.isq_odd_counts.argtypes = [u64, u64, to(u64), size, to(u64)]
     lib.isq_odd_counts.restype = None
     lib.isq_select.argtypes = [ctypes.c_int]
@@ -128,18 +134,21 @@ def _load() -> CDLL:
 
 
 def _check(lib: CDLL) -> None:
-    """Raise OSError unless both entry points of the selected path agree
+    """Raise OSError unless every entry point of the selected path agrees
     with is_isosquare on the _CHECKED windows."""
-    from ctypes import c_int64, c_uint64
+    from ctypes import c_int64, c_uint64, create_string_buffer
     for lo, hi in _CHECKED:
         members = [m for m in range(lo, hi + 1) if is_isosquare(m)]
         odd = [m for m in members if m % 2]
         out = (c_int64 * (hi - lo + 1))()
+        text = create_string_buffer(LINE * (hi - lo + 1))
         points = [lo - 1, (lo + hi) // 2, hi]
         counts = (c_uint64 * 3)()
         lib.isq_odd_counts(lo, hi, (c_uint64 * 3)(*points), 3, counts)
         if (out[:lib.isq_members(lo, hi, out)] != members
-                or counts[:] != [bisect_right(odd, p) for p in points]):
+                or counts[:] != [bisect_right(odd, p) for p in points]
+                or text[:lib.isq_members_text(lo, hi, out, text)]
+                != "".join(f"{m}\n" for m in members).encode()):
             path = "vector" if lib.isq_select(-1) else "scalar"
             raise OSError(f"the sieve kernel's {path} path disagrees with "
                           f"is_isosquare on [{lo}, {hi}]")
@@ -166,6 +175,21 @@ def members_in_range(lo: int, hi: int) -> list[int]:
         end = min(hi, start + BLOCK - 1)
         found += out[:kernel.isq_members(start, end, out)]
     return found
+
+
+def _members_text(lo: int, hi: int) -> str:
+    """members_in_range(lo, hi) as decimal text, one member a line, with
+    its arguments taken as valid.  Each kernel call writes the lines of
+    BLOCK integers."""
+    from ctypes import c_int64, create_string_buffer
+    kernel = _kernel()
+    scratch = (c_int64 * BLOCK)()
+    text = create_string_buffer(LINE * BLOCK)
+    found = bytearray()
+    for start in range(lo, hi + 1, BLOCK):
+        end = min(hi, start + BLOCK - 1)
+        found += text[:kernel.isq_members_text(start, end, scratch, text)]
+    return found.decode("ascii")
 
 
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
@@ -230,14 +254,37 @@ def sieve_chunks(limit: int, workers: int = 1,
     was handed out in full.  A later run resumes after it, at no cost per
     chunk skipped; a chunk handed out but not recorded is produced again.
     """
+    return _sieved(members_in_range, len, limit, workers, chunk_size,
+                   checkpoint)
+
+
+def sieve_text_chunks(limit: int, workers: int = 1,
+                      chunk_size: int = DEFAULT_CHUNK,
+                      checkpoint: str | None = None
+                      ) -> Iterator[tuple[int, str]]:
+    """Yield (chunk_end, text) for the chunks of sieve_chunks, the text
+    holding the chunk's members in decimal, one a line ("m\\n"), as the
+    kernel writes them.  Arguments, chunks and checkpoint records are
+    those of sieve_chunks; a chunk's member count is its text's lines."""
+    return _sieved(_members_text, lambda text: text.count("\n"), limit,
+                   workers, chunk_size, checkpoint)
+
+
+def _sieved(kernel: Callable[[int, int], T], size: Callable[[T], int],
+            limit: int, workers: int, chunk_size: int,
+            checkpoint: str | None) -> Iterator[tuple[int, T]]:
+    """The chunks of the sieve producers, each kernel(lo, chunk_end) with
+    size(result) members: the arguments and the checkpoint checked and
+    the kernel loaded at the call, the chunks from the checkpoint's record
+    on and recorded there."""
     _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
     _require_below_top("limit", limit)
     _kernel()
     if checkpoint is None:
-        return _chunk_loop(members_in_range, 1, limit, workers, chunk_size)
+        return _chunk_loop(kernel, 1, limit, workers, chunk_size)
     done, count = read_checkpoint(checkpoint)
-    return _recorded(_chunk_loop(members_in_range, done + 1, limit, workers,
-                                 chunk_size), checkpoint, count)
+    return _recorded(_chunk_loop(kernel, done + 1, limit, workers,
+                                 chunk_size), checkpoint, count, size)
 
 
 def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
@@ -299,15 +346,16 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
                 thread.join()
 
 
-def _recorded(chunks: Iterator[tuple[int, list[int]]], checkpoint: str,
-              count: int) -> Iterator[tuple[int, list[int]]]:
-    """The chunks, each recorded in the checkpoint once the consumer
-    resumes after it.  The record is written to checkpoint.tmp and renamed
-    over the checkpoint, so a kill leaves the old record or the new one."""
+def _recorded(chunks: Iterator[tuple[int, T]], checkpoint: str, count: int,
+              size: Callable[[T], int]) -> Iterator[tuple[int, T]]:
+    """The chunks, each recorded in the checkpoint, with size(result) more
+    members, once the consumer resumes after it.  The record is written to
+    checkpoint.tmp and renamed over the checkpoint, so a kill leaves the
+    old record or the new one."""
     with closing(chunks):
-        for hi, members in chunks:
-            yield hi, members
-            count += len(members)
+        for hi, result in chunks:
+            yield hi, result
+            count += size(result)
             with open(checkpoint + ".tmp", "w") as fh:
                 fh.write(f"{hi} {count}\n")
             os.replace(checkpoint + ".tmp", checkpoint)

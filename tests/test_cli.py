@@ -15,7 +15,7 @@ from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 from isosquare.membership import is_isosquare, weight_profile
 
-from conftest import oracle_is_member, oracle_members
+from conftest import oracle_is_member, oracle_members, short_text_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -749,35 +749,50 @@ class TestKernelBuild:
     def test_failed_load_check_is_an_error(self, capsys, monkeypatch,
                                            tmp_path, unloaded_kernel, argv):
         # The load checks the selected path against is_isosquare; a path
-        # that disagrees stops the command before it writes anything.
-        monkeypatch.setattr(enumeration, "is_isosquare",
-                            lambda m: not is_isosquare(m))
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv, "--workers", "2")
-        assert (code, out) == (2, "")
-        assert re.fullmatch(r"error: the sieve kernel's (scalar|vector) path "
-                            r"disagrees with is_isosquare on "
-                            r"\[4294967251, 4294967340\]\n", err)
-        assert os.listdir(tmp_path) == []
+        # that disagrees, even in its text entry point alone, stops the
+        # command before it writes anything.
+        for fault in ("answers", "text"):
+            if fault == "answers":
+                monkeypatch.setattr(enumeration, "is_isosquare",
+                                    lambda m: not is_isosquare(m))
+            else:
+                short_text_kernel(monkeypatch)
+            monkeypatch.chdir(tmp_path)
+            code, out, err = run(capsys, *argv, "--workers", "2")
+            assert (code, out) == (2, ""), fault
+            assert re.fullmatch(r"error: the sieve kernel's (scalar|vector) "
+                                r"path disagrees with is_isosquare on "
+                                r"\[4294967251, 4294967340\]\n", err), fault
+            assert os.listdir(tmp_path) == [], fault
+            monkeypatch.undo()
 
     def test_output_same_on_both_paths(self, capsys, monkeypatch, tmp_path,
                                        kernel_paths):
-        # stdout and the files written, at 10^6 and resumed from 300,000
+        # stdout and the files written, at 10^6 and resumed from 300,000,
+        # and over 3 chunks at 10^7 resumed from 5,000,000, inside the
+        # second
         monkeypatch.chdir(tmp_path)
         runs = {}
         for path in kernel_paths():
             Path("ck.txt").write_text("300000 9\n")
+            Path("ck7.txt").write_text("5000000 11\n")
             runs[path] = [run(capsys, *argv) for argv in (
                 ["enumerate", "--limit", "10^6", "--format", "csv"],
                 ["enumerate", "--limit", "10^6", "--checkpoint", "ck.txt"],
+                ["enumerate", "--limit", "10^7", "--format", "csv",
+                 "--checkpoint", "ck7.txt", "--workers", "2"],
                 ["count", "--limit", "10^6", "--grid", "geometric:2:1.189"],
                 ["analyze", "--limit", "10^6", "--out", "profile.csv"])]
             runs[path] += [Path(f).read_text()
-                           for f in ("ck.txt", "profile.csv")]
+                           for f in ("ck.txt", "ck7.txt", "profile.csv")]
         if len(runs) < 2:
             pytest.skip("the CPU has no AVX-512 VPOPCNTDQ: one path only")
         assert runs["scalar"] == runs["vector"]
-        assert all(code == 0 for code, _, _ in runs["vector"][:4])
+        assert all(code == 0 for code, _, _ in runs["vector"][:5])
+        members = enumeration.members_in_range(5_000_001, 10**7)
+        assert runs["vector"][2][1] == "n\n" + "".join(f"{m}\n"
+                                                       for m in members)
+        assert runs["vector"][6] == f"{10**7} {11 + len(members)}\n"
 
 
 def cli_process(argv, env=None, **kwargs):

@@ -22,10 +22,11 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
-                                   sieve_chunks)
+                                   sieve_chunks, sieve_text_chunks)
 from isosquare.membership import is_isosquare
 
-from conftest import check_record, oracle_is_member, oracle_members
+from conftest import (check_record, oracle_is_member, oracle_members,
+                      short_text_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -287,8 +288,13 @@ class TestSquareWeight:
                 check_odd_counts(m - width, m, [x for x in expected if x % 2])
 
 
+def text(members):
+    """The members in decimal, one a line: what the text kernel writes."""
+    return "".join(f"{m}\n" for m in members)
+
+
 class TestBlockKernel:
-    """Both entry points on each path of the kernel this CPU has."""
+    """Every entry point on each path of the kernel this CPU has."""
 
     # Single integers, windows ending at p or starting one past it, and
     # even ends (which step 2 skips), around multiples of BLOCK, a chunk
@@ -303,13 +309,15 @@ class TestBlockKernel:
 
     @staticmethod
     def check(kernel_paths, lo, hi, points, member=oracle_is_member):
-        """members_in_range, odd_counts_in_range at the points and
-        check_odd_counts, on each path, against the member predicate."""
+        """members_in_range, its text, odd_counts_in_range at the points
+        and check_odd_counts, on each path, against the member
+        predicate."""
         members = [m for m in range(lo, hi + 1) if member(m)]
         odd = [m for m in members if m % 2]
         counts = [bisect_left(odd, p + 1) for p in points]
         for path in kernel_paths():
             assert members_in_range(lo, hi) == members, path
+            assert enumeration._members_text(lo, hi) == text(members), path
             assert odd_counts_in_range(lo, hi, points) == counts, path
             check_odd_counts(lo, hi, odd)
 
@@ -330,6 +338,23 @@ class TestBlockKernel:
                 if lo >= 1 and hi < 1 << 63:
                     self.check(kernel_paths, lo, hi,
                                [lo - 1, (lo + hi) // 2, hi][:length + 1])
+
+    # A text line grows a digit where the members pass 10^k: a window from
+    # the last member below 10^k to the first from it on, written by one
+    # kernel call, where they lie within 4096 integers (k <= 9 but 7), else
+    # a window around each, since the members grow sparse.
+    @pytest.mark.parametrize("k", range(1, 19))
+    def test_text_across_powers_of_ten(self, kernel_paths, k):
+        p, width = 10**k, 1 << 10
+        while not (below := members_in_range(max(1, p - width), p - 1)):
+            width *= 4
+        while not (above := members_in_range(p, p + width)):
+            width *= 4
+        below, above = below[-1], above[0]
+        windows = ([(below - 2, above + 2)] if above - below < 4096
+                   else [(below - 2, below + 2), (above - 2, above + 2)])
+        for lo, hi in windows:
+            self.check(kernel_paths, max(lo, 1), hi, [max(lo, 1) - 1, hi])
 
     # Random windows of up to 300 integers, at every magnitude below 2^63.
     @settings(max_examples=100, deadline=None,
@@ -438,17 +463,23 @@ class TestKernel:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
     def test_load_check_mismatch_raises(self, monkeypatch, unloaded_kernel):
-        # Each load compares both entry points of the selected path with
-        # is_isosquare; told other answers, it refuses the kernel.
-        monkeypatch.setattr(enumeration, "is_isosquare",
-                            lambda m: not is_isosquare(m))
-        for _ in range(2):  # a refused kernel is not cached
-            with pytest.raises(OSError, match=re.escape(
-                    "path disagrees with is_isosquare on "
-                    "[4294967251, 4294967340]")):
-                enumeration._kernel()
-        monkeypatch.undo()
+        # Each load compares every entry point of the selected path with
+        # is_isosquare; told other answers, or given text a byte short
+        # from the text entry point alone, it refuses the kernel.
+        for fault in ("answers", "text"):
+            if fault == "answers":
+                monkeypatch.setattr(enumeration, "is_isosquare",
+                                    lambda m: not is_isosquare(m))
+            else:
+                short_text_kernel(monkeypatch)
+            for _ in range(2):  # a refused kernel is not cached
+                with pytest.raises(OSError, match=re.escape(
+                        "path disagrees with is_isosquare on "
+                        "[4294967251, 4294967340]")):
+                    enumeration._kernel()
+            monkeypatch.undo()
         assert members_in_range(1, 16) == oracle_members(16)
+        assert enumeration._members_text(1, 16) == text(oracle_members(16))
 
     def test_compiles_without_warnings(self, tmp_path):
         command = (sysconfig.get_config_var("CC") or "cc").split()
@@ -545,6 +576,26 @@ class TestCheckpoint:
             assert rest == full[count:]
             assert ck.read_bytes() == f"{limit} {len(full)}\n".encode()
             assert os.listdir(tmp) == ["ck.txt"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("done", [0, 1, 2999, 3000, 7777])
+    def test_text_chunks_match_list_chunks(self, tmp_path, workers, done):
+        # The same chunks as text, and the same record after each, fresh
+        # and resumed at, past and inside a chunk end.
+        runs = []
+        for producer in (sieve_chunks, sieve_text_chunks):
+            path = tmp_path / producer.__name__
+            path.write_text(f"{done} {done // 3}\n")
+            chunks, records = [], []
+            for end, chunk in producer(20_000, workers, 3000, str(path)):
+                chunks.append((end, chunk))
+                records.append(path.read_text())
+            runs.append((chunks, records + [path.read_text()]))
+        (lists, records), (texts, text_records) = runs
+        assert texts == [(end, text(chunk)) for end, chunk in lists]
+        assert text_records == records
+        assert records[-1] == \
+            f"20000 {done // 3 + sum(len(chunk) for _, chunk in lists)}\n"
 
     def test_resume_across_2_32_independent_of_workers(self, tmp_path):
         # the chunk ending at 4,295,000,000 straddles 2^32
