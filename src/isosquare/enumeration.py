@@ -9,10 +9,12 @@ isq_select, before any sieve thread starts, then checks every entry point
 against is_isosquare on windows at the kernel's range boundaries and
 raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
 on worker threads and hands the results out in order, so output is the
-same for any worker count.  The sieve tests every integer of each chunk
-and hands out its members as a list (sieve_chunks) or as the decimal
-text the kernel writes (sieve_text_chunks); counting tests only the odd
-ones, since m is a member iff 2m is.
+same for any worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
+1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
+chunk and hands out its members one by one (sieve) or as the decimal
+text the kernel writes (sieve_text_chunks, the one producer that keeps a
+checkpoint); counting tests only the odd ones, since m is a member iff
+2m is.
 """
 
 from __future__ import annotations
@@ -238,67 +240,63 @@ def read_checkpoint(path: str) -> tuple[int, int]:
     return end, count
 
 
-def sieve_chunks(limit: int, workers: int = 1,
-                 chunk_size: int = DEFAULT_CHUNK,
-                 checkpoint: str | None = None
-                 ) -> Iterator[tuple[int, list[int]]]:
-    """Yield (chunk_end, members) for consecutive chunks covering [1, limit].
+def sieve_text_chunks(limit: int, workers: int = 1,
+                      checkpoint: str | None = None
+                      ) -> Iterator[tuple[int, str]]:
+    """Yield (chunk_end, text) for consecutive chunks covering [1, limit],
+    the text holding the chunk's members in decimal, one a line ("m\\n"),
+    as the kernel writes them.
 
     The arguments and the checkpoint are checked (read, not written) and
     the kernel loaded at the call; sieving starts when the result is first
-    advanced.  Each chunk is listed by one members_in_range call, on
+    advanced.  Each chunk is written by one _members_text call, on
     `workers` threads at most 2 * workers + 1 chunks ahead of the consumer:
-    those chunks are all the run holds.  Chunks come in order, members
-    increasing.  The checkpoint's one record "chunk_end count" is replaced
-    only when the consumer resumes after that chunk, so a recorded chunk
-    was handed out in full.  A later run resumes after it, at no cost per
-    chunk skipped; a chunk handed out but not recorded is produced again.
+    those chunks are all the run holds.  Chunks come in order, on the
+    module's grid of DEFAULT_CHUNK integers.  The checkpoint's one record
+    "chunk_end count" is replaced only when the consumer resumes after
+    that chunk, so a recorded chunk was handed out in full.  A later run
+    resumes after it, at no cost per chunk skipped; a chunk handed out but
+    not recorded is produced again.
     """
-    return _sieved(members_in_range, len, limit, workers, chunk_size,
-                   checkpoint)
+    _start(limit, workers)
+    if checkpoint is None:
+        return _chunk_loop(_members_text, 1, limit, workers)
+    done, count = read_checkpoint(checkpoint)
+    return _recorded(_chunk_loop(_members_text, done + 1, limit, workers),
+                     checkpoint, count)
 
 
-def sieve_text_chunks(limit: int, workers: int = 1,
-                      chunk_size: int = DEFAULT_CHUNK,
-                      checkpoint: str | None = None
-                      ) -> Iterator[tuple[int, str]]:
-    """Yield (chunk_end, text) for the chunks of sieve_chunks, the text
-    holding the chunk's members in decimal, one a line ("m\\n"), as the
-    kernel writes them.  Arguments, chunks and checkpoint records are
-    those of sieve_chunks; a chunk's member count is its text's lines."""
-    return _sieved(_members_text, lambda text: text.count("\n"), limit,
-                   workers, chunk_size, checkpoint)
+def sieve(limit: int, workers: int = 1) -> Iterator[int]:
+    """Yield every member m <= limit in increasing order, each chunk of
+    sieve_text_chunks listed by one call of the members_in_range this
+    module holds at the call, where arguments are checked and the kernel
+    loaded, as there."""
+    _start(limit, workers)
+    chunks = _chunk_loop(members_in_range, 1, limit, workers)
+    return (m for _, members in chunks for m in members)
 
 
-def _sieved(kernel: Callable[[int, int], T], size: Callable[[T], int],
-            limit: int, workers: int, chunk_size: int,
-            checkpoint: str | None) -> Iterator[tuple[int, T]]:
-    """The chunks of the sieve producers, each kernel(lo, chunk_end) with
-    size(result) members: the arguments and the checkpoint checked and
-    the kernel loaded at the call, the chunks from the checkpoint's record
-    on and recorded there."""
-    _require_positive(limit=limit, chunk_size=chunk_size, workers=workers)
+def _start(limit: int, workers: int) -> None:
+    """Check a sieve's arguments and load the kernel."""
+    _require_positive(limit=limit, workers=workers)
     _require_below_top("limit", limit)
     _kernel()
-    if checkpoint is None:
-        return _chunk_loop(kernel, 1, limit, workers, chunk_size)
-    done, count = read_checkpoint(checkpoint)
-    return _recorded(_chunk_loop(kernel, done + 1, limit, workers,
-                                 chunk_size), checkpoint, count, size)
 
 
 def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
-                workers: int, chunk_size: int) -> Iterator[tuple[int, T]]:
+                workers: int) -> Iterator[tuple[int, T]]:
     """Yield (chunk_end, kernel(lo, chunk_end)) for chunks covering
     [first, last], in order, run on `workers` threads at most
     2 * workers + 1 chunks ahead of the consumer; a range within one chunk
     runs in the calling thread.  A chunk's exception is raised in the
     consumer.  On close the chunks not yet started are dropped and every
-    thread is joined.  Chunks keep the grid 1, 1 + chunk_size, ...; the
-    first starts at `first`."""
+    thread is joined.  Chunks keep the grid 1, 1 + DEFAULT_CHUNK, and so
+    on, with DEFAULT_CHUNK read when the loop starts; the first chunk
+    starts at `first`."""
+    size = DEFAULT_CHUNK
     if first > last:
         return
-    if (first - 1) // chunk_size == (last - 1) // chunk_size:
+    if (first - 1) // size == (last - 1) // size:
         yield last, kernel(first, last)
         return
     from queue import SimpleQueue
@@ -316,8 +314,7 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
             except BaseException as exc:  # raised in the consumer
                 box.put((None, exc))
 
-    starts = iter(range((first - 1) // chunk_size * chunk_size + 1, last + 1,
-                        chunk_size))
+    starts = iter(range((first - 1) // size * size + 1, last + 1, size))
     queued: deque = deque()
     # daemon: a chunk loop that is never closed cannot hold up exit
     threads = [Thread(target=work, daemon=True) for _ in range(workers)]
@@ -326,7 +323,7 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
             thread.start()
         while True:
             for lo in islice(starts, 2 * workers + 1 - len(queued)):
-                hi = min(last, lo + chunk_size - 1)
+                hi = min(last, lo + size - 1)
                 box: SimpleQueue = SimpleQueue()
                 tasks.put((max(lo, first), hi, box))
                 queued.append((hi, box))
@@ -346,27 +343,19 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
                 thread.join()
 
 
-def _recorded(chunks: Iterator[tuple[int, T]], checkpoint: str, count: int,
-              size: Callable[[T], int]) -> Iterator[tuple[int, T]]:
-    """The chunks, each recorded in the checkpoint, with size(result) more
-    members, once the consumer resumes after it.  The record is written to
-    checkpoint.tmp and renamed over the checkpoint, so a kill leaves the
-    old record or the new one."""
+def _recorded(chunks: Iterator[tuple[int, str]], checkpoint: str,
+              count: int) -> Iterator[tuple[int, str]]:
+    """The text chunks, each recorded in the checkpoint, with its lines
+    more members, once the consumer resumes after it.  The record is
+    written to checkpoint.tmp and renamed over the checkpoint, so a kill
+    leaves the old record or the new one."""
     with closing(chunks):
-        for hi, result in chunks:
-            yield hi, result
-            count += size(result)
+        for hi, text in chunks:
+            yield hi, text
+            count += text.count("\n")
             with open(checkpoint + ".tmp", "w") as fh:
                 fh.write(f"{hi} {count}\n")
             os.replace(checkpoint + ".tmp", checkpoint)
-
-
-def sieve(limit: int, workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
-          checkpoint: str | None = None) -> Iterator[int]:
-    """Yield every member m <= limit in increasing order: the members of
-    sieve_chunks, flattened; arguments and checkpoints behave as there."""
-    chunks = sieve_chunks(limit, workers, chunk_size, checkpoint)
-    return (m for _, members in chunks for m in members)
 
 
 def counting(limit: int, grid: Sequence[int],
@@ -396,7 +385,7 @@ def counting(limit: int, grid: Sequence[int],
 
     found, below = [], 0  # O(p) for the points p of the chunks so far
     for _, counts in _chunk_loop(chunk_counts, 1, max(points, default=0),
-                                 workers, DEFAULT_CHUNK):
+                                 workers):
         found += (below + c for c in counts[:-1])
         below += counts[-1]
     odd = dict(zip(points, found))

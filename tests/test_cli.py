@@ -32,7 +32,8 @@ def forbid_sieving(monkeypatch, message):
     kernel under every one of them."""
     def fail(*args, **kwargs):
         raise AssertionError(message)
-    for name in ("sieve_chunks", "_chunk_loop", "_odd_counts", "_kernel"):
+    for name in ("sieve_text_chunks", "_chunk_loop", "_odd_counts",
+                 "_kernel"):
         monkeypatch.setattr(enumeration, name, fail)
 
 

@@ -9,7 +9,7 @@ import threading
 import time
 import tracemalloc
 from bisect import bisect_left
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
                                    read_checkpoint, scan_gap, sieve,
-                                   sieve_chunks, sieve_text_chunks)
+                                   sieve_text_chunks)
 from isosquare.membership import is_isosquare
 
 from conftest import (check_record, oracle_is_member, oracle_members,
@@ -57,15 +57,31 @@ class TestSieve:
         with pytest.raises(ValueError):
             list(sieve(0))
 
-    def test_deterministic_across_workers(self):
-        reference = list(sieve(200_000, workers=1, chunk_size=1 << 14))
+    def test_deterministic_across_workers(self, monkeypatch):
+        chunks_of(monkeypatch, 1 << 14)
+        reference = list(sieve(200_000, workers=1))
         for workers in (2, 4):
-            assert list(sieve(200_000, workers=workers,
-                              chunk_size=1 << 14)) == reference
+            assert list(sieve(200_000, workers=workers)) == reference
 
-    def test_chunk_size_irrelevant(self):
+    def test_chunk_size_irrelevant(self, monkeypatch):
         reference = list(sieve(50_000))
-        assert list(sieve(50_000, chunk_size=777)) == reference
+        chunks_of(monkeypatch, 777)
+        assert list(sieve(50_000)) == reference
+        assert joined(sieve_text_chunks(50_000)) == text(reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_members_in_range_call_per_chunk(self, monkeypatch, workers):
+        # the module's members_in_range at the call, so a wrapper set on
+        # the module (as a tracer sets one) sees every chunk
+        calls = []
+        members = enumeration.members_in_range
+        monkeypatch.setattr(enumeration, "members_in_range",
+                            lambda lo, hi: calls.append((lo, hi))
+                            or members(lo, hi))
+        chunks_of(monkeypatch, 1000)
+        assert list(sieve(3500, workers)) == oracle_members(3500)
+        assert sorted(calls) == [(1, 1000), (1001, 2000), (2001, 3000),
+                                 (3001, 3500)]
 
     def test_matches_python_popcount_above_2_31(self, kernel_paths):
         lo = (1 << 31) + 1
@@ -101,7 +117,8 @@ class TestSieve:
         monkeypatch.setattr(enumeration, "_chunk_loop", fail)
         for limit in (1 << 63, (1 << 63) + 1, 1 << 64):
             message = re.escape(f"limit must be below 2^63, got {limit}")
-            for call in (lambda: sieve(limit), lambda: sieve_chunks(limit),
+            for call in (lambda: sieve(limit),
+                         lambda: sieve_text_chunks(limit),
                          lambda: find_runs(limit)):
                 with pytest.raises(ValueError, match=message):
                     call()
@@ -114,18 +131,11 @@ class TestSieve:
             odd_counts_in_range(lo, 5, [])
         assert members_in_range(5, 4) == []
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_bad_chunk_size(self, tmp_path, chunk_size):
-        path = tmp_path / "ck.txt"
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            list(sieve(100, chunk_size=chunk_size, checkpoint=str(path)))
-        assert not path.exists()
-
     def test_bad_workers(self, tmp_path):
         path = tmp_path / "ck.txt"
         path.write_text("100 5\n")  # a rejected call leaves it as it is
-        for run in (lambda: list(sieve(1000, 0, checkpoint=str(path))),
-                    lambda: next(sieve_chunks(1000, 0, 100, str(path))),
+        for run in (lambda: sieve(1000, 0),
+                    lambda: sieve_text_chunks(1000, 0, str(path)),
                     lambda: counting(1000, [500], workers=0)):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 run()
@@ -133,10 +143,11 @@ class TestSieve:
 
     @pytest.mark.parametrize("call", [
         lambda: sieve(0),
-        lambda: sieve_chunks(0),
+        lambda: sieve_text_chunks(0),
         lambda: counting(0, []),
         lambda: counting(5, [], workers=0),
-    ], ids=["sieve", "sieve_chunks", "counting-limit", "counting-workers"])
+    ], ids=["sieve", "sieve_text_chunks", "counting-limit",
+            "counting-workers"])
     def test_bad_arguments_rejected_at_call(self, call):
         with pytest.raises(ValueError, match="must be >= 1"):
             call()  # no iteration: the error comes before any chunk
@@ -189,6 +200,10 @@ class TestChunkLoop:
     started and joins every thread.  Warnings are errors, so an exception
     left unhandled in a thread fails the test."""
 
+    @pytest.fixture(autouse=True)
+    def ten_integer_chunks(self, monkeypatch):
+        chunks_of(monkeypatch, 10)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_in_order_under_fast_switching(self, workers):
         before = threading.active_count()
@@ -196,7 +211,7 @@ class TestChunkLoop:
         sys.setswitchinterval(1e-6)
         try:
             chunks = list(enumeration._chunk_loop(
-                lambda lo, hi: (lo, hi), 5, 100, workers, 10))
+                lambda lo, hi: (lo, hi), 5, 100, workers))
         finally:
             sys.setswitchinterval(interval)
         assert chunks == [(10, (5, 10))] + [
@@ -216,7 +231,7 @@ class TestChunkLoop:
 
         yielded = []
         with pytest.raises(RuntimeError) as raised:
-            for _, lo in enumeration._chunk_loop(kernel, 1, 100, workers, 10):
+            for _, lo in enumeration._chunk_loop(kernel, 1, 100, workers):
                 yielded.append(lo)
         assert raised.value is failure
         assert yielded == list(range(1, 10 * k, 10))
@@ -229,7 +244,7 @@ class TestChunkLoop:
         before = threading.active_count()
         started = []
         chunks = enumeration._chunk_loop(
-            lambda lo, hi: started.append(lo // 10), 1, 100, workers, 10)
+            lambda lo, hi: started.append(lo // 10), 1, 100, workers)
         list(islice(chunks, taken))
         ahead = list(range(min(10, taken + 2 * workers)))
         deadline = time.monotonic() + 30
@@ -256,7 +271,7 @@ class TestChunkLoop:
                 assert gate.wait(timeout=30)
             return lo
 
-        chunks = enumeration._chunk_loop(kernel, 1, 100, workers, 10)
+        chunks = enumeration._chunk_loop(kernel, 1, 100, workers)
         assert [lo for _, lo in islice(chunks, taken)] == list(
             range(1, 10 * taken, 10))
         opener = threading.Timer(0.2, gate.set)
@@ -291,6 +306,16 @@ class TestSquareWeight:
 def text(members):
     """The members in decimal, one a line: what the text kernel writes."""
     return "".join(f"{m}\n" for m in members)
+
+
+def joined(chunks):
+    """The text of sieve_text_chunks' chunks, in the order handed out."""
+    return "".join(chunk for _, chunk in chunks)
+
+
+def chunks_of(monkeypatch, size):
+    """Sieve on a grid of `size` integers for the rest of the test."""
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", size)
 
 
 class TestBlockKernel:
@@ -491,70 +516,82 @@ class TestKernel:
 
 
 class TestCheckpoint:
-    def test_records_are_monotone(self, tmp_path):
+    """sieve_text_chunks' checkpoint, the one the enumerate command keeps,
+    with the chunk text checked against oracle_members."""
+
+    def test_records_are_monotone(self, tmp_path, monkeypatch):
         # each record replaces the one before: the file is always one line
+        chunks_of(monkeypatch, 1000)
         path = tmp_path / "ck.txt"
         rows = []
-        for _ in sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path)):
+        for _ in sieve_text_chunks(10_000, checkpoint=str(path)):
             if path.exists():
                 assert path.read_text().count("\n") == 1
                 rows.append(read_checkpoint(str(path)))
-        assert [end for end, _ in rows] == list(range(1000, 10_000, 1000))
-        assert [count for _, count in rows] == sorted(c for _, c in rows)
+        assert rows == [(end, len(oracle_members(end)))
+                        for end in range(1000, 10_000, 1000)]
         assert path.read_text() == f"10000 {len(oracle_members(10_000))}\n"
         assert os.listdir(tmp_path) == ["ck.txt"]  # no .tmp left behind
 
-    def test_resume_emits_remaining_members(self, tmp_path):
-        path = tmp_path / "ck.txt"
-        first = list(sieve(4000, chunk_size=1000, checkpoint=str(path)))
-        rest = list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
-        assert first + rest == oracle_members(10_000)
-        assert read_checkpoint(str(path)) == (10_000,
-                                              len(oracle_members(10_000)))
+    def test_resume_emits_remaining_members(self, tmp_path, monkeypatch):
+        chunks_of(monkeypatch, 1000)
+        path = str(tmp_path / "ck.txt")
+        first = joined(sieve_text_chunks(4000, checkpoint=path))
+        rest = joined(sieve_text_chunks(10_000, checkpoint=path))
+        assert first + rest == text(oracle_members(10_000))
+        assert read_checkpoint(path) == (10_000, len(oracle_members(10_000)))
 
-    def test_chunk_recorded_only_after_consumer_resumes(self, tmp_path):
+    def test_chunk_recorded_only_after_consumer_resumes(self, tmp_path,
+                                                        monkeypatch):
+        chunks_of(monkeypatch, 1000)
         path = tmp_path / "ck.txt"
-        chunks = sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path))
-        end, members = next(chunks)
+        chunks = sieve_text_chunks(10_000, checkpoint=str(path))
+        end, chunk = next(chunks)
+        assert (end, chunk) == (1000, text(oracle_members(1000)))
         assert not path.exists()
         next(chunks)
-        assert read_checkpoint(str(path)) == (end, len(members))
+        assert read_checkpoint(str(path)) == (end, len(oracle_members(end)))
         chunks.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("taken", [3, 5000])
-    def test_close_mid_chunk_loses_no_member(self, tmp_path, workers, taken):
+    def test_close_mid_chunk_loses_no_member(self, tmp_path, monkeypatch,
+                                             workers, taken):
+        # The consumer passes the members on one line at a time and stops
+        # after `taken` of them, inside a chunk.
+        chunks_of(monkeypatch, 1 << 16)
         path = str(tmp_path / "ck.txt")
-        full = list(sieve(10**6, chunk_size=1 << 16))
+        full = list(sieve(10**6))
         assert len(full) == 10_191
-        first = sieve(10**6, workers=workers, chunk_size=1 << 16,
-                      checkpoint=path)
-        assert list(islice(first, taken)) == full[:taken]
+        first = sieve_text_chunks(10**6, workers, path)
+        lines = (line for _, chunk in first
+                 for line in chunk.splitlines(keepends=True))
+        assert "".join(islice(lines, taken)) == text(full[:taken])
         first.close()
-        rest = list(sieve(10**6, workers=workers, chunk_size=1 << 16,
-                          checkpoint=path))
-        resumed_at = len(full) - len(rest)
+        rest = joined(sieve_text_chunks(10**6, workers, path))
+        resumed_at = len(full) - rest.count("\n")
         assert 0 <= resumed_at <= taken
-        assert rest == full[resumed_at:]
+        assert rest == text(full[resumed_at:])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3000), st.integers(1, 400), st.integers(1, 2),
            st.data())
-    def test_interrupted_and_torn_run_resumes(self, limit, chunk_size,
-                                              workers, data):
+    def test_interrupted_and_torn_run_resumes(self, limit, size, workers,
+                                              data):
         # Delivery is at least once: a resumed run starts after the record,
         # and every member up to it was handed out.  A kill between writing
         # ck.txt.tmp and renaming it leaves that file, which is ignored; a
         # cut record is never read as a smaller count.
         full = oracle_members(limit)
-        with tempfile.TemporaryDirectory() as tmp:
+        with (tempfile.TemporaryDirectory() as tmp,
+              pytest.MonkeyPatch.context() as patch):
+            chunks_of(patch, size)
             ck = Path(tmp) / "ck.txt"
             path = str(ck)
-            first = sieve_chunks(limit, workers, chunk_size, path)
-            chunks = -(-limit // chunk_size)
+            first = sieve_text_chunks(limit, workers, path)
+            chunks = -(-limit // size)
             taken = data.draw(st.integers(0, chunks), label="chunks taken")
-            handed = [m for _, members in islice(first, taken)
-                      for m in members]
+            handed = joined(islice(first, taken))
             first.close()
             stray = data.draw(st.none() | st.binary(max_size=12),
                               label="stray .tmp")
@@ -567,51 +604,55 @@ class TestCheckpoint:
                     read_checkpoint(path)
             ck.write_bytes(recorded)  # empty when nothing was recorded
             done, count = read_checkpoint(path)
-            assert done == min(limit, max(taken - 1, 0) * chunk_size)
+            assert done == min(limit, max(taken - 1, 0) * size)
             before = [m for m in full if m <= done]
-            assert count == len(before) and handed[:count] == before
-            rest = [m for _, members in sieve_chunks(limit, workers,
-                                                     chunk_size, path)
-                    for m in members]
-            assert rest == full[count:]
+            assert count == len(before)
+            assert handed.startswith(text(before))
+            rest = joined(sieve_text_chunks(limit, workers, path))
+            assert rest == text(full[count:])
             assert ck.read_bytes() == f"{limit} {len(full)}\n".encode()
             assert os.listdir(tmp) == ["ck.txt"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("done", [0, 1, 2999, 3000, 7777])
-    def test_text_chunks_match_list_chunks(self, tmp_path, workers, done):
-        # The same chunks as text, and the same record after each, fresh
-        # and resumed at, past and inside a chunk end.
-        runs = []
-        for producer in (sieve_chunks, sieve_text_chunks):
-            path = tmp_path / producer.__name__
-            path.write_text(f"{done} {done // 3}\n")
-            chunks, records = [], []
-            for end, chunk in producer(20_000, workers, 3000, str(path)):
-                chunks.append((end, chunk))
-                records.append(path.read_text())
-            runs.append((chunks, records + [path.read_text()]))
-        (lists, records), (texts, text_records) = runs
-        assert texts == [(end, text(chunk)) for end, chunk in lists]
-        assert text_records == records
-        assert records[-1] == \
-            f"20000 {done // 3 + sum(len(chunk) for _, chunk in lists)}\n"
+    def test_text_chunks_match_list_chunks(self, tmp_path, monkeypatch,
+                                           workers, done):
+        # Each chunk's text lists the oracle's members of that chunk, and
+        # the record after it adds their number, fresh and resumed at,
+        # past and inside a chunk end.
+        chunks_of(monkeypatch, 3000)
+        full = oracle_members(20_000)
+        path = tmp_path / "ck.txt"
+        path.write_text(f"{done} {done // 3}\n")
+        chunks, records = [], []
+        for end, chunk in sieve_text_chunks(20_000, workers, str(path)):
+            records.append(path.read_text())
+            chunks.append((end, chunk))
+        records.append(path.read_text())
+        ends = [e for e in range(3000, 20_000, 3000) if e > done] + [20_000]
+        lists = [[m for m in full if lo < m <= hi]
+                 for lo, hi in zip([done] + ends, ends)]
+        assert chunks == [(end, text(chunk)) for end, chunk in zip(ends, lists)]
+        counts = accumulate([done // 3] + [len(chunk) for chunk in lists])
+        assert records == [f"{end} {count}\n"
+                           for end, count in zip([done] + ends, counts)]
 
-    def test_resume_across_2_32_independent_of_workers(self, tmp_path):
+    def test_resume_across_2_32_independent_of_workers(self, tmp_path,
+                                                       monkeypatch):
         # the chunk ending at 4,295,000,000 straddles 2^32
+        chunks_of(monkeypatch, 100_000)
         done, limit = (1 << 32) - 50_000, (1 << 32) + 250_000
         path = tmp_path / "ck.txt"
         runs = []
         for workers in (1, 2, 3):
             path.write_text(f"{done} 7\n")
-            runs.append(list(sieve_chunks(limit, workers, 100_000,
-                                          str(path))))
-            members = [m for _, chunk in runs[-1] for m in chunk]
-            assert read_checkpoint(str(path)) == (limit, 7 + len(members))
+            runs.append(list(sieve_text_chunks(limit, workers, str(path))))
+            found = joined(runs[-1])
+            assert read_checkpoint(str(path)) == (limit, 7 + found.count("\n"))
         assert runs[0] == runs[1] == runs[2]
         assert [end for end, _ in runs[0]] == [4_295_000_000, 4_295_100_000,
                                                4_295_200_000, limit]
-        assert members == members_in_range(done + 1, limit)
+        assert found == text(members_in_range(done + 1, limit))
 
     def test_non_monotone_rejected(self, tmp_path):
         # two records, in order or not, are the old log format: refused
@@ -622,11 +663,13 @@ class TestCheckpoint:
                     f"checkpoint {path}: expected one line 'chunk_end count'")):
                 read_checkpoint(str(path))
 
-    def test_torn_record_refused_at_every_cut(self, tmp_path):
+    def test_torn_record_refused_at_every_cut(self, tmp_path, monkeypatch):
+        chunks_of(monkeypatch, 1000)
         path = tmp_path / "ck.txt"
-        full = list(sieve(10_000, chunk_size=1000, checkpoint=str(path)))
+        full = joined(sieve_text_chunks(10_000, checkpoint=str(path)))
+        assert full == text(oracle_members(10_000))
         record = path.read_bytes()
-        assert record == f"10000 {len(full)}\n".encode()
+        assert record == f"10000 {full.count(chr(10))}\n".encode()
         path.write_bytes(b"")
         assert read_checkpoint(str(path)) == (0, 0)
         for cut in range(len(record)):
@@ -636,7 +679,7 @@ class TestCheckpoint:
                     continue  # the empty file, which starts a run afresh
                 path.write_bytes(torn)
                 for call in (lambda: read_checkpoint(str(path)),
-                             lambda: sieve_chunks(10_000, 1, 1000, str(path))):
+                             lambda: sieve_text_chunks(10_000, 1, str(path))):
                     with pytest.raises(ValueError, match=re.escape(
                             f"checkpoint {path}: expected one line")):
                         call()
@@ -659,19 +702,21 @@ class TestCheckpoint:
                 f"checkpoint {path}: {message}")):
             read_checkpoint(str(path))
 
-    def test_stray_tmp_is_ignored_and_overwritten(self, tmp_path):
+    def test_stray_tmp_is_ignored_and_overwritten(self, tmp_path,
+                                                  monkeypatch):
         # a kill between writing ck.txt.tmp and renaming it leaves the file
+        chunks_of(monkeypatch, 1000)
         path, tmp = tmp_path / "ck.txt", tmp_path / "ck.txt.tmp"
-        full = list(sieve(10_000, chunk_size=1000))
-        first = sieve_chunks(10_000, chunk_size=1000, checkpoint=str(path))
+        full = oracle_members(10_000)
+        first = sieve_text_chunks(10_000, checkpoint=str(path))
         list(islice(first, 4))
         first.close()
         tmp.write_bytes(b"4000 9\xff")
         done, count = read_checkpoint(str(path))
         assert (done, count) == (3000, sum(m <= 3000 for m in full))
-        rest = sieve(10_000, chunk_size=1000, checkpoint=str(path))
+        rest = sieve_text_chunks(10_000, checkpoint=str(path))
         assert tmp.read_bytes() == b"4000 9\xff"  # the call only reads
-        assert full[:count] + list(rest) == full
+        assert joined(rest) == text(full[count:])
         assert path.read_text() == f"10000 {len(full)}\n"
         assert not tmp.exists()
 
@@ -679,56 +724,63 @@ class TestCheckpoint:
         limit = 1 << 40
         path = tmp_path / "ck.txt"
         path.write_text(f"{limit - 100} 0\n")
+        # the 2^18 chunks skipped hold under 1 MiB beyond what one kernel
+        # call's buffers take
         tracemalloc.start()
         try:
-            chunks = list(sieve_chunks(limit, checkpoint=str(path)))
+            enumeration._members_text(limit - 99, limit)
+            kernel_call = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            chunks = list(sieve_text_chunks(limit, checkpoint=str(path)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert chunks == [(limit, members_in_range(limit - 99, limit))]
-        assert peak < 1 << 20
+        assert chunks == [(limit, text(members_in_range(limit - 99, limit)))]
+        assert peak < kernel_call + (1 << 20)
 
     # 9,500 lies in the last chunk of the full run, which ends off the grid
     @pytest.mark.parametrize("limit", [9_999, 9_500])
-    def test_rerun_after_full_run_does_nothing(self, tmp_path, limit):
+    def test_rerun_after_full_run_does_nothing(self, tmp_path, monkeypatch,
+                                               limit):
+        chunks_of(monkeypatch, 1000)
         path = tmp_path / "ck.txt"
-        list(sieve(9_999, chunk_size=1000, checkpoint=str(path)))
+        joined(sieve_text_chunks(9_999, checkpoint=str(path)))
         recorded = path.read_bytes()
-        assert list(sieve_chunks(limit, 2, 1000, str(path))) == []
+        assert list(sieve_text_chunks(limit, 2, str(path))) == []
         assert path.read_bytes() == recorded
 
 
 class TestOddParts:
-    """The sieve lists each chunk on its own: no chunk's members are
-    doubled from an earlier chunk's, whatever the resume point."""
+    """A resumed run writes each chunk's text with one kernel call, from
+    the record on, whatever the resume point."""
 
     @staticmethod
-    def spy_members(monkeypatch):
-        calls = []  # (lo, hi) of every members_in_range call
-        members = enumeration.members_in_range
+    def spy_text(monkeypatch):
+        calls = []  # (lo, hi) of every _members_text call
+        members = enumeration._members_text
 
         def spy(lo, hi):
             calls.append((lo, hi))
             return members(lo, hi)
-        monkeypatch.setattr(enumeration, "members_in_range", spy)
+        monkeypatch.setattr(enumeration, "_members_text", spy)
         return calls
 
     # Chunks of 101 start at 910 and 1011.  Resumed after 454, 504 or 505
     # (first = 455, 505, 506), a chunk has lo at, just above or just below
-    # 2 * first, the first chunk whose even members are doubles of members
-    # the run listed before; each chunk is still listed by one call.
+    # 2 * first; each chunk is still written by one call.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("done, lo", [(454, 910), (504, 1011),
                                           (505, 1011)])
     def test_resume_around_twice_first(self, tmp_path, monkeypatch, workers,
                                        done, lo):
+        chunks_of(monkeypatch, 101)
         full = oracle_members(3000)
         count = bisect_left(full, done + 1)
         path = tmp_path / "ck.txt"
         path.write_text(f"{done} {count}\n")
-        calls = self.spy_members(monkeypatch)
-        chunks = list(sieve_chunks(3000, workers, 101, str(path)))
-        assert [m for _, chunk in chunks for m in chunk] == full[count:]
+        calls = self.spy_text(monkeypatch)
+        chunks = list(sieve_text_chunks(3000, workers, str(path)))
+        assert joined(chunks) == text(full[count:])
         assert path.read_text() == f"3000 {len(full)}\n"
         ends = [hi for hi, _ in chunks]
         assert sorted(calls) == list(zip([done + 1] + [e + 1 for e in ends],
@@ -794,7 +846,7 @@ class TestCounting:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_streaming_matches_bisect_at_chunk_boundaries(self, workers):
         limit = 10**7  # three chunks of DEFAULT_CHUNK
-        chunks = list(sieve_chunks(limit))
+        chunks = list(sieve_text_chunks(limit))
         assert len(chunks) == 3
         grid = {1, 2, 3, 16, 17, limit}
         for end, _ in chunks:
@@ -802,7 +854,7 @@ class TestCounting:
         grid |= set(random.Random(7).sample(range(1, limit + 1), 50))
         grid = sorted(grid)
         members = list(sieve(limit))
-        assert members == [m for _, chunk in chunks for m in chunk]
+        assert joined(chunks) == text(members)
         assert counting(limit, grid, workers=workers) == [
             CountSample(n, bisect_left(members, n)) for n in grid]
 
