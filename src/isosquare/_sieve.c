@@ -1,11 +1,12 @@
 /* The sieve's kernel, compiled and called through ctypes by enumeration.py:
-   tests B(m) = B(m^2) for 1 <= m < 2^63.  It has two paths.  The scalar
-   loops test one m at a time; on x86-64 the loader picks the POPCNT build
-   of each entry point where the CPU has that instruction.  The vector
-   loops (x86-64 with AVX-512F and VPOPCNTDQ) test 8 at a time and leave
-   the last fewer than 8 to the scalar loops.  isq_select picks the path
-   once, before any scan runs; the loader then checks every entry point
-   against is_isosquare. */
+   isq_members_text lists the m with B(m) = B(m^2), 1 <= m < 2^63, as
+   decimal text if given a buffer, and isq_odd_counts counts the odd ones.
+   It has two paths.  The scalar loops test one m at a time; on x86-64 the
+   loader picks the POPCNT build of each entry point where the CPU has that
+   instruction.  The vector loops (x86-64 with AVX-512F and VPOPCNTDQ) test
+   8 at a time and leave the last fewer than 8 to the scalar loops.
+   isq_select picks the path once, before any scan runs; the loader then
+   checks every entry point against is_isosquare. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -114,13 +115,6 @@ static inline size_t scan_path(uint64_t *next, uint64_t end, uint64_t step,
     return found + scan(next, end, step, out ? out + found : NULL);
 }
 
-/* Lists the members among lo, ..., hi < 2^63 in out, which holds an entry
-   per integer, and returns how many there are. */
-DISPATCH size_t isq_members(uint64_t lo, uint64_t hi, int64_t *out)
-{
-    return scan_path(&lo, hi, 1, out);
-}
-
 /* counts[i] = the odd members m with lo <= m <= min(points[i], hi < 2^63),
    for the n sorted points. */
 DISPATCH void isq_odd_counts(uint64_t lo, uint64_t hi, const uint64_t *points,
@@ -139,13 +133,15 @@ static const char PAIRS[] =
     "34353637383940414243444546474849505152535455565758596061626364656667"
     "6869707172737475767778798081828384858687888990919293949596979899";
 
-/* Writes the members among lo, ..., hi < 2^63 to text in decimal, one a
-   line ("digits\n", at most 20 bytes), and returns the bytes written.
-   scratch holds an entry per integer, text 20 bytes per integer. */
+/* Lists the members among lo, ..., hi < 2^63 in scratch, an entry per
+   integer.  With text NULL it returns how many there are; else it writes
+   them to text (20 bytes per integer) in decimal, one a line ("digits\n",
+   at most 20 bytes), and returns the bytes written. */
 DISPATCH size_t isq_members_text(uint64_t lo, uint64_t hi, int64_t *scratch,
                                  char *text)
 {
     size_t n = scan_path(&lo, hi, 1, scratch);
+    if (!text) return n;
     /* the members increase, and so do their digits; 10^digits stays at
        most 10^19 < 2^64 */
     uint64_t next_digit = 10;

@@ -8,8 +8,9 @@ integers at a time.  Loading it selects the path once, through its
 isq_select, before any sieve thread starts, then checks every entry point
 against is_isosquare on windows at the kernel's range boundaries and
 raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
-on worker threads and hands the results out in order, so output is the
-same for any worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
+on min(workers, chunks) threads, or in the calling thread where that is
+one, and hands the results out in order, so output is the same for any
+worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
 1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
 chunk and hands out its members one by one (sieve) or as the decimal
 text the kernel writes (sieve_text_chunks, the one producer that keeps a
@@ -121,8 +122,6 @@ def _load() -> CDLL:
             os.replace(partial, path)
         lib = ctypes.CDLL(path)
     u64, size, to = ctypes.c_uint64, ctypes.c_size_t, ctypes.POINTER
-    lib.isq_members.argtypes = [u64, u64, to(ctypes.c_int64)]
-    lib.isq_members.restype = size
     lib.isq_members_text.argtypes = [u64, u64, to(ctypes.c_int64),
                                      ctypes.c_char_p]
     lib.isq_members_text.restype = size
@@ -147,7 +146,7 @@ def _check(lib: CDLL) -> None:
         points = [lo - 1, (lo + hi) // 2, hi]
         counts = (c_uint64 * 3)()
         lib.isq_odd_counts(lo, hi, (c_uint64 * 3)(*points), 3, counts)
-        if (out[:lib.isq_members(lo, hi, out)] != members
+        if (out[:lib.isq_members_text(lo, hi, out, None)] != members
                 or counts[:] != [bisect_right(odd, p) for p in points]
                 or text[:lib.isq_members_text(lo, hi, out, text)]
                 != "".join(f"{m}\n" for m in members).encode()):
@@ -175,7 +174,7 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     found: list[int] = []
     for start in range(lo, hi + 1, BLOCK):
         end = min(hi, start + BLOCK - 1)
-        found += out[:kernel.isq_members(start, end, out)]
+        found += out[:kernel.isq_members_text(start, end, out, None)]
     return found
 
 
@@ -249,14 +248,14 @@ def sieve_text_chunks(limit: int, workers: int = 1,
 
     The arguments and the checkpoint are checked (read, not written) and
     the kernel loaded at the call; sieving starts when the result is first
-    advanced.  Each chunk is written by one _members_text call, on
-    `workers` threads at most 2 * workers + 1 chunks ahead of the consumer:
-    those chunks are all the run holds.  Chunks come in order, on the
-    module's grid of DEFAULT_CHUNK integers.  The checkpoint's one record
-    "chunk_end count" is replaced only when the consumer resumes after
-    that chunk, so a recorded chunk was handed out in full.  A later run
-    resumes after it, at no cost per chunk skipped; a chunk handed out but
-    not recorded is produced again.
+    advanced.  Each chunk is written by one _members_text call, through
+    _chunk_loop at most 2 * workers + 1 chunks ahead of the consumer and
+    none with one worker: those chunks are all the run holds.  Chunks come
+    in order, on the module's grid of DEFAULT_CHUNK integers.  The
+    checkpoint's one record "chunk_end count" is replaced only when the
+    consumer resumes after that chunk, so a recorded chunk was handed out
+    in full.  A later run resumes after it, at no cost per chunk skipped;
+    a chunk handed out but not recorded is produced again.
     """
     _start(limit, workers)
     if checkpoint is None:
@@ -286,18 +285,22 @@ def _start(limit: int, workers: int) -> None:
 def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
                 workers: int) -> Iterator[tuple[int, T]]:
     """Yield (chunk_end, kernel(lo, chunk_end)) for chunks covering
-    [first, last], in order, run on `workers` threads at most
-    2 * workers + 1 chunks ahead of the consumer; a range within one chunk
-    runs in the calling thread.  A chunk's exception is raised in the
-    consumer.  On close the chunks not yet started are dropped and every
-    thread is joined.  Chunks keep the grid 1, 1 + DEFAULT_CHUNK, and so
-    on, with DEFAULT_CHUNK read when the loop starts; the first chunk
-    starts at `first`."""
-    size = DEFAULT_CHUNK
+    [first, last], in order, run on t = min(workers, chunks) threads at
+    most 2t + 1 chunks ahead of the consumer; with t = 1 each chunk runs in
+    the calling thread when the consumer asks for it, none ahead.  A
+    chunk's exception is raised in the consumer.  On close the chunks not
+    yet started are dropped and every thread is joined.  Chunks keep the
+    grid 1, 1 + DEFAULT_CHUNK, and so on, with DEFAULT_CHUNK read when the
+    loop starts; the first chunk starts at `first`."""
     if first > last:
         return
-    if (first - 1) // size == (last - 1) // size:
-        yield last, kernel(first, last)
+    size = DEFAULT_CHUNK
+    starts = range((first - 1) // size * size + 1, last + 1, size)
+    spans = ((max(lo, first), min(last, lo + size - 1)) for lo in starts)
+    workers = min(workers, len(starts))
+    if workers == 1:
+        for lo, hi in spans:
+            yield hi, kernel(lo, hi)
         return
     from queue import SimpleQueue
     from threading import Thread
@@ -314,7 +317,6 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
             except BaseException as exc:  # raised in the consumer
                 box.put((None, exc))
 
-    starts = iter(range((first - 1) // size * size + 1, last + 1, size))
     queued: deque = deque()
     # daemon: a chunk loop that is never closed cannot hold up exit
     threads = [Thread(target=work, daemon=True) for _ in range(workers)]
@@ -322,10 +324,9 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
         for thread in threads:
             thread.start()
         while True:
-            for lo in islice(starts, 2 * workers + 1 - len(queued)):
-                hi = min(last, lo + size - 1)
+            for lo, hi in islice(spans, 2 * workers + 1 - len(queued)):
                 box: SimpleQueue = SimpleQueue()
-                tasks.put((max(lo, first), hi, box))
+                tasks.put((lo, hi, box))
                 queued.append((hi, box))
             if not queued:
                 return

@@ -44,18 +44,20 @@ def check_record(cls: type, values: dict[str, object]) -> None:
     assert all(f"{field}=" in text for field in values)
 
 
-def short_text_kernel(monkeypatch) -> None:
-    """Make each load of the sieve kernel check a text entry point that
-    reports its text a byte shorter than written, the other entry points
-    left sound."""
+def short_kernel(monkeypatch, call: str) -> None:
+    """Make each load of the sieve kernel check an isq_members_text whose
+    one call, "text" (given a text buffer) or "list" (given None), reports
+    one byte or one member fewer than it wrote, its other call and the
+    other entry points left sound."""
     from isosquare import enumeration
     check = enumeration._check
 
-    def short_text(lib):
-        written = lib.isq_members_text
-        lib.isq_members_text = lambda *args: written(*args) - 1
+    def short(lib):
+        listed = lib.isq_members_text
+        lib.isq_members_text = lambda lo, hi, scratch, text: listed(
+            lo, hi, scratch, text) - ((text is None) == (call == "list"))
         check(lib)
-    monkeypatch.setattr(enumeration, "_check", short_text)
+    monkeypatch.setattr(enumeration, "_check", short)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from isosquare import analysis, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 from isosquare.membership import is_isosquare, weight_profile
 
-from conftest import oracle_is_member, oracle_members, short_text_kernel
+from conftest import oracle_is_member, oracle_members, short_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -757,7 +757,7 @@ class TestKernelBuild:
                 monkeypatch.setattr(enumeration, "is_isosquare",
                                     lambda m: not is_isosquare(m))
             else:
-                short_text_kernel(monkeypatch)
+                short_kernel(monkeypatch, fault)
             monkeypatch.chdir(tmp_path)
             code, out, err = run(capsys, *argv, "--workers", "2")
             assert (code, out) == (2, ""), fault
@@ -869,8 +869,9 @@ class TestProcessEntry:
     def test_sieve_command_ends_with_one_thread(self):
         # The grid's top point lies within the first chunk, so counting runs
         # in the calling thread and starts no thread.  The guarantee holds
-        # only for runs of one chunk: after more, the chunk loop's threads
-        # are joined but the OS may not yet have ended them at os._exit.
+        # only where the chunk loop starts no thread (one chunk or one
+        # worker): after a run on threads, they are joined but the OS may
+        # not yet have ended them at os._exit.
         script = (
             "import os, sys\n"
             "from isosquare import cli\n"

@@ -26,7 +26,7 @@ from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
 from isosquare.membership import is_isosquare
 
 from conftest import (check_record, oracle_is_member, oracle_members,
-                      short_text_kernel)
+                      short_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -194,11 +194,13 @@ def check_odd_counts(lo, hi, odd):
 
 
 class TestChunkLoop:
-    """_chunk_loop's contract, on 10 chunks of 10 integers: chunks come in
-    order, at most 2 * workers + 1 ahead of the consumer, a chunk's
-    exception reaches the consumer, and closing drops the chunks not yet
-    started and joins every thread.  Warnings are errors, so an exception
-    left unhandled in a thread fails the test."""
+    """_chunk_loop's contract, on chunks of 10 integers: chunks come in
+    order, on min(workers, chunks) threads at most 2 * workers + 1 ahead
+    of the consumer, or in the calling thread and none ahead where that
+    is one thread; a chunk's exception reaches the consumer, and closing
+    drops the chunks not yet started and joins every thread.  Warnings
+    are errors, so an exception left unhandled in a thread fails the
+    test."""
 
     @pytest.fixture(autouse=True)
     def ten_integer_chunks(self, monkeypatch):
@@ -240,13 +242,15 @@ class TestChunkLoop:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("taken", [1, 3])
     def test_no_kernel_call_past_the_lookahead(self, workers, taken):
-        # Holding chunk `taken`, the consumer has let 2 * workers more start.
+        # Holding chunk `taken`, the consumer has let 2 * workers more
+        # start, or none with one worker.
         before = threading.active_count()
         started = []
         chunks = enumeration._chunk_loop(
             lambda lo, hi: started.append(lo // 10), 1, 100, workers)
         list(islice(chunks, taken))
-        ahead = list(range(min(10, taken + 2 * workers)))
+        ahead = list(range(min(10, taken + (2 * workers if workers > 1
+                                             else 0))))
         deadline = time.monotonic() + 30
         while len(started) < len(ahead) and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -281,6 +285,28 @@ class TestChunkLoop:
         assert not opener.is_alive()
         assert set(range(taken)) <= set(started)
         assert set(started) <= set(range(taken + workers))
+        assert threading.active_count() == before
+
+    def test_one_worker_runs_in_the_calling_thread(self):
+        before, caller = threading.active_count(), threading.get_ident()
+        calls = []
+
+        def kernel(lo, hi):
+            calls.append((threading.get_ident(), threading.active_count()))
+
+        list(enumeration._chunk_loop(kernel, 1, 100, 1))
+        assert calls == [(caller, before)] * 10
+
+    def test_no_more_threads_than_chunks(self):
+        before, alive = threading.active_count(), []
+
+        def kernel(lo, hi):
+            alive.append(threading.active_count() - before)
+            return lo
+
+        for _ in enumeration._chunk_loop(kernel, 1, 20, 4):
+            alive.append(threading.active_count() - before)
+        assert len(alive) == 4 and max(alive) <= 2
         assert threading.active_count() == before
 
 
@@ -489,14 +515,15 @@ class TestKernel:
 
     def test_load_check_mismatch_raises(self, monkeypatch, unloaded_kernel):
         # Each load compares every entry point of the selected path with
-        # is_isosquare; told other answers, or given text a byte short
-        # from the text entry point alone, it refuses the kernel.
-        for fault in ("answers", "text"):
+        # is_isosquare; told other answers, or given a byte of text or a
+        # member of the list-only call short from the listing entry point
+        # alone, it refuses the kernel.
+        for fault in ("answers", "text", "list"):
             if fault == "answers":
                 monkeypatch.setattr(enumeration, "is_isosquare",
                                     lambda m: not is_isosquare(m))
             else:
-                short_text_kernel(monkeypatch)
+                short_kernel(monkeypatch, fault)
             for _ in range(2):  # a refused kernel is not cached
                 with pytest.raises(OSError, match=re.escape(
                         "path disagrees with is_isosquare on "
@@ -750,7 +777,7 @@ class TestCheckpoint:
         assert path.read_bytes() == recorded
 
 
-class TestOddParts:
+class TestResumeKernelCalls:
     """A resumed run writes each chunk's text with one kernel call, from
     the record on, whatever the resume point."""
 
