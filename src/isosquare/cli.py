@@ -23,6 +23,10 @@ if TYPE_CHECKING:
 
 DEFAULT_FIT_WINDOW = 10  # fit uses grid points with n >= limit / this
 
+# Chains whose records construct writes at once; each write is a syscall
+# on an unbuffered stdout (256 chains of --family 4001 are about 150 KB).
+_CHAINS_PER_WRITE = 256
+
 # A stage record per format.  Labels and rules are lowercase words and the
 # value is a decimal string, so no JSON field needs escaping.
 _RECORDS = {
@@ -140,13 +144,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_trace(trace: ConstructionTrace, fmt: str) -> None:
-    """Write the chain's stage records, one line each, in one write."""
+def _emit_traces(traces: list[ConstructionTrace], fmt: str) -> None:
+    """Write the chains' stage records, one line each, in one write."""
     record = _RECORDS[fmt]
     sys.stdout.write("".join([
         record % (s.label, s.value, s.value.bit_length(), s.value.bit_count(),
                   (s.value * s.value).bit_count(), s.rule)
-        for s in trace.stages]))
+        for trace in traces for s in trace.stages]))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -155,8 +159,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         traces = [constructions.construct_one(args.seed)]
     else:
         traces = constructions.family_traces(args.family)
-    for trace in traces:
-        _emit_trace(trace, args.format)
+    for i in range(0, len(traces), _CHAINS_PER_WRITE):
+        _emit_traces(traces[i:i + _CHAINS_PER_WRITE], args.format)
     return 0
 
 

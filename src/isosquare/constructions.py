@@ -7,6 +7,10 @@ The chain seed -> inflate -> normalize_defect -> finalize_member turns
 an arbitrary non-power-of-two seed into a verified member whose leading
 bits are those of the seed, which is what makes families of pairwise
 distinct members cheap to build.
+
+Every check is an if statement that raises, never an assert, so it
+stays on under `python -O`; a message is formatted only when its check
+fails, and a postcondition's message names no large value.
 """
 
 from __future__ import annotations
@@ -20,18 +24,6 @@ from .membership import is_isosquare
 
 class PostconditionError(AssertionError):
     """A constructor's weight identity failed: internal inconsistency."""
-
-
-def _require(cond: bool, msg: str, *args: object) -> None:
-    if not cond:  # the message is formatted only on failure
-        raise ValueError(msg.format(*args))
-
-
-def _ensure(cond: bool, msg: str, *args: object) -> None:
-    # Postconditions stay on in optimized runs; they are the executable
-    # content of the weight identities.  Messages name no large value.
-    if not cond:
-        raise PostconditionError(msg.format(*args))
 
 
 class ConstructionStage(NamedTuple):
@@ -54,11 +46,14 @@ class ConstructionTrace(_Stages):
     def __new__(cls, stages: tuple[ConstructionStage, ...]
                 ) -> ConstructionTrace:
         self = super().__new__(cls, stages)
-        _ensure(self.stages != (), "trace must have at least one stage")
+        if self.stages == ():
+            raise PostconditionError("trace must have at least one stage")
         values = [s.value for s in self.stages]
-        _ensure(all(a < b for a, b in zip(values, values[1:])),
+        if not all(a < b for a, b in zip(values, values[1:])):
+            raise PostconditionError(
                 "stage values must be strictly increasing")
-        _ensure(is_isosquare(self.final), "final stage is not a member")
+        if not is_isosquare(self.final):
+            raise PostconditionError("final stage is not a member")
         return self
 
     @classmethod
@@ -74,28 +69,34 @@ class ConstructionTrace(_Stages):
 
 def mersenne_member(k: int) -> int:
     """2^k - 1, always a member for k >= 2; k = 1 is accepted with a warning."""
-    _require(k >= 1, "k must be >= 1, got {}", k)
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         warnings.warn("k=1 gives n=1, a trivial member outside the k>1 family",
                       stacklevel=2)
     n = (1 << k) - 1
-    _ensure(is_isosquare(n), "2^{}-1 not a member", k)
-    _ensure((n * n).bit_count() == k, "B((2^{0}-1)^2) != {0}", k)
+    if not is_isosquare(n):
+        raise PostconditionError(f"2^{k}-1 not a member")
+    if not (n * n).bit_count() == k:
+        raise PostconditionError(f"B((2^{k}-1)^2) != {k}")
     return n
 
 
 def four_tuple(k: int) -> int:
     """Start n = 2^k - 2^(k-2) - 2^(k-3) - 4 of a run n..n+3 of members (k >= 9)."""
-    _require(k >= 9, "k must be >= 9, got {}", k)
+    if not k >= 9:
+        raise ValueError(f"k must be >= 9, got {k}")
     n = (1 << k) - (1 << (k - 2)) - (1 << (k - 3)) - 4
     for j in range(4):
-        _ensure(is_isosquare(n + j), "start + {} is not a member", j)
+        if not is_isosquare(n + j):
+            raise PostconditionError(f"start + {j} is not a member")
     return n
 
 
 def gap_interval(k: int) -> tuple[int, int]:
     """Endpoints (2^2k, 2^2k + 2^k) of an open interval free of members."""
-    _require(k >= 1, "k must be >= 1, got {}", k)
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n = 1 << (2 * k)
     return n, n + (1 << k)
 
@@ -106,27 +107,34 @@ def gap_weight_identity(k: int, r: int) -> bool:
     This is the identity behind the gap interval: it forces
     B(m^2) > B(m), so no interior point can be a member.
     """
-    _require(0 < r < (1 << k), "need 0 < r < 2^{}, got {}", k, r)
+    if not 0 < r < (1 << k):
+        raise ValueError(f"need 0 < r < 2^{k}, got {r}")
     m = (1 << (2 * k)) + r
     return (m * m).bit_count() == 1 + r.bit_count() + (r * r).bit_count()
 
 
 def near_power_witness(m: int) -> int:
     """Member 2^(2m+1) + 2^(m+2) - 1 just above the power 2^(2m+1), m >= 3."""
-    _require(m >= 3, "m must be >= 3, got {}", m)
+    if not m >= 3:
+        raise ValueError(f"m must be >= 3, got {m}")
     n = (1 << (2 * m + 1)) + (1 << (m + 2)) - 1
-    _ensure(is_isosquare(n), "witness 2^(2m+1) + 2^(m+2) - 1 is not a member")
-    _ensure(n <= (1 << (2 * m + 1)) + 4 * isqrt(1 << (2 * m + 1)) + 4,
-            "witness exceeds the stated window")
+    if not is_isosquare(n):
+        raise PostconditionError(
+            "witness 2^(2m+1) + 2^(m+2) - 1 is not a member")
+    if not n <= (1 << (2 * m + 1)) + 4 * isqrt(1 << (2 * m + 1)) + 4:
+        raise PostconditionError("witness exceeds the stated window")
     return n
 
 
 def mult_mersenne(n: int, nu: int) -> int:
     """n * (2^nu - 1) for 1 <= n < 2^nu; the product has weight exactly nu."""
-    _require(n >= 1, "n must be >= 1, got {}", n)
-    _require(n < (1 << nu), "need n < 2^{}, got {}", nu, n)
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not n < (1 << nu):
+        raise ValueError(f"need n < 2^{nu}, got {n}")
     r = n * ((1 << nu) - 1)
-    _ensure(r.bit_count() == nu, "B(n*(2^nu-1)) != nu")
+    if not r.bit_count() == nu:
+        raise PostconditionError("B(n*(2^nu-1)) != nu")
     return r
 
 
@@ -136,13 +144,15 @@ def affix_one(n: int, nu: int) -> int:
     Appends nu-1 zeros and a one below n, so the weight grows by 1 and
     the square weight by B(n) + 1.
     """
-    _require(n >= 1, "n must be >= 1, got {}", n)
-    _require(nu >= 2 and n < (1 << (nu - 1)), "need n < 2^({}-1), got n={}",
-             nu, n)
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (nu >= 2 and n < (1 << (nu - 1))):
+        raise ValueError(f"need n < 2^({nu}-1), got n={n}")
     r = (n << nu) + 1
-    _ensure(r.bit_count() == n.bit_count() + 1, "weight identity failed")
-    _ensure((r * r).bit_count() == (n * n).bit_count() + n.bit_count() + 1,
-            "square weight identity failed")
+    if not r.bit_count() == n.bit_count() + 1:
+        raise PostconditionError("weight identity failed")
+    if not (r * r).bit_count() == (n * n).bit_count() + n.bit_count() + 1:
+        raise PostconditionError("square weight identity failed")
     return r
 
 
@@ -154,17 +164,20 @@ def subtract_compose(n: int, m: int, nu: int) -> int:
         B(result)   = B(n) - B(m) + nu
         B(result^2) = B(n^2) + B(m^2) - B(m n) + nu - 1
     """
-    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
-    _require(m >= 1 and m % 2 == 1, "m must be odd positive, got {}", m)
+    if not (n >= 1 and n % 2 == 1):
+        raise ValueError(f"n must be odd positive, got {n}")
+    if not (m >= 1 and m % 2 == 1):
+        raise ValueError(f"m must be odd positive, got {m}")
     k, h = n.bit_length(), m.bit_length()
     bound = max(2 * h - 1, h + k + 1)
-    _require(nu >= bound, "need nu >= {}, got {}", bound, nu)
+    if not nu >= bound:
+        raise ValueError(f"need nu >= {bound}, got {nu}")
     r = (n << nu) - m
-    _ensure(r.bit_count() == n.bit_count() - m.bit_count() + nu,
-            "weight identity failed")
-    _ensure((r * r).bit_count() == (n * n).bit_count() + (m * m).bit_count()
-            - (m * n).bit_count() + nu - 1,
-            "square weight identity failed")
+    if not r.bit_count() == n.bit_count() - m.bit_count() + nu:
+        raise PostconditionError("weight identity failed")
+    if not (r * r).bit_count() == ((n * n).bit_count() + (m * m).bit_count()
+                                   - (m * n).bit_count() + nu - 1):
+        raise PostconditionError("square weight identity failed")
     return r
 
 
@@ -173,12 +186,14 @@ def finalize_member(n: int, nu: int) -> int:
 
     The result is always a member; this is the last link of the chain.
     """
-    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
+    if not (n >= 1 and n % 2 == 1):
+        raise ValueError(f"n must be odd positive, got {n}")
     w, sw = n.bit_count(), (n * n).bit_count()
-    _require(sw == 2 * w - 1,
-             "need B(n^2) = 2B(n)-1, got B={}, square B={}", w, sw)
+    if not sw == 2 * w - 1:
+        raise ValueError(f"need B(n^2) = 2B(n)-1, got B={w}, square B={sw}")
     r = subtract_compose(n, 1, nu)
-    _ensure(is_isosquare(r), "2^nu * n - 1 is not a member")
+    if not is_isosquare(r):
+        raise PostconditionError("2^nu * n - 1 is not a member")
     return r
 
 
@@ -189,13 +204,17 @@ def subtract_mersenne(n: int, h: int, nu: int) -> int:
         B(result)   = B(n) + nu - h
         B(result^2) = B(n^2) + nu - 1
     """
-    _require(n >= 1 and n % 2 == 1, "n must be odd positive, got {}", n)
-    _require(n < (1 << h) - 1, "need n < 2^{}-1, got {}", h, n)
-    _require(nu >= 2 * h + 1, "need nu >= {}, got {}", 2 * h + 1, nu)
+    if not (n >= 1 and n % 2 == 1):
+        raise ValueError(f"n must be odd positive, got {n}")
+    if not n < (1 << h) - 1:
+        raise ValueError(f"need n < 2^{h}-1, got {n}")
+    if not nu >= 2 * h + 1:
+        raise ValueError(f"need nu >= {2 * h + 1}, got {nu}")
     r = (n << nu) - ((1 << h) - 1)
-    _ensure(r.bit_count() == n.bit_count() + nu - h, "weight identity failed")
-    _ensure((r * r).bit_count() == (n * n).bit_count() + nu - 1,
-            "square weight identity failed")
+    if not r.bit_count() == n.bit_count() + nu - h:
+        raise PostconditionError("weight identity failed")
+    if not (r * r).bit_count() == (n * n).bit_count() + nu - 1:
+        raise PostconditionError("square weight identity failed")
     return r
 
 
@@ -206,17 +225,19 @@ def normalize_defect(n: int) -> int:
     choice that makes B(n'^2) = 2B(n') - 1 for n' = n*2^nu - (2^h - 1).
     Also guarantees n' < n * 2^(4k+2).
     """
-    _require(n > 1 and n % 2 == 1, "n must be odd and > 1, got {}", n)
+    if not (n > 1 and n % 2 == 1):
+        raise ValueError(f"n must be odd and > 1, got {n}")
     k = n.bit_length()
     w, sw = n.bit_count(), (n * n).bit_count()
-    _require(sw >= 2 * w + 1,
-             "need defect >= +1, got {} for n={}", sw - 2 * w, n)
+    if not sw >= 2 * w + 1:
+        raise ValueError(f"need defect >= +1, got {sw - 2 * w} for n={n}")
     h = k + 1
     nu = sw - 2 * w + 2 * h
     r = subtract_mersenne(n, h, nu)
-    _ensure((r * r).bit_count() == 2 * r.bit_count() - 1,
-            "normalized defect is not -1")
-    _ensure(nu < 4 * k + 2, "shift bound nu < 4k+2 violated")
+    if not (r * r).bit_count() == 2 * r.bit_count() - 1:
+        raise PostconditionError("normalized defect is not -1")
+    if not nu < 4 * k + 2:
+        raise PostconditionError("shift bound nu < 4k+2 violated")
     return r
 
 
@@ -228,12 +249,14 @@ def inflate(n: int) -> int:
     B(n^2) - 1, which is >= +1 whenever n is not a power of two.
     The result is odd and smaller than n^4 up to a constant.
     """
-    _require(n > 1, "n must be > 1, got {}", n)
+    if not n > 1:
+        raise ValueError(f"n must be > 1, got {n}")
     k = n.bit_length()
     r = affix_one(affix_one(n, k + 1), 2 * k + 2)
-    _ensure(r.bit_count() == n.bit_count() + 2, "weight identity failed")
-    _ensure((r * r).bit_count() == (n * n).bit_count() + 2 * n.bit_count() + 3,
-            "square weight identity failed")
+    if not r.bit_count() == n.bit_count() + 2:
+        raise PostconditionError("weight identity failed")
+    if not (r * r).bit_count() == (n * n).bit_count() + 2 * n.bit_count() + 3:
+        raise PostconditionError("square weight identity failed")
     return r
 
 
@@ -244,15 +267,16 @@ def construct_one(seed: int) -> ConstructionTrace:
     (inflate always emits an odd value).  The top bitlen(seed) bits of
     every stage equal the seed, so distinct seeds give distinct finals.
     """
-    _require(seed > 1, "seed must be > 1, got {}", seed)
-    _require(seed & (seed - 1) != 0,
-             "seed must not be a power of two, got {}", seed)
+    if not seed > 1:
+        raise ValueError(f"seed must be > 1, got {seed}")
+    if seed & (seed - 1) == 0:
+        raise ValueError(f"seed must not be a power of two, got {seed}")
     inflated = inflate(seed)
     normalized = normalize_defect(inflated)
     final = finalize_member(normalized, normalized.bit_length() + 2)
     sb = seed.bit_length()
-    _ensure(final >> (final.bit_length() - sb) == seed,
-            "leading seed bits not preserved")
+    if not final >> (final.bit_length() - sb) == seed:
+        raise PostconditionError("leading seed bits not preserved")
     return ConstructionTrace(stages=(
         ConstructionStage("seed", seed, "seed"),
         ConstructionStage("inflate", inflated, "double-affix-one"),
@@ -268,11 +292,13 @@ def family_traces(n: int) -> list[ConstructionTrace]:
     so none is a power of two and no fallback seed is ever needed.
     Results are ordered by seed.
     """
-    _require(n > 1 and n % 2 == 1, "n must be odd and > 1, got {}", n)
+    if not (n > 1 and n % 2 == 1):
+        raise ValueError(f"n must be odd and > 1, got {n}")
     k = n.bit_length()
     traces = [construct_one((1 << k) + i) for i in range(1, n + 1)]
     finals = [t.final for t in traces]
-    _ensure(len(set(finals)) == n, "family members are not pairwise distinct")
+    if not len(set(finals)) == n:
+        raise PostconditionError("family members are not pairwise distinct")
     return traces
 
 

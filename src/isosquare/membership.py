@@ -96,5 +96,5 @@ def weight_profile(n: int) -> WeightProfile:
         raise ValueError(f"n must be positive, got {n}")
     w = n.bit_count()
     sw = (n * n).bit_count()
-    return WeightProfile(weight=w, square_weight=sw, defect=sw - 2 * w)
+    return WeightProfile(w, sw, sw - 2 * w)
 

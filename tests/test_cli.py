@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from isosquare import analysis, constructions, enumeration
+from isosquare import analysis, cli, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 from isosquare.membership import is_isosquare, weight_profile
 
@@ -521,11 +521,18 @@ class TestConstruct:
 
     @pytest.mark.parametrize("fmt", ["plain", "json-lines"])
     def test_one_write_per_chain(self, monkeypatch, fmt):
+        # one write per block of chains, each write holding whole chains
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["construct", "--family", "41", "--format", fmt]) == 0
-        assert out.writes == 41
+        assert out.writes == 1
         assert out.getvalue().count("\n") == 4 * 41
+        writes = []
+        monkeypatch.setattr(cli, "_CHAINS_PER_WRITE", 10)
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(["construct", "--family", "41", "--format", fmt]) == 0
+        assert [text.count("\n") for text in writes] == [40, 40, 40, 40, 4]
+        assert "".join(writes) == out.getvalue()
 
     @pytest.mark.parametrize("option, value", [("--family", "41"),
                                                ("--seed", "10^300")])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -387,3 +388,72 @@ class TestTraceValidation:
                        for i, v in enumerate(values))
         with pytest.raises(PostconditionError, match="strictly increasing"):
             ConstructionTrace(stages)
+
+
+ARGUMENT_ERRORS = [
+    ("mersenne_member", (0,), "k must be >= 1, got 0"),
+    ("four_tuple", (8,), "k must be >= 9, got 8"),
+    ("gap_interval", (0,), "k must be >= 1, got 0"),
+    ("gap_weight_identity", (3, 8), "need 0 < r < 2^3, got 8"),
+    ("near_power_witness", (2,), "m must be >= 3, got 2"),
+    ("mult_mersenne", (8, 3), "need n < 2^3, got 8"),
+    ("affix_one", (4, 3), "need n < 2^(3-1), got n=4"),
+    ("subtract_compose", (5, 3, 5), "need nu >= 6, got 5"),
+    ("finalize_member", (7, 10),
+     "need B(n^2) = 2B(n)-1, got B=3, square B=3"),
+    ("subtract_mersenne", (7, 3, 20), "need n < 2^3-1, got 7"),
+    ("normalize_defect", (45,), "need defect >= +1, got 0 for n=45"),
+    ("inflate", (1,), "n must be > 1, got 1"),
+    ("construct_one", (4,), "seed must not be a power of two, got 4"),
+    ("family_traces", (10,), "n must be odd and > 1, got 10"),
+    ("construct_family", (10,), "n must be odd and > 1, got 10"),
+]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("name, args, message", ARGUMENT_ERRORS,
+                             ids=[name for name, _, _ in ARGUMENT_ERRORS])
+    def test_message(self, name, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(cons, name)(*args)
+
+
+class TestPostconditionsFire:
+    """Each check still raises once a module-level name it relies on is
+    replaced by a faulty one."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cons.mersenne_member(5), "2^5-1 not a member"),
+        (lambda: cons.four_tuple(9), "start + 0 is not a member"),
+        (lambda: cons.near_power_witness(3),
+         "witness 2^(2m+1) + 2^(m+2) - 1 is not a member"),
+        (lambda: cons.finalize_member(5, 5), "2^nu * n - 1 is not a member"),
+        (lambda: ConstructionTrace((ConstructionStage("seed", 3, "seed"),)),
+         "final stage is not a member"),
+    ], ids=["mersenne_member", "four_tuple", "near_power_witness",
+            "finalize_member", "trace"])
+    def test_is_isosquare_false(self, monkeypatch, call, message):
+        monkeypatch.setattr(cons, "is_isosquare", lambda n: False)
+        with pytest.raises(PostconditionError,
+                           match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("name, fake, call, message", [
+        # 75 has defect +1
+        ("subtract_mersenne", lambda n, h, nu: 75,
+         lambda: cons.normalize_defect(75), "normalized defect is not -1"),
+        # 2^40 - 1 is a member whose top bits are 111, not those of 5
+        ("finalize_member", lambda n, nu: (1 << 40) - 1,
+         lambda: cons.construct_one(5), "leading seed bits not preserved"),
+        # one trace for every seed, built before construct_one is replaced
+        ("construct_one", lambda seed, trace=cons.construct_one(5): trace,
+         lambda: cons.family_traces(5),
+         "family members are not pairwise distinct"),
+        ("affix_one", lambda n, nu: 3,
+         lambda: cons.inflate(5), "weight identity failed"),
+    ], ids=["normalize_defect", "construct_one", "family_traces", "inflate"])
+    def test_faulty_link(self, monkeypatch, name, fake, call, message):
+        monkeypatch.setattr(cons, name, fake)
+        with pytest.raises(PostconditionError,
+                           match=f"^{re.escape(message)}$"):
+            call()

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -80,3 +81,13 @@ def test_kernel_source_is_package_data():
         data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
     assert "_sieve.c" in data["isosquare"]
     assert (SRC / "isosquare" / "_sieve.c").is_file()
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # vanish from optimized runs; every check raises explicitly instead.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "isosquare").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
