@@ -4,7 +4,8 @@
    It has two paths.  The scalar loops test one m at a time; on x86-64 the
    loader picks the POPCNT build of each entry point where the CPU has that
    instruction.  The vector loops (x86-64 with AVX-512F and VPOPCNTDQ) test
-   8 at a time and leave the last fewer than 8 to the scalar loops.
+   16 at a time below 2^32 and 8 at a time above, and leave the last fewer
+   than 8 to the scalar loops.
    isq_select picks the path once, before any scan runs; the loader then
    checks every entry point against is_isosquare. */
 #include <stddef.h>
@@ -41,33 +42,49 @@ static inline size_t scan(uint64_t *next, uint64_t end, uint64_t step,
 #define HAS_VECTOR (__builtin_cpu_supports("avx512f") \
                     && __builtin_cpu_supports("avx512vpopcntdq"))
 
-/* scan while 8 integers m, ..., m + 7 * step are left, one in each lane:
-   writes the members to out unless it is NULL, leaves *next at the first
-   m not tested and returns how many members there are.  Below 2^32 one
-   32 x 32-bit multiply squares m.  Above, with m = a * 2^32 + b, m^2 =
-   a^2 * 2^64 + ab * 2^33 + b^2, where a < 2^31 keeps 2ab below 2^64:
-   the low word b^2 + (ab << 33) carries at most 1 into the high word
-   a^2 + (ab >> 31). */
+/* scan while 16 integers m, ..., m + 15 * step below 2^32 are left, then
+   while 8 are left, one in each lane: writes the members to out unless it
+   is NULL, leaves *next at the first m not tested and returns how many
+   members there are.  Below 2^32 m fills a 32-bit lane: one 32 x 32-bit
+   multiply squares the even lanes, another the odd ones shifted down, and
+   the weights of both squares go back to their lanes, so that one compare
+   tests 16 integers.  Members are sparse, so a vector that holds any
+   stores them lane by lane, with no compress-store.  The 8-lane loop
+   takes the rest, at any m: with m = a * 2^32 + b, m^2 = a^2 * 2^64 +
+   ab * 2^33 + b^2, where a < 2^31 keeps 2ab below 2^64: the low word
+   b^2 + (ab << 33) carries at most 1 into the high word a^2 + (ab >> 31). */
 VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
                            int64_t *out)
 {
     size_t found = 0;
     uint64_t m = *next;
+    __m512i u = _mm512_add_epi32(
+        _mm512_set1_epi32((int)m),
+        _mm512_mullo_epi32(_mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8,
+                                            7, 6, 5, 4, 3, 2, 1, 0),
+                           _mm512_set1_epi32((int)step)));
+    const __m512i stride16 = _mm512_set1_epi32((int)(16 * step));
+    for (; m + 15 * step <= end && (m + 15 * step) >> 32 == 0;
+         m += 16 * step) {
+        __m512i odd = _mm512_srli_epi64(u, 32);
+        odd = _mm512_popcnt_epi64(_mm512_mul_epu32(odd, odd));
+        unsigned member = _mm512_cmpeq_epi32_mask(
+            _mm512_popcnt_epi32(u),
+            _mm512_or_si512(_mm512_popcnt_epi64(_mm512_mul_epu32(u, u)),
+                            _mm512_slli_epi64(odd, 32)));
+        if (out)  /* most vectors hold no member, the rest few */
+            for (unsigned hit = member, i = 0; hit; hit &= hit - 1)
+                out[found + i++] = (int64_t)(m + step * (unsigned)
+                                             __builtin_ctz(hit));
+        found += W(member);
+        u = _mm512_add_epi32(u, stride16);
+    }
     __m512i v = _mm512_add_epi64(
         _mm512_set1_epi64((int64_t)m),
         _mm512_mul_epu32(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
                          _mm512_set1_epi64((int64_t)step)));
     const __m512i stride = _mm512_set1_epi64((int64_t)(8 * step));
     __mmask8 member;
-    for (; m + 7 * step <= end && (m + 7 * step) >> 32 == 0; m += 8 * step) {
-        member = _mm512_cmpeq_epi64_mask(
-            _mm512_popcnt_epi64(v),
-            _mm512_popcnt_epi64(_mm512_mul_epu32(v, v)));
-        if (out && member)  /* most vectors hold none; skip the slow store */
-            _mm512_mask_compressstoreu_epi64(out + found, member, v);
-        found += W(member);
-        v = _mm512_add_epi64(v, stride);
-    }
     for (; m + 7 * step <= end; m += 8 * step) {
         __m512i a = _mm512_srli_epi64(v, 32);
         __m512i b2 = _mm512_mul_epu32(v, v), ab = _mm512_mul_epu32(a, v);

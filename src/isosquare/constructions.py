@@ -45,6 +45,16 @@ class ConstructionTrace(_Stages):
 
     def __new__(cls, stages: tuple[ConstructionStage, ...]
                 ) -> ConstructionTrace:
+        self = cls._of_member(stages)
+        if not is_isosquare(self.final):
+            raise PostconditionError("final stage is not a member")
+        return self
+
+    @classmethod
+    def _of_member(cls, stages: tuple[ConstructionStage, ...]
+                   ) -> ConstructionTrace:
+        """The trace, with every check but the final's membership, for a
+        caller that has just tested it."""
         self = super().__new__(cls, stages)
         if self.stages == ():
             raise PostconditionError("trace must have at least one stage")
@@ -52,8 +62,6 @@ class ConstructionTrace(_Stages):
         if not all(a < b for a, b in zip(values, values[1:])):
             raise PostconditionError(
                 "stage values must be strictly increasing")
-        if not is_isosquare(self.final):
-            raise PostconditionError("final stage is not a member")
         return self
 
     @classmethod
@@ -266,6 +274,8 @@ def construct_one(seed: int) -> ConstructionTrace:
     Any seed > 1 that is not a power of two works, even seeds included
     (inflate always emits an odd value).  The top bitlen(seed) bits of
     every stage equal the seed, so distinct seeds give distinct finals.
+    finalize_member tests the final's membership, so the trace does not
+    test it again.
     """
     if not seed > 1:
         raise ValueError(f"seed must be > 1, got {seed}")
@@ -277,7 +287,7 @@ def construct_one(seed: int) -> ConstructionTrace:
     sb = seed.bit_length()
     if not final >> (final.bit_length() - sb) == seed:
         raise PostconditionError("leading seed bits not preserved")
-    return ConstructionTrace(stages=(
+    return ConstructionTrace._of_member((
         ConstructionStage("seed", seed, "seed"),
         ConstructionStage("inflate", inflated, "double-affix-one"),
         ConstructionStage("normalize", normalized, "mersenne-subtract"),

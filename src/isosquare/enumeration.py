@@ -3,19 +3,20 @@
 The C kernel _sieve.c is compiled on the first kernel call, cached in the
 package's __pycache__ and called through ctypes, which releases the GIL;
 importing this module loads no ctypes.  The kernel has a scalar path and,
-on x86-64 CPUs with AVX-512 VPOPCNTDQ, a vector path that tests 8
-integers at a time.  Loading it selects the path once, through its
-isq_select, before any sieve thread starts, then checks every entry point
-against is_isosquare on windows at the kernel's range boundaries and
-raises OSError on any mismatch.  A chunk loop runs a kernel over chunks
-on min(workers, chunks) threads, or in the calling thread where that is
-one, and hands the results out in order, so output is the same for any
-worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
-1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
-chunk and hands out its members one by one (sieve) or as the decimal
-text the kernel writes (sieve_text_chunks, the one producer that keeps a
-checkpoint); counting tests only the odd ones, since m is a member iff
-2m is.
+on x86-64 CPUs with AVX-512 VPOPCNTDQ, a vector path that tests 16
+integers at a time below 2^32 and 8 above.  Loading it selects the path
+once, through its isq_select, before any sieve thread starts, then checks
+every entry point against is_isosquare on windows at the kernel's range
+boundaries and raises OSError on any mismatch.  Each thread that lists
+members keeps its kernel buffers from its first call to its end.  A
+chunk loop runs a kernel over chunks on min(workers, chunks) threads, or
+in the calling thread where that is one, and hands the results out in
+order, so output is the same for any worker count.  Chunks lie on one
+grid, 1, 1 + DEFAULT_CHUNK, 1 + 2 * DEFAULT_CHUNK and so on.  The sieve
+tests every integer of each chunk and hands out its members one by one
+(sieve) or as the decimal text the kernel writes (sieve_text_chunks, the
+one producer that keeps a checkpoint); counting tests only the odd ones,
+since m is a member iff 2m is.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from collections import deque
 from contextlib import ExitStack, closing
 from functools import cache
 from itertools import islice
-from threading import Lock
+from threading import Lock, local
 from typing import (TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence,
                     TypeVar)
 
 from .membership import is_isosquare
 
 if TYPE_CHECKING:
-    from ctypes import CDLL
+    from ctypes import CDLL, Array, c_char, c_int64
 
 TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
@@ -44,9 +45,12 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
 _BUILD = Lock()  # one thread at a time loads the kernel
 # Windows on which each load checks the selected path against is_isosquare:
-# one straddles 2^32, where m^2 outgrows a uint64, and one ends at 2^63 - 1;
-# at step 1 and 2 each leaves a tail of fewer than 8 to the scalar loops.
-_CHECKED = ((2**32 - 45, 2**32 + 44), (TOP - 90, TOP - 1))
+# one straddles 2^32, where m^2 outgrows a uint64 and the 16-lane loop
+# hands over to the 8-lane one, one from 1, where most vectors hold several
+# members to store lane by lane, and one ends at 2^63 - 1; at step 1 and 2
+# each leaves a tail of fewer than 8 to the scalar loops.
+_CHECKED = ((2**32 - 45, 2**32 + 44), (1, 100), (TOP - 90, TOP - 1))
+_BUFFERS = local()  # each thread's isq_members_text buffers (_buffers)
 
 T = TypeVar("T")
 
@@ -168,9 +172,8 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     Each kernel call tests BLOCK of them."""
     _require_positive(lo=lo)
     _require_below_top("hi", hi)
-    from ctypes import c_int64
     kernel = _kernel()
-    out = (c_int64 * BLOCK)()
+    out = _buffers()[0]
     found: list[int] = []
     for start in range(lo, hi + 1, BLOCK):
         end = min(hi, start + BLOCK - 1)
@@ -182,15 +185,26 @@ def _members_text(lo: int, hi: int) -> str:
     """members_in_range(lo, hi) as decimal text, one member a line, with
     its arguments taken as valid.  Each kernel call writes the lines of
     BLOCK integers."""
-    from ctypes import c_int64, create_string_buffer
     kernel = _kernel()
-    scratch = (c_int64 * BLOCK)()
-    text = create_string_buffer(LINE * BLOCK)
+    scratch, text = _buffers()
     found = bytearray()
     for start in range(lo, hi + 1, BLOCK):
         end = min(hi, start + BLOCK - 1)
         found += text[:kernel.isq_members_text(start, end, scratch, text)]
     return found.decode("ascii")
+
+
+def _buffers() -> tuple[Array[c_int64], Array[c_char]]:
+    """This thread's buffers for isq_members_text, a member list of BLOCK
+    entries and a text of LINE * BLOCK bytes: made on the thread's first
+    call, then kept until the thread ends."""
+    try:
+        return _BUFFERS.pair
+    except AttributeError:
+        from ctypes import c_int64, create_string_buffer
+        _BUFFERS.pair = ((c_int64 * BLOCK)(),
+                         create_string_buffer(LINE * BLOCK))
+        return _BUFFERS.pair
 
 
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:

@@ -353,6 +353,17 @@ class TestConstructFamily:
         seeds = [t.stages[0].value for t in traces]
         assert seeds == [9, 10, 11, 12, 13]
 
+    def test_one_membership_test_per_chain(self, monkeypatch):
+        # finalize_member tests each final; the trace does not test it again
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return is_isosquare(n)
+        monkeypatch.setattr(cons, "is_isosquare", counted)
+        traces = cons.family_traces(41)
+        assert tested == [t.final for t in traces]
+
 
 class TestRecords:
     def test_stage(self):

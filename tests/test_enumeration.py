@@ -376,14 +376,15 @@ class TestBlockKernel:
     def test_matches_oracle(self, kernel_paths, lo, hi):
         self.check(kernel_paths, lo, hi, list(range(lo - 1, hi + 1)))
 
-    # The vector loops take 8 integers at a time and leave the rest to the
-    # scalar ones: windows of every length up to 17 (at step 1 and 2) that
-    # start at 1 or end at, or start at, a block end, a chunk end, the last
-    # integer whose square fits a uint64, 2^32, 2^40 and 2^63 - 1.
+    # The vector loops take 16 integers at a time below 2^32 and 8 from
+    # there on, and leave the rest to the scalar ones: windows of every
+    # length up to 33 (two 16-lane vectors and one more integer at step 2)
+    # that start at 1 or end at, or start at, a block end, a chunk end, the
+    # last integer whose square fits a uint64, 2^32, 2^40 and 2^63 - 1.
     @pytest.mark.parametrize("p", [1, 2 * BLOCK, DEFAULT_CHUNK, (1 << 32) - 1,
                                    1 << 32, 1 << 40, (1 << 63) - 1])
     def test_every_tail_length(self, kernel_paths, p):
-        for length in range(18):
+        for length in range(34):
             for lo in {p, p - length + 1}:
                 hi = lo + length - 1
                 if lo >= 1 and hi < 1 << 63:
@@ -417,6 +418,80 @@ class TestBlockKernel:
         hi = min(lo + width - 1, (1 << 63) - 1)
         self.check(kernel_paths, lo, hi, [lo - 1, (lo + hi) // 2, hi],
                    member=is_isosquare)
+
+
+class TestPathsAgree:
+    """The scalar and vector paths on windows of 2^20 integers below 2^32,
+    where the 16-lane loop does nearly all the vector path's work."""
+
+    SIZE = 1 << 20
+    # from 1, ending at 2^32 - 1 and from a seeded offset
+    STARTS = [1, (1 << 32) - SIZE,
+              random.Random(2004).randrange(1, (1 << 32) - SIZE)]
+
+    @pytest.mark.parametrize("lo", STARTS)
+    def test_same_list_text_and_odd_counts(self, kernel_paths, lo):
+        hi = lo + self.SIZE - 1
+        rng = random.Random(lo)
+        points = sorted(rng.sample(range(lo - 1, hi + 1), 200))
+        results = {path: (members_in_range(lo, hi),
+                          enumeration._members_text(lo, hi),
+                          odd_counts_in_range(lo, hi, points))
+                   for path in kernel_paths()}
+        members, lines, counts = results.pop("scalar")
+        for path, result in results.items():
+            assert result == (members, lines, counts), path
+        assert lines == text(members)
+        odd = [m for m in members if m % 2]
+        assert counts == [bisect_left(odd, p + 1) for p in points]
+        # an oracle sample: listed members, and integers listed or not
+        listed = set(members)
+        assert all(map(oracle_is_member, rng.sample(members, 100)))
+        for m in rng.sample(range(lo, hi + 1), 300):
+            assert (m in listed) == oracle_is_member(m), m
+
+
+class TestThreadBuffers:
+    """Each thread lists members into buffers of its own, made once."""
+
+    def test_kept_per_thread(self):
+        mine = enumeration._buffers()
+        members_in_range(1, 100)
+        assert enumeration._buffers() is mine
+        theirs = []
+        thread = threading.Thread(
+            target=lambda: theirs.extend([enumeration._buffers(),
+                                          enumeration._buffers()]))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert theirs[0] is theirs[1]
+        assert all(a is not b for a, b in zip(theirs[0], mine))
+
+    def test_threads_at_once_each_get_the_oracle_text(self):
+        # windows of two kernel calls each, listed over and over by two
+        # threads at once: with one pair of buffers for both threads, about
+        # one call in 150 got lines of the other window
+        windows = [(1, 2 * BLOCK), (2 * BLOCK + 1, 4 * BLOCK)]
+        expected = [text(m for m in range(lo, hi + 1) if oracle_is_member(m))
+                    for lo, hi in windows]
+        start = threading.Barrier(2, timeout=60)
+        results = [[], []]
+
+        def list_window(i):
+            start.wait()
+            results[i] += (enumeration._members_text(*windows[i])
+                           for _ in range(1000))
+
+        threads = [threading.Thread(target=list_window, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for i, found in enumerate(results):
+            assert found == [expected[i]] * 1000, windows[i]
 
 
 # Lists the members up to 2^12 in a fresh interpreter, with the kernel
