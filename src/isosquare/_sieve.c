@@ -1,16 +1,16 @@
-/* The sieve's kernel, compiled and called through ctypes by enumeration.py:
-   isq_members_text lists the m with B(m) = B(m^2), 1 <= m < 2^63, as
-   decimal text if given a buffer, and isq_odd_counts counts the odd ones.
-   It has two paths.  The scalar loops test one m at a time; on x86-64 the
-   loader picks the POPCNT build of each entry point where the CPU has that
-   instruction.  The vector loops (x86-64 with AVX-512F and VPOPCNTDQ) test
-   16 at a time below 2^32 and 8 at a time above, and leave the last fewer
-   than 8 to the scalar loops.
-   isq_select picks the path once, before any scan runs; the loader then
-   checks every entry point against is_isosquare. */
-#include <stddef.h>
-#include <stdint.h>
-#include <string.h>
+/* The sieve's kernel, an extension module that enumeration.py compiles on
+   first use and loads as isosquare._sieve.  members(lo, hi) lists the m
+   with B(m) = B(m^2), lo <= m <= hi < 2^63, members_text(lo, hi) writes
+   them as decimal lines and odd_counts(lo, hi, points) counts the odd ones
+   up to each point, each call over its whole window with the GIL released.
+   The scalar loops test one m at a time; on x86-64 the loader picks the
+   POPCNT build of each scan where the CPU has that instruction.  The vector
+   loops (x86-64 with AVX-512F and VPOPCNTDQ) test 16 at a time below 2^32
+   and 8 at a time above, and leave the last fewer than 8 to the scalar
+   loops.  isq_select picks the path once, before any scan runs; the loader
+   then checks every entry point against is_isosquare. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #define W(x) __builtin_popcountll(x)
 
 /* Counts the members among m = *next, *next + step, ... <= end, writing
@@ -18,17 +18,17 @@
    takes one uint64 below 2^32 and an unsigned __int128 above, each range
    in its own loop so that neither branches on m. */
 static inline size_t scan(uint64_t *next, uint64_t end, uint64_t step,
-                          int64_t *out)
+                          uint64_t *out)
 {
     size_t found = 0;
     uint64_t m = *next;
     for (; m <= end && m >> 32 == 0; m += step) {
-        if (out) out[found] = (int64_t)m;
+        if (out) out[found] = m;
         found += W(m) == W(m * m);
     }
     for (unsigned __int128 s; m <= end; m += step) {
         s = (unsigned __int128)m * m;
-        if (out) out[found] = (int64_t)m;
+        if (out) out[found] = m;
         found += W(m) == W((uint64_t)s) + W((uint64_t)(s >> 64));
     }
     *next = m;
@@ -54,7 +54,7 @@ static inline size_t scan(uint64_t *next, uint64_t end, uint64_t step,
    ab * 2^33 + b^2, where a < 2^31 keeps 2ab below 2^64: the low word
    b^2 + (ab << 33) carries at most 1 into the high word a^2 + (ab >> 31). */
 VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
-                           int64_t *out)
+                           uint64_t *out)
 {
     size_t found = 0;
     uint64_t m = *next;
@@ -74,8 +74,7 @@ VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
                             _mm512_slli_epi64(odd, 32)));
         if (out)  /* most vectors hold no member, the rest few */
             for (unsigned hit = member, i = 0; hit; hit &= hit - 1)
-                out[found + i++] = (int64_t)(m + step * (unsigned)
-                                             __builtin_ctz(hit));
+                out[found + i++] = m + step * (unsigned)__builtin_ctz(hit);
         found += W(member);
         u = _mm512_add_epi32(u, stride16);
     }
@@ -113,36 +112,28 @@ VECTOR static size_t scan8(uint64_t *next, uint64_t end, uint64_t step,
 
 static int vector;  /* written only by isq_select */
 
-/* Selects the loops every entry point runs from now on: path 1 the vector
-   ones where the CPU has them (else the scalar ones), path 0 the scalar
-   ones; a negative path keeps the selection.  Returns 1 if the vector
-   loops are selected, else 0.  Call it before any scan runs, not during
-   one. */
-int isq_select(int path)
-{
-    if (path >= 0) vector = path && HAS_VECTOR;
-    return vector;
-}
-
 /* scan on the selected path. */
 static inline size_t scan_path(uint64_t *next, uint64_t end, uint64_t step,
-                               int64_t *out)
+                               uint64_t *out)
 {
     size_t found = vector ? scan8(next, end, step, out) : 0;
     return found + scan(next, end, step, out ? out + found : NULL);
 }
 
-/* counts[i] = the odd members m with lo <= m <= min(points[i], hi < 2^63),
-   for the n sorted points. */
-DISPATCH void isq_odd_counts(uint64_t lo, uint64_t hi, const uint64_t *points,
-                             size_t n, uint64_t *counts)
+/* Replaces each of the n sorted points p[i] by the number of odd members
+   m with lo <= m <= min(p[i], hi). */
+DISPATCH static void count_odd(uint64_t lo, uint64_t hi, uint64_t *p,
+                               size_t n)
 {
     uint64_t m = lo | 1, total = 0;
     for (size_t i = 0; i < n; i++) {
-        total += scan_path(&m, points[i] < hi ? points[i] : hi, 2, NULL);
-        counts[i] = total;
+        total += scan_path(&m, p[i] < hi ? p[i] : hi, 2, NULL);
+        p[i] = total;
     }
 }
+
+#define BLOCK 65536  /* integers listed per check of the buffer's room */
+#define LINE 20      /* bytes of the longest line: 19 digits below 2^63, \n */
 
 /* Two decimal digits for each of 00, ..., 99. */
 static const char PAIRS[] =
@@ -150,22 +141,17 @@ static const char PAIRS[] =
     "34353637383940414243444546474849505152535455565758596061626364656667"
     "6869707172737475767778798081828384858687888990919293949596979899";
 
-/* Lists the members among lo, ..., hi < 2^63 in scratch, an entry per
-   integer.  With text NULL it returns how many there are; else it writes
-   them to text (20 bytes per integer) in decimal, one a line ("digits\n",
-   at most 20 bytes), and returns the bytes written. */
-DISPATCH size_t isq_members_text(uint64_t lo, uint64_t hi, int64_t *scratch,
-                                 char *text)
+/* Writes the n increasing members to text in decimal, one a line
+   ("digits\n"), and returns the bytes written. */
+static size_t write_lines(const uint64_t *members, size_t n, char *text)
 {
-    size_t n = scan_path(&lo, hi, 1, scratch);
-    if (!text) return n;
     /* the members increase, and so do their digits; 10^digits stays at
        most 10^19 < 2^64 */
     uint64_t next_digit = 10;
     size_t digits = 1;
     char *p = text;
     for (size_t i = 0; i < n; i++) {
-        uint64_t m = (uint64_t)scratch[i];
+        uint64_t m = members[i];
         for (; m >= next_digit; next_digit *= 10) digits++;
         char *q = p + digits;
         *q = '\n';
@@ -176,3 +162,147 @@ DISPATCH size_t isq_members_text(uint64_t lo, uint64_t hi, int64_t *scratch,
     }
     return (size_t)(p - text);
 }
+
+/* Memory from PyMem_Raw*, which needs no GIL: size bytes, used of them. */
+typedef struct { char *at; size_t used, size; } Buffer;
+
+/* Leaves room for need more bytes in b: its first size is need rounded up
+   to whole uint64s, then it doubles as needed.  Returns 0 when out of
+   memory. */
+static int room(Buffer *b, size_t need)
+{
+    size_t size = b->size ? b->size : (need + 7) & ~(size_t)7;
+    while (size - b->used < need) size *= 2;
+    char *at = size == b->size ? b->at : PyMem_RawRealloc(b->at, size);
+    if (at) *b = (Buffer){at, b->used, size};
+    return at != NULL;
+}
+
+/* Appends the members among lo, ..., hi < 2^63 to b, BLOCK integers at a
+   time: as uint64s, or with as_text as decimal lines, each BLOCK's members
+   listed first at the top of its room, past the room for their lines.
+   Returns 0 when out of memory. */
+DISPATCH static int list_members(uint64_t lo, uint64_t hi, Buffer *b,
+                                 int as_text)
+{
+    while (lo <= hi) {
+        size_t len = hi - lo < BLOCK ? hi - lo + 1 : BLOCK;
+        if (!room(b, (as_text ? 8 + LINE : 8) * len)) return 0;
+        uint64_t *found = (uint64_t *)(b->at + (as_text ? b->size - 8 * len
+                                                : b->used));
+        size_t n = scan_path(&lo, lo + (len - 1), 1, found);
+        b->used += as_text ? write_lines(found, n, b->at + b->used) : 8 * n;
+    }
+    return 1;
+}
+
+/* The binding.  Each window bound and point is an int in [0, 2^64), else
+   OverflowError or TypeError, with no wrap, and a window lo..hi has
+   1 <= lo <= 2^63 and hi < 2^63, else ValueError; a lo past hi lists and
+   counts nothing. */
+static int u64(PyObject *o, void *out)
+{
+    uint64_t v = PyLong_AsUnsignedLongLong(o);
+    *(uint64_t *)out = v;
+    return v != (uint64_t)-1 || !PyErr_Occurred();
+}
+
+static int window(PyObject *args, const char *format, uint64_t *lo,
+                  uint64_t *hi, PyObject **points)
+{
+    if (!PyArg_ParseTuple(args, format, u64, lo, u64, hi, points)) return 0;
+    if (*lo && *lo <= 1ull << 63 && !(*hi >> 63)) return 1;
+    PyErr_Format(PyExc_ValueError, "the sieve kernel takes 1 <= lo <= 2^63 "
+                 "and hi < 2^63, got lo = %llu, hi = %llu",
+                 (unsigned long long)*lo, (unsigned long long)*hi);
+    return 0;
+}
+
+static PyObject *int_list(const uint64_t *values, size_t n)
+{
+    PyObject *list = PyList_New((Py_ssize_t)n), *item;
+    for (size_t i = 0; list && i < n; i++) {
+        if ((item = PyLong_FromUnsignedLongLong(values[i])))
+            PyList_SET_ITEM(list, (Py_ssize_t)i, item);
+        else
+            Py_CLEAR(list);
+    }
+    return list;
+}
+
+/* members(lo, hi) -> list[int] and members_text(lo, hi) -> str. */
+static PyObject *listing(PyObject *args, int as_text)
+{
+    uint64_t lo, hi;
+    Buffer b = {0};
+    PyObject *found = NULL;
+    int done;
+    if (window(args, "O&O&", &lo, &hi, NULL)) {
+        Py_BEGIN_ALLOW_THREADS
+        done = list_members(lo, hi, &b, as_text);
+        Py_END_ALLOW_THREADS
+        found = !done ? PyErr_NoMemory()
+            : as_text ? PyUnicode_DecodeASCII(b.at, (Py_ssize_t)b.used, NULL)
+            : int_list((uint64_t *)b.at, b.used / 8);
+    }
+    PyMem_RawFree(b.at);
+    return found;
+}
+
+static PyObject *members(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return listing(args, 0);
+}
+
+static PyObject *members_text(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return listing(args, 1);
+}
+
+/* odd_counts(lo, hi, points) -> list[int], for a sequence of points. */
+static PyObject *odd_counts(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    uint64_t lo, hi;
+    PyObject *points;
+    if (!window(args, "O&O&O", &lo, &hi, &points)
+        || !(points = PySequence_Fast(points, "points must be a sequence")))
+        return NULL;
+    size_t n = (size_t)PySequence_Fast_GET_SIZE(points), i = 0;
+    uint64_t *p = PyMem_RawMalloc(8 * n);
+    while (p && i < n && u64(PySequence_Fast_GET_ITEM(points, i), p + i)) i++;
+    if (p && i == n) {
+        Py_BEGIN_ALLOW_THREADS
+        count_odd(lo, hi, p, n);
+        Py_END_ALLOW_THREADS
+    }
+    PyObject *counts = !p ? PyErr_NoMemory() : i == n ? int_list(p, n) : NULL;
+    PyMem_RawFree(p);
+    Py_DECREF(points);
+    return counts;
+}
+
+/* isq_select(path) -> int selects the loops every entry point runs from
+   now on: path 1 the vector ones where the CPU has them (else the scalar
+   ones), path 0 the scalar ones; a negative path keeps the selection.
+   Returns 1 if the vector loops are selected, else 0.  Call it before any
+   scan runs, not during one. */
+static PyObject *isq_select(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    int path;
+    if (!PyArg_ParseTuple(args, "i", &path)) return NULL;
+    if (path >= 0) vector = path && HAS_VECTOR;
+    return PyLong_FromLong(vector);
+}
+
+static PyMethodDef METHODS[] = {
+    {"members", members, METH_VARARGS, NULL},
+    {"members_text", members_text, METH_VARARGS, NULL},
+    {"odd_counts", odd_counts, METH_VARARGS, NULL},
+    {"isq_select", isq_select, METH_VARARGS, NULL},
+    {NULL, NULL, 0, NULL}};
+
+static struct PyModuleDef MODULE = {
+    PyModuleDef_HEAD_INIT, .m_name = "_sieve", .m_size = -1,
+    .m_methods = METHODS};
+
+PyMODINIT_FUNC PyInit__sieve(void) { return PyModule_Create(&MODULE); }

@@ -1,22 +1,23 @@
 """High-throughput enumeration of isosquare numbers, 1 <= m < 2^63.
 
-The C kernel _sieve.c is compiled on the first kernel call, cached in the
-package's __pycache__ and called through ctypes, which releases the GIL;
-importing this module loads no ctypes.  The kernel has a scalar path and,
-on x86-64 CPUs with AVX-512 VPOPCNTDQ, a vector path that tests 16
-integers at a time below 2^32 and 8 above.  Loading it selects the path
-once, through its isq_select, before any sieve thread starts, then checks
-every entry point against is_isosquare on windows at the kernel's range
-boundaries and raises OSError on any mismatch.  Each thread that lists
-members keeps its kernel buffers from its first call to its end.  A
-chunk loop runs a kernel over chunks on min(workers, chunks) threads, or
-in the calling thread where that is one, and hands the results out in
-order, so output is the same for any worker count.  Chunks lie on one
-grid, 1, 1 + DEFAULT_CHUNK, 1 + 2 * DEFAULT_CHUNK and so on.  The sieve
-tests every integer of each chunk and hands out its members one by one
-(sieve) or as the decimal text the kernel writes (sieve_text_chunks, the
-one producer that keeps a checkpoint); counting tests only the odd ones,
-since m is a member iff 2m is.
+The C kernel _sieve.c is an extension module, compiled on the first
+kernel call, cached in the package's __pycache__ and loaded as
+isosquare._sieve; importing this module loads no kernel.  Each kernel call
+lists or counts a whole chunk with the GIL released, in buffers of its
+own.  The kernel has a scalar path and, on x86-64 CPUs with AVX-512
+VPOPCNTDQ, a vector path that tests 16 integers at a time below 2^32 and
+8 above.  Loading it selects the path once, through its isq_select,
+before any sieve thread starts, then checks every entry point against
+is_isosquare on windows at the kernel's range boundaries and raises
+OSError on any mismatch.  A chunk loop runs a kernel over chunks on
+min(workers, chunks) threads, or in the calling thread where that is
+one, and hands the results out in order, so output is the same for any
+worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
+1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
+chunk and hands out its members one by one (sieve) or as the decimal
+text the kernel writes (sieve_text_chunks, the one producer that keeps a
+checkpoint); counting tests only the odd ones, since m is a member iff
+2m is.
 """
 
 from __future__ import annotations
@@ -27,19 +28,15 @@ from collections import deque
 from contextlib import ExitStack, closing
 from functools import cache
 from itertools import islice
-from threading import Lock, local
-from typing import (TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence,
-                    TypeVar)
+from threading import Lock
+from types import ModuleType
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .membership import is_isosquare
 
-if TYPE_CHECKING:
-    from ctypes import CDLL, Array, c_char, c_int64
-
 TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
-BLOCK = 1 << 16  # integers per kernel call, 8 bytes each in its member list
-LINE = 20  # bytes of the longest member line: 19 digits below 2^63, "\n"
+BLOCK = 1 << 16  # integers the kernel lists at a time (_sieve.c's BLOCK)
 _SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
@@ -50,7 +47,6 @@ _BUILD = Lock()  # one thread at a time loads the kernel
 # members to store lane by lane, and one ends at 2^63 - 1; at step 1 and 2
 # each leaves a tail of fewer than 8 to the scalar loops.
 _CHECKED = ((2**32 - 45, 2**32 + 44), (1, 100), (TOP - 90, TOP - 1))
-_BUFFERS = local()  # each thread's isq_members_text buffers (_buffers)
 
 T = TypeVar("T")
 
@@ -80,7 +76,7 @@ def _require_below_top(name: str, value: int) -> None:
         raise ValueError(f"{name} must be below 2^63, got {value}")
 
 
-def _kernel() -> CDLL:
+def _kernel() -> ModuleType:
     """The kernel of _load.  The lock lets one thread at a time call _load,
     so the first call loads, selects and checks the kernel once, before
     any thread runs it, and no thread reads sysconfig's variables while
@@ -90,23 +86,24 @@ def _kernel() -> CDLL:
 
 
 @cache
-def _load() -> CDLL:
-    """_sieve.c compiled and loaded, its entry points declared, the vector
-    path selected where the CPU has it and checked (_check).
+def _load() -> ModuleType:
+    """_sieve.c compiled and loaded as the extension module
+    isosquare._sieve, the vector path selected where the CPU has it and
+    checked (_check).
 
     It is cached in _CACHE under a name keyed by the source, the compiler
-    command and the platform; where _CACHE cannot be written, it is built
-    in a temporary directory, removed once the library is loaded.  The
-    compiler writes a name of this process's own, renamed into place, so
-    processes that build at once each leave a complete library.
+    flags and the interpreter's extension suffix; where _CACHE cannot be
+    written, it is built in a temporary directory, removed once the module
+    is loaded.  The compiler writes a name of this process's own, renamed
+    into place, so processes that build at once each leave a complete
+    module.  Only a build imports subprocess and sysconfig.
     """
-    import ctypes
-    import sysconfig
     from binascii import crc32
+    from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                     ModuleSpec)
     with ExitStack() as stack:
-        command = [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS]
         with open(_SOURCE, "rb") as fh:
-            key = repr((fh.read(), command, sysconfig.get_platform()))
+            key = repr((fh.read(), _FLAGS, EXTENSION_SUFFIXES[0]))
         name = f"_sieve.{crc32(key.encode()):08x}.so"
         path = os.path.join(_CACHE, name)
         if not os.path.exists(path):
@@ -116,6 +113,7 @@ def _load() -> CDLL:
                 private = stack.enter_context(tempfile.TemporaryDirectory())
                 path = os.path.join(private, name)
             partial = f"{path}.{os.getpid()}.tmp"
+            command = _compiler()
             done = subprocess.run([*command, "-o", partial, _SOURCE],
                                   capture_output=True, text=True,
                                   errors="replace")
@@ -124,36 +122,35 @@ def _load() -> CDLL:
                               f"{' '.join(command)} exited with "
                               f"{done.returncode}: {done.stderr.strip()}")
             os.replace(partial, path)
-        lib = ctypes.CDLL(path)
-    u64, size, to = ctypes.c_uint64, ctypes.c_size_t, ctypes.POINTER
-    lib.isq_members_text.argtypes = [u64, u64, to(ctypes.c_int64),
-                                     ctypes.c_char_p]
-    lib.isq_members_text.restype = size
-    lib.isq_odd_counts.argtypes = [u64, u64, to(u64), size, to(u64)]
-    lib.isq_odd_counts.restype = None
-    lib.isq_select.argtypes = [ctypes.c_int]
-    lib.isq_select.restype = ctypes.c_int
+        loader = ExtensionFileLoader("isosquare._sieve", path)
+        lib = loader.create_module(ModuleSpec(loader.name, loader,
+                                              origin=path))
+        loader.exec_module(lib)
     lib.isq_select(1)
     _check(lib)
     return lib
 
 
-def _check(lib: CDLL) -> None:
+def _compiler() -> list[str]:
+    """The command that builds _SOURCE, less its output: the C compiler
+    Python was built with, _FLAGS and Python's include directory."""
+    import sysconfig
+    return [*(sysconfig.get_config_var("CC") or "cc").split(), *_FLAGS,
+            f"-I{sysconfig.get_path('include')}"]
+
+
+def _check(lib: ModuleType) -> None:
     """Raise OSError unless every entry point of the selected path agrees
     with is_isosquare on the _CHECKED windows."""
-    from ctypes import c_int64, c_uint64, create_string_buffer
     for lo, hi in _CHECKED:
         members = [m for m in range(lo, hi + 1) if is_isosquare(m)]
         odd = [m for m in members if m % 2]
-        out = (c_int64 * (hi - lo + 1))()
-        text = create_string_buffer(LINE * (hi - lo + 1))
         points = [lo - 1, (lo + hi) // 2, hi]
-        counts = (c_uint64 * 3)()
-        lib.isq_odd_counts(lo, hi, (c_uint64 * 3)(*points), 3, counts)
-        if (out[:lib.isq_members_text(lo, hi, out, None)] != members
-                or counts[:] != [bisect_right(odd, p) for p in points]
-                or text[:lib.isq_members_text(lo, hi, out, text)]
-                != "".join(f"{m}\n" for m in members).encode()):
+        if (lib.members(lo, hi) != members
+                or lib.odd_counts(lo, hi, points)
+                != [bisect_right(odd, p) for p in points]
+                or lib.members_text(lo, hi)
+                != "".join(f"{m}\n" for m in members)):
             path = "vector" if lib.isq_select(-1) else "scalar"
             raise OSError(f"the sieve kernel's {path} path disagrees with "
                           f"is_isosquare on [{lo}, {hi}]")
@@ -168,43 +165,18 @@ def _writable(directory: str) -> bool:
 
 
 def members_in_range(lo: int, hi: int) -> list[int]:
-    """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63).
-    Each kernel call tests BLOCK of them."""
+    """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63),
+    listed by one kernel call."""
     _require_positive(lo=lo)
     _require_below_top("hi", hi)
-    kernel = _kernel()
-    out = _buffers()[0]
-    found: list[int] = []
-    for start in range(lo, hi + 1, BLOCK):
-        end = min(hi, start + BLOCK - 1)
-        found += out[:kernel.isq_members_text(start, end, out, None)]
-    return found
+    # min(): a lo past hi lists nothing, and the kernel takes none past 2^63
+    return _kernel().members(min(lo, TOP), hi)
 
 
 def _members_text(lo: int, hi: int) -> str:
-    """members_in_range(lo, hi) as decimal text, one member a line, with
-    its arguments taken as valid.  Each kernel call writes the lines of
-    BLOCK integers."""
-    kernel = _kernel()
-    scratch, text = _buffers()
-    found = bytearray()
-    for start in range(lo, hi + 1, BLOCK):
-        end = min(hi, start + BLOCK - 1)
-        found += text[:kernel.isq_members_text(start, end, scratch, text)]
-    return found.decode("ascii")
-
-
-def _buffers() -> tuple[Array[c_int64], Array[c_char]]:
-    """This thread's buffers for isq_members_text, a member list of BLOCK
-    entries and a text of LINE * BLOCK bytes: made on the thread's first
-    call, then kept until the thread ends."""
-    try:
-        return _BUFFERS.pair
-    except AttributeError:
-        from ctypes import c_int64, create_string_buffer
-        _BUFFERS.pair = ((c_int64 * BLOCK)(),
-                         create_string_buffer(LINE * BLOCK))
-        return _BUFFERS.pair
+    """members_in_range(lo, hi) as decimal text, one member a line, written
+    by one kernel call, with its arguments taken as valid."""
+    return _kernel().members_text(lo, hi)
 
 
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
@@ -221,13 +193,9 @@ def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
 
 def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     """odd_counts_in_range, with its arguments taken as valid."""
-    from ctypes import c_uint64
-    n = len(points)
-    counts = (c_uint64 * n)()
-    # min(): a lo past hi counts nothing, and one from 2^64 on would wrap
-    _kernel().isq_odd_counts(min(lo, TOP), hi, (c_uint64 * n)(*points), n,
-                             counts)
-    return counts[:]
+    # min(): a lo past hi counts nothing, and the kernel takes none past 2^63
+    # (ValueError; OverflowError from 2^64 on)
+    return _kernel().odd_counts(min(lo, TOP), hi, points)
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
@@ -439,7 +407,8 @@ def scan_gap(k: int) -> bool:
 
     The gap holds 2^k - 1 integers.  Below BLOCK of them (k <= 16) they are
     tested with is_isosquare: for k <= 10 (props --suite gaps) that takes
-    under a millisecond, where loading the kernel takes about 4 ms.
+    under a millisecond, about as long as loading the cached kernel (0.5
+    ms), and props loads, or compiles, no kernel at all.
     """
     from .constructions import gap_interval
     if k < 1 or gap_interval(k)[1] > TOP:

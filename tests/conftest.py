@@ -45,18 +45,19 @@ def check_record(cls: type, values: dict[str, object]) -> None:
 
 
 def short_kernel(monkeypatch, call: str) -> None:
-    """Make each load of the sieve kernel check an isq_members_text whose
-    one call, "text" (given a text buffer) or "list" (given None), reports
-    one byte or one member fewer than it wrote, its other call and the
-    other entry points left sound."""
+    """Make each load of the sieve kernel check a kernel whose listing entry
+    point, members_text ("text") or members ("list"), returns one byte or
+    one member fewer than it wrote, the other entry points left sound."""
+    from types import SimpleNamespace
+
     from isosquare import enumeration
     check = enumeration._check
+    name = {"text": "members_text", "list": "members"}[call]
 
     def short(lib):
-        listed = lib.isq_members_text
-        lib.isq_members_text = lambda lo, hi, scratch, text: listed(
-            lo, hi, scratch, text) - ((text is None) == (call == "list"))
-        check(lib)
+        listed, kernel = getattr(lib, name), SimpleNamespace(**vars(lib))
+        setattr(kernel, name, lambda lo, hi: listed(lo, hi)[:-1])
+        check(kernel)
     monkeypatch.setattr(enumeration, "_check", short)
 
 

@@ -337,11 +337,13 @@ class TestEnumerate:
 PACKAGE = {"isosquare.constructions", "isosquare.enumeration",
            "isosquare.analysis", "isosquare.checks"}
 HEAVY = {"json"}
-# What loading the sieve kernel imports (subprocess only to compile it).
-KERNEL = {"ctypes", "subprocess"}
-# No command needs these: the chunk loop runs plain threads, the kernel's
-# cache key is a crc32 and the exponent fit sums with math.fsum.
-UNUSED = {"concurrent.futures", "logging", "hashlib", "statistics"}
+# What loading the sieve kernel imports (subprocess and sysconfig only to
+# compile it).
+KERNEL = {"isosquare._sieve", "subprocess", "sysconfig"}
+# No command needs these: the chunk loop runs plain threads, the kernel is
+# an extension module, its cache key is a crc32 and the exponent fit sums
+# with math.fsum.
+UNUSED = {"concurrent.futures", "logging", "ctypes", "hashlib", "statistics"}
 # No command needs these: the package's records are NamedTuples.
 RECORDS = {"dataclasses", "inspect"}
 CLI = "from isosquare import cli; "
@@ -416,7 +418,9 @@ class TestNumpyLoading:
         assert main([*argv, "--workers", "2"]) == 0
 
     def test_loaded_by_sieve(self):
-        # any window or sieve, however short, and a gap of BLOCK integers
+        # any window or sieve, however short, and a gap of BLOCK integers,
+        # loads the kernel; once it is cached, without ctypes or sysconfig
+        self.loaded("from isosquare import enumeration; enumeration._kernel()")
         for code in ("from isosquare.enumeration import members_in_range; "
                      "members_in_range(1, 10)",
                      "from isosquare.enumeration import sieve; "
@@ -424,8 +428,9 @@ class TestNumpyLoading:
                      "from isosquare.enumeration import scan_gap; "
                      "scan_gap(17)"):
             loaded = self.loaded(code)
-            assert "ctypes" in loaded
-            assert loaded & {"hashlib", "numpy"} == set()
+            assert "isosquare._sieve" in loaded
+            assert loaded & {"ctypes", "sysconfig", "subprocess", "hashlib",
+                             "numpy"} == set()
 
 
 class TestCount:
@@ -749,7 +754,8 @@ class TestKernelBuild:
         code, out, err = run(capsys, *argv, "--workers", "2")
         assert (code, out) == (2, "")
         assert err == (f"error: cannot compile the sieve kernel: {compiler} "
-                       "-O3 -shared -fPIC exited with 1: cc: cannot build\n")
+                       f"-O3 -shared -fPIC -I{sysconfig.get_path('include')} "
+                       "exited with 1: cc: cannot build\n")
         assert sorted(os.listdir(tmp_path)) == ["cc", fresh_kernel.name]
         assert os.listdir(fresh_kernel) == []
 

@@ -1,9 +1,9 @@
+import contextlib
 import os
 import random
 import re
 import subprocess
 import sys
-import sysconfig
 import tempfile
 import threading
 import time
@@ -452,36 +452,22 @@ class TestPathsAgree:
 
 
 class TestThreadBuffers:
-    """Each thread lists members into buffers of its own, made once."""
+    """Threads that list members at once each get their own window's: each
+    kernel call lists into buffers of its own."""
 
-    def test_kept_per_thread(self):
-        mine = enumeration._buffers()
-        members_in_range(1, 100)
-        assert enumeration._buffers() is mine
-        theirs = []
-        thread = threading.Thread(
-            target=lambda: theirs.extend([enumeration._buffers(),
-                                          enumeration._buffers()]))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert theirs[0] is theirs[1]
-        assert all(a is not b for a, b in zip(theirs[0], mine))
+    # windows of two BLOCKs each, listed over and over by two threads at
+    # once: with one pair of buffers for both threads, about one call in
+    # 150 got lines of the other window
+    WINDOWS = [(1, 2 * BLOCK), (2 * BLOCK + 1, 4 * BLOCK)]
 
-    def test_threads_at_once_each_get_the_oracle_text(self):
-        # windows of two kernel calls each, listed over and over by two
-        # threads at once: with one pair of buffers for both threads, about
-        # one call in 150 got lines of the other window
-        windows = [(1, 2 * BLOCK), (2 * BLOCK + 1, 4 * BLOCK)]
-        expected = [text(m for m in range(lo, hi + 1) if oracle_is_member(m))
-                    for lo, hi in windows]
+    @classmethod
+    def list_at_once(cls, lister, expected):
         start = threading.Barrier(2, timeout=60)
         results = [[], []]
 
         def list_window(i):
             start.wait()
-            results[i] += (enumeration._members_text(*windows[i])
-                           for _ in range(1000))
+            results[i] += (lister(*cls.WINDOWS[i]) for _ in range(1000))
 
         threads = [threading.Thread(target=list_window, args=(i,))
                    for i in range(2)]
@@ -491,7 +477,147 @@ class TestThreadBuffers:
             thread.join(timeout=60)
             assert not thread.is_alive()
         for i, found in enumerate(results):
-            assert found == [expected[i]] * 1000, windows[i]
+            assert found == [expected[i]] * 1000, cls.WINDOWS[i]
+
+    def test_threads_at_once_each_get_the_oracle_list(self):
+        self.list_at_once(members_in_range, [
+            [m for m in range(lo, hi + 1) if oracle_is_member(m)]
+            for lo, hi in self.WINDOWS])
+
+    def test_threads_at_once_each_get_the_oracle_text(self):
+        self.list_at_once(enumeration._members_text, [
+            text(m for m in range(lo, hi + 1) if oracle_is_member(m))
+            for lo, hi in self.WINDOWS])
+
+
+class TestKernelCalls:
+    """The extension module's boundary: one call per chunk, no argument
+    wrapped silently, buffers that grow, and no memory kept."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The names of the kernel's entry points as they are called, through
+        a proxy put in place of the loaded module."""
+        kernel, calls = enumeration._kernel(), []
+
+        class Proxy:
+            def __getattr__(self, name):
+                entry = getattr(kernel, name)
+                return lambda *args: calls.append(name) or entry(*args)
+        monkeypatch.setattr(enumeration, "_load", Proxy)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_kernel_call_per_chunk(self, monkeypatch, workers):
+        # chunks of 2.5 BLOCKs: 4 of them up to 10 BLOCKs
+        chunks_of(monkeypatch, 5 * BLOCK // 2)
+        limit = 10 * BLOCK
+        members = oracle_members(limit)
+        calls = self.counted(monkeypatch)
+        assert joined(sieve_text_chunks(limit, workers)) == text(members)
+        assert calls == ["members_text"] * 4
+        calls.clear()
+        assert list(sieve(limit, workers)) == members
+        assert calls == ["members"] * 4
+        calls.clear()
+        assert members_in_range(1, limit) == members
+        assert enumeration._members_text(1, limit) == text(members)
+        assert calls == ["members", "members_text"]
+
+    def test_text_outgrows_the_first_buffer(self, kernel_paths):
+        # A call's buffer first has room for one BLOCK's members and lines,
+        # so the second BLOCK grows it, keeping the lines (or, listing
+        # ints, the members) of the first; then come a BLOCK and a tail.
+        lo, hi = 1, 3 * BLOCK + 99
+        members = oracle_members(hi)
+        for path in kernel_paths():
+            assert members_in_range(lo, hi) == members, path
+            assert enumeration._members_text(lo, hi) == text(members), path
+
+    # Each argument of each entry point: below 0 and from 2^64 on an
+    # OverflowError, not an int a TypeError, where ctypes' c_uint64 turned
+    # -1 into 2^64 - 1 without an error.
+    ARGUMENTS = {
+        "members-lo": lambda k, x: k.members(x, 10),
+        "members-hi": lambda k, x: k.members(1, x),
+        "members_text-lo": lambda k, x: k.members_text(x, 10),
+        "members_text-hi": lambda k, x: k.members_text(1, x),
+        "odd_counts-lo": lambda k, x: k.odd_counts(x, 10, [5]),
+        "odd_counts-hi": lambda k, x: k.odd_counts(1, x, [5]),
+        "odd_counts-point": lambda k, x: k.odd_counts(1, 10, [5, x]),
+    }
+    BAD = {"minus-1": (-1, OverflowError),
+           "minus-2^64": (-(1 << 64), OverflowError),
+           "2^64": (1 << 64, OverflowError),
+           "float": (1.0, TypeError),
+           "str": ("1", TypeError),
+           "none": (None, TypeError)}
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("call", ARGUMENTS)
+    def test_no_silent_wrap(self, call, bad):
+        value, error = self.BAD[bad]
+        with pytest.raises(error):
+            self.ARGUMENTS[call](enumeration._kernel(), value)
+        assert members_in_range(1, 16) == oracle_members(16)
+
+    def test_select_argument(self):
+        # a path below -2^31 or from 2^31 on is an OverflowError, one that
+        # is not an int a TypeError; a negative path keeps the selection
+        kernel = enumeration._kernel()
+        selected = kernel.isq_select(-1)
+        for value in (-(1 << 64), -(1 << 31) - 1, 1 << 31, 1 << 64):
+            with pytest.raises(OverflowError):
+                kernel.isq_select(value)
+        for value in (1.0, "1", None):
+            with pytest.raises(TypeError):
+                kernel.isq_select(value)
+        assert kernel.isq_select(-5) == kernel.isq_select(-1) == selected
+
+    @pytest.mark.parametrize("lo, hi", [(0, 10), (1, 1 << 63),
+                                        ((1 << 63) + 1, 10),
+                                        (1, (1 << 64) - 1)])
+    def test_window_outside_the_kernel_range(self, lo, hi):
+        kernel = enumeration._kernel()
+        for call in (lambda: kernel.members(lo, hi),
+                     lambda: kernel.members_text(lo, hi),
+                     lambda: kernel.odd_counts(lo, hi, [])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"1 <= lo <= 2^63 and hi < 2^63, got lo = {lo}, "
+                    f"hi = {hi}")):
+                call()
+        # a lo past hi, up to 2^63, lists and counts nothing
+        assert kernel.members(1 << 63, 10) == []
+        assert kernel.members_text(1 << 63, (1 << 63) - 1) == ""
+        assert kernel.odd_counts(1 << 63, (1 << 63) - 1, [5, 7]) == [0, 0]
+
+    def test_calls_keep_no_memory(self):
+        # 1,000 calls of each entry point, errors included, leave the
+        # traced size (PyMem_Raw buffers as well as objects) where it was
+        kernel = enumeration._kernel()
+        points = list(range(0, 2 * BLOCK, 1000))
+        calls = [lambda: kernel.members(1, 2 * BLOCK),
+                 lambda: kernel.members_text(1, 2 * BLOCK),
+                 lambda: kernel.odd_counts(1, 2 * BLOCK, points),
+                 lambda: kernel.isq_select(-1),
+                 lambda: kernel.members(-1, 10),
+                 lambda: kernel.members_text(0, 10),
+                 lambda: kernel.odd_counts(1, 2 * BLOCK, [*points, "x"])]
+
+        def repeat(call, times):
+            for _ in range(times):
+                with contextlib.suppress(OverflowError, TypeError,
+                                         ValueError):
+                    call()
+        tracemalloc.start()
+        try:
+            for call in calls:
+                repeat(call, 2)
+                before = tracemalloc.get_traced_memory()[0]
+                repeat(call, 1000)
+                assert tracemalloc.get_traced_memory()[0] - before < 4096
+        finally:
+            tracemalloc.stop()
 
 
 # Lists the members up to 2^12 in a fresh interpreter, with the kernel
@@ -609,9 +735,9 @@ class TestKernel:
         assert enumeration._members_text(1, 16) == text(oracle_members(16))
 
     def test_compiles_without_warnings(self, tmp_path):
-        command = (sysconfig.get_config_var("CC") or "cc").split()
+        # the loader's own command, Python's include directory included
         proc = subprocess.run(
-            [*command, *enumeration._FLAGS, "-Wall", "-Wextra", "-Werror",
+            [*enumeration._compiler(), "-Wall", "-Wextra", "-Werror",
              "-o", str(tmp_path / "kernel.so"), enumeration._SOURCE],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
