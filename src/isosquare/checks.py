@@ -43,62 +43,67 @@ def _asserted(predicate: Callable[..., bool], message: str) -> Callable:
 
 
 def _inflate_strictly(n: int) -> None:
-    """inflate(n), whose defect must be strictly positive when B(n^2) >= 3."""
+    """inflate(n), whose defect B(n^2) - 1 must be >= 2 when B(n^2) >= 3."""
     p0 = weight_profile(cons.inflate(n))
     if (weight_profile(n).square_weight >= 3
             and p0.square_weight <= 2 * p0.weight + 1):
         raise cons.PostconditionError("strict defect inequality failed")
 
 
-def _randint(seed: int) -> Callable[[int, int], int]:
-    """randint(a, b) of random.Random(seed): the same rejection sample of
-    getrandbits, without randrange's argument checks, which cost more than
-    the draw itself."""
-    getrandbits = random.Random(seed).getrandbits
-
-    def randint(a: int, b: int) -> int:
-        width = b - a + 1
-        k = width.bit_length()
-        r = getrandbits(k)
-        while r >= width:
-            r = getrandbits(k)
-        return a + r
-    return randint
-
+# The random inputs are the ones random.Random(seed).randint draws: each
+# `while` is its rejection loop for randint(a, b), getrandbits(k) with k the
+# bit length of b - a + 1, repeated while the draw is past b.
 
 def _mult_mersenne_inputs(cases: int) -> Iterator[tuple[int, int]]:
     """Exhaustive nu <= 12, then random (n, nu) with n < 2^nu, nu <= 40."""
     for nu in range(1, 13):
         for n in range(1, 1 << nu):
             yield n, nu
-    randint = _randint(0)
+    bits = random.Random(0).getrandbits
     for _ in range(cases):
-        nu = randint(1, 40)
-        yield randint(1, (1 << nu) - 1), nu
+        while (nu := bits(6) + 1) > 40:
+            pass
+        while (n := bits(nu) + 1) >= 1 << nu:
+            pass
+        yield n, nu
 
 
 def _affix_one_inputs(cases: int) -> Iterator[tuple[int, int]]:
-    randint = _randint(1)
+    bits = random.Random(1).getrandbits
     for _ in range(cases):
-        n = randint(1, 1 << 40)
-        yield n, n.bit_length() + 1 + randint(0, 20)
+        while (n := bits(41) + 1) > 1 << 40:
+            pass
+        while (pad := bits(5)) > 20:
+            pass
+        yield n, n.bit_length() + 1 + pad
 
 
 def _subtract_compose_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
-    randint = _randint(2)
+    bits = random.Random(2).getrandbits
     for _ in range(cases):
-        n = randint(0, 1 << 30) * 2 + 1
-        m = randint(0, 1 << 30) * 2 + 1
+        while (n := bits(31)) > 1 << 30:
+            pass
+        while (m := bits(31)) > 1 << 30:
+            pass
+        while (pad := bits(4)) > 10:
+            pass
+        n, m = 2 * n + 1, 2 * m + 1
         k, h = n.bit_length(), m.bit_length()
-        yield n, m, max(2 * h - 1, h + k + 1) + randint(0, 10)
+        yield n, m, max(2 * h - 1, h + k + 1) + pad
 
 
 def _subtract_mersenne_inputs(cases: int) -> Iterator[tuple[int, int, int]]:
-    randint = _randint(3)
+    bits = random.Random(3).getrandbits
     for _ in range(cases):
-        n = randint(0, 1 << 30) * 2 + 1
-        h = n.bit_length() + randint(1, 10)
-        yield n, h, 2 * h + 1 + randint(0, 10)
+        while (n := bits(31)) > 1 << 30:
+            pass
+        while (h := bits(4) + 1) > 10:
+            pass
+        while (pad := bits(4)) > 10:
+            pass
+        n = 2 * n + 1
+        h += n.bit_length()
+        yield n, h, 2 * h + 1 + pad
 
 
 def _finalize_member_inputs(limit: int) -> Iterator[tuple[int, int]]:

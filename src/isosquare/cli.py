@@ -148,9 +148,9 @@ def _emit_traces(traces: list[ConstructionTrace], fmt: str) -> None:
     """Write the chains' stage records, one line each, in one write."""
     record = _RECORDS[fmt]
     sys.stdout.write("".join([
-        record % (s.label, s.value, s.value.bit_length(), s.value.bit_count(),
-                  (s.value * s.value).bit_count(), s.rule)
-        for trace in traces for s in trace.stages]))
+        record % (label, value, value.bit_length(), value.bit_count(),
+                  (value * value).bit_count(), rule)
+        for trace in traces for label, value, rule in trace.stages]))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

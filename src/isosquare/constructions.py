@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import warnings
 from math import isqrt
+from operator import lt
 from typing import Iterable, NamedTuple
 
 from .membership import is_isosquare
+
+_new = tuple.__new__
 
 
 class PostconditionError(AssertionError):
@@ -27,7 +30,8 @@ class PostconditionError(AssertionError):
 
 
 class ConstructionStage(NamedTuple):
-    """One audited step of a construction chain."""
+    """One audited step of a construction chain; construct_one builds it
+    with tuple.__new__, since it checks nothing."""
 
     label: str
     value: int
@@ -55,14 +59,13 @@ class ConstructionTrace(_Stages):
                    ) -> ConstructionTrace:
         """The trace, with every check but the final's membership, for a
         caller that has just tested it."""
-        self = super().__new__(cls, stages)
-        if self.stages == ():
+        if stages == ():
             raise PostconditionError("trace must have at least one stage")
-        values = [s.value for s in self.stages]
-        if not all(a < b for a, b in zip(values, values[1:])):
+        values = [s.value for s in stages]
+        if not all(map(lt, values, values[1:])):
             raise PostconditionError(
                 "stage values must be strictly increasing")
-        return self
+        return _new(cls, (stages,))
 
     @classmethod
     def _make(cls, iterable: Iterable[tuple[ConstructionStage, ...]]
@@ -288,10 +291,11 @@ def construct_one(seed: int) -> ConstructionTrace:
     if not final >> (final.bit_length() - sb) == seed:
         raise PostconditionError("leading seed bits not preserved")
     return ConstructionTrace._of_member((
-        ConstructionStage("seed", seed, "seed"),
-        ConstructionStage("inflate", inflated, "double-affix-one"),
-        ConstructionStage("normalize", normalized, "mersenne-subtract"),
-        ConstructionStage("finalize", final, "shift-minus-one"),
+        _new(ConstructionStage, ("seed", seed, "seed")),
+        _new(ConstructionStage, ("inflate", inflated, "double-affix-one")),
+        _new(ConstructionStage,
+             ("normalize", normalized, "mersenne-subtract")),
+        _new(ConstructionStage, ("finalize", final, "shift-minus-one")),
     ))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+_new = tuple.__new__
+
 
 def digit_sum(n: int, base: int = 2) -> int:
     """Sum of the digits of n written in the given base.
@@ -65,6 +67,8 @@ class WeightProfile(NamedTuple):
 
     The construction chain branches on defect: seeds are driven to
     defect >= +1, normalized to exactly -1, then finalized to a member.
+    It checks nothing, so weight_profile builds it with tuple.__new__, as
+    namedtuple's _make does, without a Python __new__ call.
     """
 
     weight: int
@@ -96,5 +100,5 @@ def weight_profile(n: int) -> WeightProfile:
         raise ValueError(f"n must be positive, got {n}")
     w = n.bit_count()
     sw = (n * n).bit_count()
-    return WeightProfile(w, sw, sw - 2 * w)
+    return _new(WeightProfile, (w, sw, sw - 2 * w))
 

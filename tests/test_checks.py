@@ -65,16 +65,51 @@ class TestRunSuite:
         assert calls == [7, 7, checks.DEFAULT_CASES]
 
 
-class TestDraws:
-    # The generators' ranges, a width-1 range (nu = 1 in mult_mersenne)
-    # and ranges just past a power of two, where half the draws are
-    # rejected.
-    RANGES = [(1, 40), (1, 1), (1, (1 << 17) - 1), (1, 1 << 40), (0, 20),
-              (0, 1 << 30), (0, 10), (1, 10), (5, 5), (0, 1 << 12)]
+# Each random generator's cases as random.Random(seed).randint draws them.
+# The generators call getrandbits themselves and must draw the same cases:
+# name -> (generator, seed, one case drawn with randint).
+def _mult_mersenne(randint):
+    nu = randint(1, 40)
+    return randint(1, (1 << nu) - 1), nu
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_same_sequence_as_random_randint(self, seed):
-        randint, rng = checks._randint(seed), random.Random(seed)
-        for _ in range(50):
-            for a, b in self.RANGES:
-                assert randint(a, b) == rng.randint(a, b)
+
+def _affix_one(randint):
+    n = randint(1, 1 << 40)
+    return n, n.bit_length() + 1 + randint(0, 20)
+
+
+def _subtract_compose(randint):
+    n = randint(0, 1 << 30) * 2 + 1
+    m = randint(0, 1 << 30) * 2 + 1
+    k, h = n.bit_length(), m.bit_length()
+    return n, m, max(2 * h - 1, h + k + 1) + randint(0, 10)
+
+
+def _subtract_mersenne(randint):
+    n = randint(0, 1 << 30) * 2 + 1
+    h = n.bit_length() + randint(1, 10)
+    return n, h, 2 * h + 1 + randint(0, 10)
+
+
+REFERENCES = {
+    "mult_mersenne": (checks._mult_mersenne_inputs, 0, _mult_mersenne),
+    "affix_one": (checks._affix_one_inputs, 1, _affix_one),
+    "subtract_compose": (checks._subtract_compose_inputs, 2,
+                         _subtract_compose),
+    "subtract_mersenne": (checks._subtract_mersenne_inputs, 3,
+                          _subtract_mersenne),
+}
+
+
+class TestDraws:
+    @pytest.mark.parametrize("cases", [0, 1, 50, checks.DEFAULT_CASES])
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_same_cases_as_random_randint(self, name, cases):
+        generator, seed, case = REFERENCES[name]
+        randint = random.Random(seed).randint
+        expected = [case(randint) for _ in range(cases)]
+        if name == "mult_mersenne":
+            # the exhaustive nu <= 12 come first and draw nothing
+            expected[:0] = [(n, nu) for nu in range(1, 13)
+                            for n in range(1, 1 << nu)]
+        assert list(generator(cases)) == expected

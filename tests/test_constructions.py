@@ -374,6 +374,19 @@ class TestRecords:
         check_record(ConstructionTrace,
                      {"stages": cons.construct_one(5).stages})
 
+    @pytest.mark.parametrize("seed", [3, 5, 6, 1000, 4097, 10**300],
+                             ids=["3", "5", "6", "1000", "4097", "10^300"])
+    def test_stages_same_as_the_class_call(self, seed):
+        # construct_one builds its stages without ConstructionStage.__new__
+        stages = cons.construct_one(seed).stages
+        rules = [("seed", "seed"), ("inflate", "double-affix-one"),
+                 ("normalize", "mersenne-subtract"),
+                 ("finalize", "shift-minus-one")]
+        assert all(type(s) is ConstructionStage for s in stages)
+        assert stages == tuple(ConstructionStage(label, s.value, rule)
+                               for (label, rule), s in zip(rules, stages))
+        assert stages[0].value == seed
+
     def test_replace_and_make_are_checked(self):
         trace = cons.construct_one(5)
         assert trace._replace(stages=trace.stages[1:]).final == trace.final

@@ -100,6 +100,18 @@ class TestWeightProfile:
         p = weight_profile(5)
         assert (p.weight, p.square_weight, p.defect) == (2, 3, -1)
 
+    def test_same_record_as_the_class_call(self):
+        # weight_profile builds its record without WeightProfile.__new__
+        for n in range(1, 2001):
+            p = weight_profile(n)
+            w, sw = n.bit_count(), (n * n).bit_count()
+            assert type(p) is WeightProfile
+            assert p == WeightProfile(w, sw, sw - 2 * w)
+        assert p._replace(defect=0) == WeightProfile(w, sw, 0)
+        assert type(p._replace(defect=0)) is WeightProfile
+        assert p._asdict() == {"weight": w, "square_weight": sw,
+                               "defect": sw - 2 * w}
+
     def test_powers_of_two(self):
         for k in range(0, 40):
             p = weight_profile(2**k)
