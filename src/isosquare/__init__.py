@@ -3,8 +3,8 @@
 Library layout:
   membership     exact digit sums in any base, the (base, multiplier, power)
                  predicate and weight profiles
-  constructions  constructive member families with verified weight identities
-  enumeration    fast sieve, counting function, run and gap scans
+  constructions  verified constructive member families and the gap scan
+  enumeration    fast sieve, counting function and run scans
   analysis       probabilistic model, exponent fit, fluctuation profile
   checks         on-demand verification suites
   cli            command-line interface
@@ -22,10 +22,10 @@ _HOMES = {
                       "construct_one", "family_traces", "finalize_member",
                       "four_tuple", "gap_interval", "gap_weight_identity",
                       "inflate", "mersenne_member", "mult_mersenne",
-                      "near_power_witness", "normalize_defect",
+                      "near_power_witness", "normalize_defect", "scan_gap",
                       "subtract_compose", "subtract_mersenne"),
     "enumeration": ("CountSample", "RunRecord", "counting", "find_runs",
-                    "members_in_range", "scan_gap", "sieve"),
+                    "members_in_range", "sieve"),
     "analysis": ("FitResult", "ProfilePoint", "alpha_limit",
                  "alpha_theoretical", "cross_binomial_sum", "fit_exponent",
                  "fluctuation_profile", "geometric_grid",

@@ -14,10 +14,10 @@ import math
 from math import comb, lgamma
 from typing import TYPE_CHECKING, NamedTuple
 
-from .enumeration import CountSample
-
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .enumeration import CountSample
 
 
 class FitResult(NamedTuple):

@@ -15,7 +15,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import constructions as cons
-from .enumeration import scan_gap
+from .constructions import scan_gap
 from .membership import weight_profile
 
 DEFAULT_CASES = 10_000

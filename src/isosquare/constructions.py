@@ -5,8 +5,8 @@ identity it is supposed to realize; a failed check raises
 PostconditionError and always means a bug, never a data problem.
 The chain seed -> inflate -> normalize_defect -> finalize_member turns
 an arbitrary non-power-of-two seed into a verified member whose leading
-bits are those of the seed, which is what makes families of pairwise
-distinct members cheap to build.
+bits are those of the seed, which makes families of pairwise distinct
+members cheap to build.  scan_gap checks the gap intervals exhaustively.
 
 Every check is an if statement that raises, never an assert, so it
 stays on under `python -O`; a message is formatted only when its check
@@ -110,6 +110,21 @@ def gap_interval(k: int) -> tuple[int, int]:
         raise ValueError(f"k must be >= 1, got {k}")
     n = 1 << (2 * k)
     return n, n + (1 << k)
+
+
+def scan_gap(k: int) -> bool:
+    """True iff the open interval gap_interval(k) holds no member (k <= 31).
+
+    The gap holds 2^k - 1 integers.  is_isosquare tests them for k <= 16,
+    so props (k <= 10) loads no sieve; members_in_range lists longer gaps.
+    """
+    if not 1 <= k <= 31:
+        raise ValueError(f"k must be in 1..31, got {k}")
+    lo, hi = gap_interval(k)
+    if k <= 16:
+        return not any(map(is_isosquare, range(lo + 1, hi)))
+    from .enumeration import members_in_range
+    return not members_in_range(lo + 1, hi - 1)
 
 
 def gap_weight_identity(k: int, r: int) -> bool:

@@ -17,7 +17,7 @@ worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
 chunk and hands out its members one by one (sieve) or as the decimal
 text the kernel writes (sieve_text_chunks, the one producer that keeps a
 checkpoint); counting tests only the odd ones, since m is a member iff
-2m is.
+2m is.  Of the package, this module imports membership alone.
 """
 
 from __future__ import annotations
@@ -166,11 +166,12 @@ def _writable(directory: str) -> bool:
 
 def members_in_range(lo: int, hi: int) -> list[int]:
     """All members m with lo <= m <= hi, increasing (1 <= lo, hi < 2^63),
-    listed by one kernel call."""
+    listed by one kernel call; none, with no call, if hi < lo."""
     _require_positive(lo=lo)
     _require_below_top("hi", hi)
-    # min(): a lo past hi lists nothing, and the kernel takes none past 2^63
-    return _kernel().members(min(lo, TOP), hi)
+    if hi < lo:
+        return []
+    return _kernel().members(lo, hi)
 
 
 def _members_text(lo: int, hi: int) -> str:
@@ -181,21 +182,21 @@ def _members_text(lo: int, hi: int) -> str:
 
 def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     """Odd members m with lo <= m <= p, for each p of the sorted points,
-    which lie in [lo - 1, hi] (1 <= lo, hi < 2^63)."""
+    which lie in [lo - 1, hi] (1 <= lo, hi < 2^63); zeros if hi < lo."""
     _require_positive(lo=lo)
     _require_below_top("hi", hi)
     if (any(b < a for a, b in zip(points, points[1:]))
             or points and (points[0] < lo - 1 or points[-1] > hi)):
         raise ValueError(f"points must be sorted and lie in [lo - 1, hi] = "
                          f"[{lo - 1}, {hi}]")
+    if hi < lo:
+        return [0] * len(points)
     return _odd_counts(lo, hi, points)
 
 
 def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
     """odd_counts_in_range, with its arguments taken as valid."""
-    # min(): a lo past hi counts nothing, and the kernel takes none past 2^63
-    # (ValueError; OverflowError from 2^64 on)
-    return _kernel().odd_counts(min(lo, TOP), hi, points)
+    return _kernel().odd_counts(lo, hi, points)
 
 
 def read_checkpoint(path: str) -> tuple[int, int]:
@@ -400,20 +401,3 @@ def find_runs(limit: int, min_length: int = 2) -> list[RunRecord]:
         if prev - start + 1 >= min_length:
             runs.append(RunRecord(start=start, length=prev - start + 1))
     return runs
-
-
-def scan_gap(k: int) -> bool:
-    """True iff the open interval gap_interval(k) holds no member (k <= 31).
-
-    The gap holds 2^k - 1 integers.  Below BLOCK of them (k <= 16) they are
-    tested with is_isosquare: for k <= 10 (props --suite gaps) that takes
-    under a millisecond, about as long as loading the cached kernel (0.5
-    ms), and props loads, or compiles, no kernel at all.
-    """
-    from .constructions import gap_interval
-    if k < 1 or gap_interval(k)[1] > TOP:
-        raise ValueError(f"k must be in 1..31, got {k}")
-    lo, hi = gap_interval(k)
-    if hi - lo - 1 < BLOCK:
-        return not any(map(is_isosquare, range(lo + 1, hi)))
-    return not members_in_range(lo + 1, hi - 1)

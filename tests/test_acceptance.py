@@ -80,7 +80,7 @@ def test_criterion_theorem_chain():
 
 
 def test_criterion_gap_and_tuple_scans():
-    ok = all(enumeration.scan_gap(k) for k in range(1, 11))
+    ok = all(constructions.scan_gap(k) for k in range(1, 11))
     ok = ok and not checks.run_suite("tuples")
     verdict("gap scan k=1..10 and 4-tuple scan k=9..40", ok)
 

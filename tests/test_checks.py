@@ -64,6 +64,16 @@ class TestRunSuite:
         assert checks.run_suite("mersenne") == ["patched"]
         assert calls == [7, 7, checks.DEFAULT_CASES]
 
+    def test_scan_gap_looked_up_in_checks(self, monkeypatch):
+        # the tracer wraps checks.scan_gap by name, so the gaps suite must
+        # call the checks global, which is constructions.scan_gap
+        assert checks.scan_gap is constructions.scan_gap
+        calls = []
+        monkeypatch.setattr(checks, "scan_gap",
+                            lambda k: calls.append(k) or True)
+        assert checks.run_suite("gaps") == []
+        assert calls == list(range(1, 11))
+
 
 # Each random generator's cases as random.Random(seed).randint draws them.
 # The generators call getrandbits themselves and must draw the same cases:

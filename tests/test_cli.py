@@ -374,13 +374,16 @@ class TestNumpyLoading:
         (CLI + "cli.main(['construct', '--seed', '5'])",
          PACKAGE - {"isosquare.constructions"} | HEAVY | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'lemmas', '--cases', '50'])",
-         {"isosquare.analysis"} | KERNEL | RECORDS),
+         {"isosquare.analysis", "isosquare.enumeration"} | KERNEL | RECORDS),
         (CLI + "cli.main(['enumerate', '--limit', '0'])", KERNEL),
         (CLI + "cli.main(['props', '--suite', 'gaps'])",
-         {"isosquare.analysis"} | KERNEL | RECORDS),
+         {"isosquare.analysis", "isosquare.enumeration"} | KERNEL | RECORDS),
         (CLI + "cli.main(['props', '--suite', 'all', '--cases', '50'])",
-         {"isosquare.analysis"} | KERNEL | RECORDS),
-        ("from isosquare.enumeration import scan_gap; scan_gap(16)", KERNEL),
+         {"isosquare.analysis", "isosquare.enumeration"} | KERNEL | RECORDS),
+        ("from isosquare.constructions import scan_gap; scan_gap(16)",
+         {"isosquare.enumeration"} | KERNEL),
+        # CountSample appears in analysis only in annotations
+        ("import isosquare.analysis", {"isosquare.enumeration"} | KERNEL),
         # the sieve commands run no construction, fit or rational arithmetic
         (CLI + "cli.main(['count', '--limit', '10^3', '--grid', '1000'])",
          {"isosquare.constructions", "isosquare.checks", "fractions"}),
@@ -401,8 +404,8 @@ class TestNumpyLoading:
          {"isosquare.constructions", "isosquare.checks"}),
     ], ids=["import", "import-cli", "check", "help", "construct",
             "props-lemmas", "enumerate-limit-0", "props-gaps", "props-all",
-            "scan-gap-16", "count", "enumerate", "analyze", "count-chunks",
-            "enumerate-chunks", "analyze-chunks"])
+            "scan-gap-16", "import-analysis", "count", "enumerate", "analyze",
+            "count-chunks", "enumerate-chunks", "analyze-chunks"])
     def test_not_loaded(self, code, unloaded):
         assert self.loaded(code) & (unloaded | UNUSED | {"numpy"}) == set()
 
@@ -425,7 +428,7 @@ class TestNumpyLoading:
                      "members_in_range(1, 10)",
                      "from isosquare.enumeration import sieve; "
                      "list(sieve(10))",
-                     "from isosquare.enumeration import scan_gap; "
+                     "from isosquare.constructions import scan_gap; "
                      "scan_gap(17)"):
             loaded = self.loaded(code)
             assert "isosquare._sieve" in loaded

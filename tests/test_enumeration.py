@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isosquare import enumeration
+from isosquare.constructions import scan_gap
 from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
                                    RunRecord, counting, find_runs,
                                    members_in_range, odd_counts_in_range,
-                                   read_checkpoint, scan_gap, sieve,
-                                   sieve_text_chunks)
+                                   read_checkpoint, sieve, sieve_text_chunks)
 from isosquare.membership import is_isosquare
 
 from conftest import (check_record, oracle_is_member, oracle_members,
@@ -130,6 +130,20 @@ class TestSieve:
         with pytest.raises(ValueError, match="lo must be >= 1"):
             odd_counts_in_range(lo, 5, [])
         assert members_in_range(5, 4) == []
+
+    # an empty window reaches no kernel, which refuses a negative hi
+    # (OverflowError) and a lo past 2^63 (ValueError)
+    @pytest.mark.parametrize("lo, hi", [
+        (5, 4), (5, -1), (5, -(1 << 64)), (1 << 64, (1 << 63) - 1)],
+        ids=["lo-1", "-1", "-2^64", "lo-2^64"])
+    def test_empty_window_calls_no_kernel(self, monkeypatch, lo, hi):
+        def fail():
+            raise AssertionError("an empty window called the kernel")
+        monkeypatch.setattr(enumeration, "_kernel", fail)
+        assert members_in_range(lo, hi) == []
+        assert odd_counts_in_range(lo, hi, []) == []
+        if hi == lo - 1:
+            assert odd_counts_in_range(lo, hi, [hi, hi]) == [0, 0]
 
     def test_bad_workers(self, tmp_path):
         path = tmp_path / "ck.txt"

@@ -24,10 +24,10 @@ EXPORTS = {
                       "construct_one", "family_traces", "finalize_member",
                       "four_tuple", "gap_interval", "gap_weight_identity",
                       "inflate", "mersenne_member", "mult_mersenne",
-                      "near_power_witness", "normalize_defect",
+                      "near_power_witness", "normalize_defect", "scan_gap",
                       "subtract_compose", "subtract_mersenne"],
     "enumeration": ["CountSample", "RunRecord", "counting", "find_runs",
-                    "members_in_range", "scan_gap", "sieve"],
+                    "members_in_range", "sieve"],
     "analysis": ["FitResult", "ProfilePoint", "alpha_limit",
                  "alpha_theoretical", "cross_binomial_sum", "fit_exponent",
                  "fluctuation_profile", "geometric_grid",
