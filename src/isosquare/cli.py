@@ -94,10 +94,9 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _require_writable(path: str, what: str, renamed: bool = False) -> None:
+def _require_writable(path: str, what: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
-    # a file renamed into place needs its directory writable, not itself
-    target = parent if renamed or not os.path.exists(path) else path
+    target = path if os.path.exists(path) else parent
     if (os.path.isdir(path) or not os.path.isdir(parent)
             or not os.access(target, os.W_OK)):
         raise ValueError(f"{what} location not writable: {path}")
@@ -120,8 +119,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import enumeration
     if args.checkpoint is not None:
-        _require_writable(args.checkpoint, "checkpoint", renamed=True)
-        _require_writable(args.checkpoint + ".tmp", "checkpoint")
+        _require_writable(args.checkpoint, "checkpoint")
     chunks = enumeration.sieve_text_chunks(args.limit, workers=args.workers,
                                            checkpoint=args.checkpoint)
     out = sys.stdout

@@ -16,8 +16,9 @@ worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
 1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
 chunk and hands out its members one by one (sieve) or as the decimal
 text the kernel writes (sieve_text_chunks, the one producer that keeps a
-checkpoint); counting tests only the odd ones, since m is a member iff
-2m is.  Of the package, this module imports membership alone.
+checkpoint, one record that each chunk overwrites in place); counting
+tests only the odd ones, since m is a member iff 2m is.  Of the package,
+this module imports membership alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections import deque
 from contextlib import ExitStack, closing
 from functools import cache
 from itertools import islice
+from stat import S_ISREG
 from threading import Lock
 from types import ModuleType
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
@@ -36,7 +38,7 @@ from .membership import is_isosquare
 
 TOP = 1 << 63  # the kernel tests 1 <= m < TOP
 DEFAULT_CHUNK = 1 << 22
-BLOCK = 1 << 16  # integers the kernel lists at a time (_sieve.c's BLOCK)
+_RECORD = b"%d %d\n"  # a checkpoint's one record: chunk_end count
 _SOURCE = os.path.join(os.path.dirname(__file__), "_sieve.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _FLAGS = ["-O3", "-shared", "-fPIC"]
@@ -202,17 +204,25 @@ def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
 def read_checkpoint(path: str) -> tuple[int, int]:
     """The (chunk_end, cumulative_count) record, or (0, 0) if absent/empty.
 
-    The file must be one line "chunk_end count" of two unsigned decimal
-    integers, ending in a newline, with count <= chunk_end.  Anything else
-    (a cut record, several lines, a non-ASCII byte) raises ValueError.
+    The file must be a regular file holding one canonical record, the
+    bytes b"%d %d\\n" % (chunk_end, count) that _recorded writes, with
+    count <= chunk_end.  Anything else (a FIFO or device, a cut record,
+    several lines, a leading zero, a sign, other spacing, a non-ASCII
+    byte) raises ValueError.
     """
-    if not os.path.exists(path) or not os.path.getsize(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
         return 0, 0
+    if not S_ISREG(mode):
+        raise ValueError(f"checkpoint {path}: not a regular file")
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data:
+        return 0, 0
     fields = data.split()
-    if (data.find(b"\n") != len(data) - 1 or len(fields) != 2
-            or not all(f.isdigit() for f in fields)):
+    if (len(fields) != 2 or not all(map(bytes.isdigit, fields))
+            or data != _RECORD % tuple(map(int, fields))):
         raise ValueError(f"checkpoint {path}: expected one line "
                          "'chunk_end count'")
     end, count = map(int, fields)
@@ -235,10 +245,11 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     _chunk_loop at most 2 * workers + 1 chunks ahead of the consumer and
     none with one worker: those chunks are all the run holds.  Chunks come
     in order, on the module's grid of DEFAULT_CHUNK integers.  The
-    checkpoint's one record "chunk_end count" is replaced only when the
-    consumer resumes after that chunk, so a recorded chunk was handed out
-    in full.  A later run resumes after it, at no cost per chunk skipped;
-    a chunk handed out but not recorded is produced again.
+    checkpoint's one record "chunk_end count" is overwritten in place
+    (_recorded) only when the consumer resumes after that chunk, so a
+    recorded chunk was handed out in full, and a kill leaves the old
+    record or the new one.  A later run resumes after it, at no cost per
+    chunk skipped; a chunk handed out but not recorded is produced again.
     """
     _start(limit, workers)
     if checkpoint is None:
@@ -330,16 +341,30 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
 def _recorded(chunks: Iterator[tuple[int, str]], checkpoint: str,
               count: int) -> Iterator[tuple[int, str]]:
     """The text chunks, each recorded in the checkpoint, with its lines
-    more members, once the consumer resumes after it.  The record is
-    written to checkpoint.tmp and renamed over the checkpoint, so a kill
-    leaves the old record or the new one."""
-    with closing(chunks):
-        for hi, text in chunks:
-            yield hi, text
-            count += text.count("\n")
-            with open(checkpoint + ".tmp", "w") as fh:
-                fh.write(f"{hi} {count}\n")
-            os.replace(checkpoint + ".tmp", checkpoint)
+    more members, once the consumer resumes after it.
+
+    The checkpoint is opened once, at the first record, and each record
+    overwrites the one before in place, with one pwrite at offset 0.  A
+    record never gets shorter, since chunk_end grows and count never
+    falls, and read_checkpoint takes only the canonical record, so no
+    stale byte is left past it.  A write of at most 40 bytes inside the
+    first page lands whole or not at all when the process is killed, so
+    a kill leaves the old record or the new one.
+    """
+    fd = -1
+    try:
+        with closing(chunks):
+            for hi, text in chunks:
+                yield hi, text
+                count += text.count("\n")
+                if fd < 0:
+                    fd = os.open(checkpoint, os.O_WRONLY | os.O_CREAT, 0o666)
+                record = _RECORD % (hi, count)
+                if os.pwrite(fd, record, 0) != len(record):
+                    raise OSError(f"checkpoint {checkpoint}: short write")
+    finally:
+        if fd >= 0:
+            os.close(fd)
 
 
 def counting(limit: int, grid: Sequence[int],

@@ -6,7 +6,16 @@ popcount paths under test.
 
 from __future__ import annotations
 
+import re
+
 import pytest
+
+
+# Records that read as 100 and 5 but are not the canonical b"100 5\n" that
+# a checkpoint holds, each refused, by test id.
+NON_CANONICAL = {"leading-zero": b"0100 5\n", "plus-sign": b"+100 5\n",
+                 "two-spaces": b"100  5\n", "tab": b"100\t5\n",
+                 "crlf": b"100 5\r\n", "leading-space": b" 100 5\n"}
 
 
 def oracle_digit_sum(n: int, base: int = 2) -> int:
@@ -42,6 +51,14 @@ def check_record(cls: type, values: dict[str, object]) -> None:
     text = repr(by_keyword)
     assert text.startswith(f"{cls.__name__}(")
     assert all(f"{field}=" in text for field in values)
+
+
+def kernel_block() -> int:
+    """_sieve.c's BLOCK, the integers the kernel lists at a time, read from
+    the source the kernel is built from, the one place it is defined."""
+    from isosquare.enumeration import _SOURCE
+    with open(_SOURCE) as fh:
+        return int(re.search(r"^#define BLOCK (\d+)\b", fh.read(), re.M)[1])
 
 
 def short_kernel(monkeypatch, call: str) -> None:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import sysconfig
@@ -15,7 +16,8 @@ from isosquare import analysis, cli, constructions, enumeration
 from isosquare.cli import build_parser, main, parse_limit
 from isosquare.membership import is_isosquare, weight_profile
 
-from conftest import oracle_is_member, oracle_members, short_kernel
+from conftest import (NON_CANONICAL, oracle_is_member, oracle_members,
+                      short_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,49 +185,68 @@ class TestEnumerate:
     @pytest.mark.parametrize("exists", [False, True])
     def test_unwritable_checkpoint_directory(self, capsys, tmp_path,
                                              monkeypatch, exists):
-        # The record is renamed into place, so the directory must be
-        # writable even where the file is.  As root every write is allowed,
-        # so os.access is told the directory is read-only.
+        # The record is written in place, so a read-only directory refuses
+        # a checkpoint that does not exist yet and takes one that does.  As
+        # root every write is allowed, so os.access is told the directory
+        # is read-only.
         path = tmp_path / "ck.txt"
         if exists:
             path.write_text("100 5\n")
         access = os.access
         monkeypatch.setattr(os, "access", lambda target, mode: (
             access(target, mode) and str(target) != str(tmp_path)))
-        forbid_sieving(monkeypatch, "sieved with an unwritable checkpoint")
+        if not exists:
+            forbid_sieving(monkeypatch, "sieved with an unwritable checkpoint")
         code, out, err = run(capsys, "enumerate", "--limit", "10^6",
                              "--format", "csv", "--checkpoint", str(path))
-        assert code == 2 and out == ""
-        assert f"error: checkpoint location not writable: {path}" in err
+        if not exists:
+            assert code == 2 and out == ""
+            assert f"error: checkpoint location not writable: {path}" in err
+            return
+        rest = [m for m in enumeration.sieve(10**6) if m > 100]
+        assert (code, err) == (0, "")
+        assert out == "n\n" + "".join(f"{m}\n" for m in rest)
+        assert path.read_text() == f"{10**6} {5 + len(rest)}\n"
 
-    def test_tmp_directory_refused_before_printing(self, capsys, tmp_path,
-                                                   monkeypatch):
-        # The record is written to PATH.tmp first: a directory there would
-        # fail only after the first chunk was printed.
-        path = tmp_path / "ck.txt"
-        (tmp_path / "ck.txt.tmp").mkdir()
-        forbid_sieving(monkeypatch, "sieved with a directory at PATH.tmp")
-        code, out, err = run(capsys, "enumerate", "--limit", "10^7",
-                             "--checkpoint", str(path))
-        assert code == 2 and out == ""
-        assert f"error: checkpoint location not writable: {path}.tmp" in err
-        assert not path.exists()
-
-    def test_unwritable_tmp_refused_before_printing(self, capsys, tmp_path,
-                                                    monkeypatch):
-        # As root every write is allowed, so os.access is told that
-        # PATH.tmp is read-only.
+    @pytest.mark.parametrize("kind", ["directory", "read-only"])
+    def test_path_tmp_left_untouched(self, capsys, tmp_path, monkeypatch,
+                                     kind):
+        # The record is written in place, so PATH.tmp, which earlier
+        # versions wrote and renamed, is not used: a directory there or a
+        # read-only file is left as it is.  As root every write is allowed,
+        # so os.access is told that PATH.tmp is read-only.
         path, tmp = tmp_path / "ck.txt", tmp_path / "ck.txt.tmp"
-        tmp.write_bytes(b"4000 9")
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda target, mode: (
-            access(target, mode) and str(target) != str(tmp)))
-        forbid_sieving(monkeypatch, "sieved with a read-only PATH.tmp")
+        if kind == "directory":
+            tmp.mkdir()
+        else:
+            tmp.write_bytes(b"4000 9")
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda target, mode: (
+                access(target, mode) and str(target) != str(tmp)))
         code, out, err = run(capsys, "enumerate", "--limit", "10^7",
                              "--checkpoint", str(path))
-        assert code == 2 and out == ""
-        assert f"error: checkpoint location not writable: {tmp}" in err
-        assert tmp.read_bytes() == b"4000 9" and not path.exists()
+        lines = out.count("\n")
+        assert (code, err) == (0, "")
+        assert lines == len(list(enumeration.sieve(10**7)))
+        assert path.read_text() == f"{10**7} {lines}\n"
+        assert (tmp.is_dir() if kind == "directory"
+                else tmp.read_bytes() == b"4000 9")
+
+    def test_fifo_checkpoint_refused_before_printing(self, capsys, tmp_path):
+        # An in-place write would block on a FIFO with no reader; a reader
+        # is held open so that one would not hang here, but shows.
+        path = tmp_path / "ck.fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                                 "--format", "csv", "--checkpoint", str(path))
+            written = os.read(reader, 64)  # no writer: b"" at once
+        finally:
+            os.close(reader)
+        assert code == 2 and out == "" and written == b""
+        assert f"error: checkpoint {path}: not a regular file" in err
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     @pytest.mark.parametrize("content, message", [
@@ -233,7 +254,10 @@ class TestEnumerate:
         (b"100 5\n50 7\n", "expected one line 'chunk_end count'"),
         (b"\xff\xfe 3\n", "expected one line 'chunk_end count'"),
         (b"10 50\n", "count 50 exceeds chunk_end 10"),
-    ], ids=["malformed", "two-records", "not-utf-8", "count-above-end"])
+        *((record, "expected one line 'chunk_end count'")
+          for record in NON_CANONICAL.values()),
+    ], ids=["malformed", "two-records", "not-utf-8", "count-above-end",
+            *NON_CANONICAL])
     def test_bad_checkpoint_prints_nothing(self, capsys, tmp_path, fmt,
                                            content, message):
         path = tmp_path / "ck.txt"

@@ -2,6 +2,7 @@ import contextlib
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -9,7 +10,7 @@ import threading
 import time
 import tracemalloc
 from bisect import bisect_left
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from pathlib import Path
 
 import pytest
@@ -19,16 +20,17 @@ from hypothesis import strategies as st
 
 from isosquare import enumeration
 from isosquare.constructions import scan_gap
-from isosquare.enumeration import (BLOCK, DEFAULT_CHUNK, CountSample,
-                                   RunRecord, counting, find_runs,
-                                   members_in_range, odd_counts_in_range,
-                                   read_checkpoint, sieve, sieve_text_chunks)
+from isosquare.enumeration import (DEFAULT_CHUNK, CountSample, RunRecord,
+                                   counting, find_runs, members_in_range,
+                                   odd_counts_in_range, read_checkpoint,
+                                   sieve, sieve_text_chunks)
 from isosquare.membership import is_isosquare
 
-from conftest import (check_record, oracle_is_member, oracle_members,
-                      short_kernel)
+from conftest import (NON_CANONICAL, check_record, kernel_block,
+                      oracle_is_member, oracle_members, short_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BLOCK = kernel_block()
 
 
 class TestSieve:
@@ -821,9 +823,9 @@ class TestCheckpoint:
     def test_interrupted_and_torn_run_resumes(self, limit, size, workers,
                                               data):
         # Delivery is at least once: a resumed run starts after the record,
-        # and every member up to it was handed out.  A kill between writing
-        # ck.txt.tmp and renaming it leaves that file, which is ignored; a
-        # cut record is never read as a smaller count.
+        # and every member up to it was handed out.  A stray ck.txt.tmp,
+        # which earlier versions wrote and renamed, is ignored and left as
+        # it is; a cut record is never read as a smaller count.
         full = oracle_members(limit)
         with (tempfile.TemporaryDirectory() as tmp,
               pytest.MonkeyPatch.context() as patch):
@@ -853,7 +855,10 @@ class TestCheckpoint:
             rest = joined(sieve_text_chunks(limit, workers, path))
             assert rest == text(full[count:])
             assert ck.read_bytes() == f"{limit} {len(full)}\n".encode()
-            assert os.listdir(tmp) == ["ck.txt"]
+            if stray is None:
+                assert os.listdir(tmp) == ["ck.txt"]
+            else:
+                assert Path(path + ".tmp").read_bytes() == stray
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("done", [0, 1, 2999, 3000, 7777])
@@ -934,8 +939,10 @@ class TestCheckpoint:
         (b"\xff\xfe 3\n", "expected one line 'chunk_end count'"),
         (b"10 -1\n", "expected one line 'chunk_end count'"),
         (b"10 50\n", "count 50 exceeds chunk_end 10"),
+        *((record, "expected one line 'chunk_end count'")
+          for record in NON_CANONICAL.values()),
     ], ids=["one-field", "not-a-number", "three-fields", "not-utf-8",
-            "negative", "count-above-end"])
+            "negative", "count-above-end", *NON_CANONICAL])
     def test_complete_malformed_line_rejected(self, tmp_path, content,
                                               message):
         path = tmp_path / "ck.txt"
@@ -944,9 +951,10 @@ class TestCheckpoint:
                 f"checkpoint {path}: {message}")):
             read_checkpoint(str(path))
 
-    def test_stray_tmp_is_ignored_and_overwritten(self, tmp_path,
-                                                  monkeypatch):
-        # a kill between writing ck.txt.tmp and renaming it leaves the file
+    def test_stray_tmp_is_ignored_and_left_as_is(self, tmp_path,
+                                                 monkeypatch):
+        # earlier versions wrote ck.txt.tmp and renamed it, so a kill
+        # between the two could leave it
         chunks_of(monkeypatch, 1000)
         path, tmp = tmp_path / "ck.txt", tmp_path / "ck.txt.tmp"
         full = oracle_members(10_000)
@@ -957,10 +965,84 @@ class TestCheckpoint:
         done, count = read_checkpoint(str(path))
         assert (done, count) == (3000, sum(m <= 3000 for m in full))
         rest = sieve_text_chunks(10_000, checkpoint=str(path))
-        assert tmp.read_bytes() == b"4000 9\xff"  # the call only reads
         assert joined(rest) == text(full[count:])
         assert path.read_text() == f"10000 {len(full)}\n"
-        assert not tmp.exists()
+        assert tmp.read_bytes() == b"4000 9\xff"
+
+    def test_resumed_run_leaves_one_canonical_line(self, tmp_path,
+                                                   monkeypatch):
+        # Each record is written over the one before and is never shorter:
+        # from a 4-byte record to 11-byte ones, the file holds exactly the
+        # last record at every step.
+        chunks_of(monkeypatch, 7)
+        full = oracle_members(3000)
+        path = tmp_path / "ck.txt"
+        path.write_bytes(b"5 4\n")
+        files, records = [], []
+        for end, _ in sieve_text_chunks(3000, 2, str(path)):
+            files.append(path.read_bytes())
+            records.append((end, bisect_left(full, end + 1)))
+        files.append(path.read_bytes())
+        assert files == [b"%d %d\n" % r for r in [(5, 4)] + records]
+        assert records[-1] == (3000, len(full))
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_file_refused(self, tmp_path, kind):
+        # a FIFO reads as empty and would block a writer with no reader
+        path = tmp_path / "ck"
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        for call in (lambda: read_checkpoint(str(path)),
+                     lambda: sieve_text_chunks(10, 1, str(path))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"checkpoint {path}: not a regular file")):
+                call()
+
+    def test_killed_writer_leaves_a_whole_record(self, tmp_path):
+        # A child process resumes from the record it finds and writes ever
+        # larger records through _recorded as fast as it can, its chunks
+        # holding count = chunk_end // 2 lines in all.  Once its first
+        # record is written it says so on a pipe, and it is killed at a
+        # seeded random moment after that.  Each kill leaves a record that
+        # reads, keeps that count and is larger than the one before.  The
+        # first record is one chunk short of 10^5, so the records soon
+        # outgrow it by a byte.
+        def halves(end):
+            for hi in count(end + 3, 3):
+                yield hi, "\n" * (hi // 2 - end // 2)
+                end = hi
+
+        path = str(tmp_path / "ck.txt")
+        last = (99_996, 49_998)
+        Path(path).write_bytes(b"%d %d\n" % last)
+        rng = random.Random(32)
+        for _ in range(200):
+            started, ready = os.pipe()
+            pid = os.fork()
+            if not pid:
+                try:
+                    end, lines = read_checkpoint(path)
+                    chunks = enumeration._recorded(halves(end), path, lines)
+                    for taken, _ in enumerate(chunks):
+                        if taken == 1:  # the first record is written
+                            os.write(ready, b"1")
+                finally:
+                    os._exit(1)
+            try:
+                os.close(ready)
+                os.read(started, 1)  # b"" at once if the child died
+                time.sleep(rng.uniform(0, 0.001))
+            finally:
+                os.kill(pid, signal.SIGKILL)
+                status = os.waitpid(pid, 0)[1]
+                os.close(started)
+            assert os.WIFSIGNALED(status)  # still writing when killed
+            record = read_checkpoint(path)
+            assert record[1] == record[0] // 2 and record > last
+            last = record
+        assert last[0] > 10**5
 
     def test_resume_near_limit_skips_chunks_lazily(self, tmp_path):
         limit = 1 << 40
