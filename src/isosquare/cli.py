@@ -16,7 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, NoReturn
 
-from .membership import ISOSQUARE, PropertyTriple, digit_sum, satisfies
+from .membership import ISOSQUARE, PropertyTriple, _digit_sums
 
 if TYPE_CHECKING:
     from .constructions import ConstructionTrace
@@ -95,18 +95,21 @@ def _default_workers() -> int:
 
 
 def _require_writable(path: str, what: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    target = path if os.path.exists(path) else parent
-    if (os.path.isdir(path) or not os.path.isdir(parent)
+    """Raise ValueError, naming path as given, unless the file it names,
+    through any symbolic links, can be written: the file where it exists,
+    else its directory."""
+    real = os.path.realpath(path)
+    parent = os.path.dirname(real)
+    target = real if os.path.exists(real) else parent
+    if (os.path.isdir(real) or not os.path.isdir(parent)
             or not os.access(target, os.W_OK)):
         raise ValueError(f"{what} location not writable: {path}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     n, triple = args.n, args.triple
-    member = satisfies(n, triple)
-    s1 = digit_sum(n, triple.base)
-    s2 = digit_sum(n**triple.power, triple.base)
+    s1, s2 = _digit_sums(n, triple)
+    member = s1 == triple.multiplier * s2
     if triple == ISOSQUARE:
         sums = f"B(n)={s1} B(n^2)={s2}"
     else:

@@ -240,16 +240,18 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     as the kernel writes them.
 
     The arguments and the checkpoint are checked (read, not written) and
-    the kernel loaded at the call; sieving starts when the result is first
-    advanced.  Each chunk is written by one _members_text call, through
-    _chunk_loop at most 2 * workers + 1 chunks ahead of the consumer and
-    none with one worker: those chunks are all the run holds.  Chunks come
-    in order, on the module's grid of DEFAULT_CHUNK integers.  The
-    checkpoint's one record "chunk_end count" is overwritten in place
-    (_recorded) only when the consumer resumes after that chunk, so a
-    recorded chunk was handed out in full, and a kill leaves the old
-    record or the new one.  A later run resumes after it, at no cost per
-    chunk skipped; a chunk handed out but not recorded is produced again.
+    the kernel loaded at the call.  When the result is first advanced, the
+    checkpoint is opened, or created empty, and sieving starts; an open
+    that fails raises there, before any chunk is sieved.  Each chunk is
+    written by one _members_text call, through _chunk_loop at most
+    2 * workers + 1 chunks ahead of the consumer and none with one
+    worker: those chunks are all the run holds.  Chunks come in order, on
+    the module's grid of DEFAULT_CHUNK integers.  The checkpoint's one
+    record "chunk_end count" is overwritten in place (_recorded) only when
+    the consumer resumes after that chunk, so a recorded chunk was handed
+    out in full, and a kill leaves the old record or the new one.  A later
+    run resumes after it, at no cost per chunk skipped; a chunk handed out
+    but not recorded is produced again.
     """
     _start(limit, workers)
     if checkpoint is None:
@@ -343,28 +345,27 @@ def _recorded(chunks: Iterator[tuple[int, str]], checkpoint: str,
     """The text chunks, each recorded in the checkpoint, with its lines
     more members, once the consumer resumes after it.
 
-    The checkpoint is opened once, at the first record, and each record
-    overwrites the one before in place, with one pwrite at offset 0.  A
-    record never gets shorter, since chunk_end grows and count never
-    falls, and read_checkpoint takes only the canonical record, so no
-    stale byte is left past it.  A write of at most 40 bytes inside the
-    first page lands whole or not at all when the process is killed, so
-    a kill leaves the old record or the new one.
+    The checkpoint is opened once, at the first next(), before any chunk
+    is asked for, and created empty if it is missing, which
+    read_checkpoint reads as no record; an existing record is left as it
+    is.  Each record overwrites the one before in place, with one pwrite
+    at offset 0.  A record never gets shorter, since chunk_end grows and
+    count never falls, and read_checkpoint takes only the canonical
+    record, so no stale byte is left past it.  A write of at most 40
+    bytes inside the first page lands whole or not at all when the
+    process is killed, so a kill leaves the old record or the new one.
     """
-    fd = -1
+    fd = os.open(checkpoint, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         with closing(chunks):
             for hi, text in chunks:
                 yield hi, text
                 count += text.count("\n")
-                if fd < 0:
-                    fd = os.open(checkpoint, os.O_WRONLY | os.O_CREAT, 0o666)
                 record = _RECORD % (hi, count)
                 if os.pwrite(fd, record, 0) != len(record):
                     raise OSError(f"checkpoint {checkpoint}: short write")
     finally:
-        if fd >= 0:
-            os.close(fd)
+        os.close(fd)
 
 
 def counting(limit: int, grid: Sequence[int],

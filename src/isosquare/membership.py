@@ -82,9 +82,16 @@ def satisfies(n: int, t: PropertyTriple = ISOSQUARE) -> bool:
     The power is computed exactly; digit sums are discontinuous in the
     value, so no floating point is ever involved.
     """
+    s, s_power = _digit_sums(n, t)
+    return s == t.multiplier * s_power
+
+
+def _digit_sums(n: int, t: PropertyTriple) -> tuple[int, int]:
+    """digit_sum(n, base) and digit_sum(n^power, base) for positive n, the
+    two sums that satisfies compares."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return digit_sum(n, t.base) == t.multiplier * digit_sum(n**t.power, t.base)
+    return digit_sum(n, t.base), digit_sum(n**t.power, t.base)
 
 
 def is_isosquare(n: int) -> bool:

@@ -6,6 +6,7 @@ popcount paths under test.
 
 from __future__ import annotations
 
+import os
 import re
 
 import pytest
@@ -76,6 +77,18 @@ def short_kernel(monkeypatch, call: str) -> None:
         setattr(kernel, name, lambda lo, hi: listed(lo, hi)[:-1])
         check(kernel)
     monkeypatch.setattr(enumeration, "_check", short)
+
+
+def refuse_open(monkeypatch, path) -> None:
+    """Make os.open fail with EACCES for path alone, as it does for a
+    file that cannot be written."""
+    real_open = os.open
+
+    def refusing(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(os, "open", refusing)
 
 
 @pytest.fixture(scope="session")

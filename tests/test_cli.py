@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from isosquare import analysis, cli, constructions, enumeration
+from isosquare import analysis, cli, constructions, enumeration, membership
 from isosquare.cli import build_parser, main, parse_limit
 from isosquare.membership import is_isosquare, weight_profile
 
 from conftest import (NON_CANONICAL, oracle_is_member, oracle_members,
-                      short_kernel)
+                      refuse_open, short_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,6 +142,41 @@ class TestCheck:
             assert out.split()[0] == f"n={2**20000}"
         assert code == 0
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["316"], 0, "n={n} B(n)=5 B(n^2)=5 member=yes\n", ""),
+        (["5"], 1, "n={n} B(n)=2 B(n^2)=3 member=no\n", ""),
+        (["0"], 2, "", "error: n must be positive, got 0\n"),
+        (["2^20000"], 0, "n={n} B(n)=1 B(n^2)=1 member=yes\n", ""),
+        (["9", "--triple", "10,1,2"], 0,
+         "n={n} base=10 digit_sum(n)=9 digit_sum(n^2)=9 member=yes\n", ""),
+        (["2025", "--triple", "10,1,2"], 1,
+         "n={n} base=10 digit_sum(n)=9 digit_sum(n^2)=18 member=no\n", ""),
+    ], ids=["member", "non-member", "zero", "2^20000", "base-10-member",
+            "base-10-non-member"])
+    def test_exact_output(self, capsys, argv, code, out, err):
+        with digit_cap(0):
+            out = out.format(n=parse_limit(argv[0]))
+        assert run(capsys, "check", *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [["316"], ["5"], ["2^20000"],
+                                      ["7^120", "--triple", "10,1,2"]],
+                             ids=["member", "non-member", "2^20000",
+                                  "base-10"])
+    def test_each_sum_computed_once(self, capsys, argv):
+        # The verdict and the printout share the two digit sums.  Calls are
+        # counted by digit_sum's code, whatever name they go through.
+        calls, digit_sum_code = [], membership.digit_sum.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is digit_sum_code:
+                calls.append(event)
+        sys.setprofile(profile)
+        try:
+            code, _, _ = run(capsys, "check", *argv)
+        finally:
+            sys.setprofile(None)
+        assert code in (0, 1) and len(calls) == 2
+
 
 class TestEnumerate:
     def test_limit16(self, capsys):
@@ -207,6 +242,55 @@ class TestEnumerate:
         assert (code, err) == (0, "")
         assert out == "n\n" + "".join(f"{m}\n" for m in rest)
         assert path.read_text() == f"{10**6} {5 + len(rest)}\n"
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_link_into_missing_directory_refused(self, capsys, tmp_path,
+                                                 monkeypatch, fmt):
+        # The link's own directory exists; the checkpoint's does not.
+        link = tmp_path / "ck"
+        link.symlink_to("/nonexistent/dir/ck")
+        forbid_sieving(monkeypatch, "sieved with a dangling checkpoint link")
+        code, out, err = run(capsys, "enumerate", "--limit", "10^7",
+                             "--workers", "1", "--format", fmt,
+                             "--checkpoint", str(link))
+        assert (code, out) == (2, "")
+        assert err == f"error: checkpoint location not writable: {link}\n"
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_link_records_in_its_target(self, capsys, tmp_path, exists):
+        target, link = tmp_path / "runs" / "ck.txt", tmp_path / "ck"
+        target.parent.mkdir()
+        if exists:
+            target.write_text("100 5\n")
+        link.symlink_to(target)
+        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                             "--checkpoint", str(link))
+        rest = [m for m in enumeration.sieve(10**6) if m > 100 * exists]
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{m}\n" for m in rest)
+        assert link.is_symlink()
+        assert target.read_text() == f"{10**6} {5 * exists + len(rest)}\n"
+
+    def test_checkpoint_open_failure_prints_nothing(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # the open comes before the first chunk is sieved
+        path = tmp_path / "ck.txt"
+        refuse_open(monkeypatch, path)
+        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                             "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+        assert not path.exists()
+
+    def test_short_write_is_an_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "ck.txt"
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                             "--workers", "1", "--checkpoint", str(path))
+        assert code == 2
+        assert out == "".join(f"{m}\n" for m in enumeration.sieve(10**6))
+        assert err == f"error: checkpoint {path}: short write\n"
+        assert path.read_bytes() == b""
 
     @pytest.mark.parametrize("kind", ["directory", "read-only"])
     def test_path_tmp_left_untouched(self, capsys, tmp_path, monkeypatch,
@@ -643,6 +727,25 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--limit", "10^8",
                            "--out", "/nonexistent/dir/profile.csv")
         assert code == 2 and "error:" in err and "--out" in err
+
+    def test_link_into_missing_directory_refused(self, capsys, tmp_path,
+                                                 monkeypatch):
+        link = tmp_path / "p.csv"
+        link.symlink_to("/nonexistent/dir/p.csv")
+        forbid_sieving(monkeypatch, "sieved with a dangling --out link")
+        code, out, err = run(capsys, "analyze", "--limit", "10^7",
+                             "--workers", "1", "--out", str(link))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out location not writable: {link}\n"
+
+    def test_out_link_writes_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "out" / "p.csv", tmp_path / "p.csv"
+        target.parent.mkdir()
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "analyze", "--limit", "2^14", "--workers",
+                         "1", "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert target.read_text().startswith("n,log2n,profile_value\n")
 
     def test_out_needs_only_the_file_writable(self, capsys, tmp_path,
                                               monkeypatch):

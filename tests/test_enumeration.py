@@ -27,7 +27,8 @@ from isosquare.enumeration import (DEFAULT_CHUNK, CountSample, RunRecord,
 from isosquare.membership import is_isosquare
 
 from conftest import (NON_CANONICAL, check_record, kernel_block,
-                      oracle_is_member, oracle_members, short_kernel)
+                      oracle_is_member, oracle_members, refuse_open,
+                      short_kernel)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLOCK = kernel_block()
@@ -764,12 +765,13 @@ class TestCheckpoint:
     with the chunk text checked against oracle_members."""
 
     def test_records_are_monotone(self, tmp_path, monkeypatch):
-        # each record replaces the one before: the file is always one line
+        # each record replaces the one before: once the file holds a
+        # record, it is always one line
         chunks_of(monkeypatch, 1000)
         path = tmp_path / "ck.txt"
         rows = []
         for _ in sieve_text_chunks(10_000, checkpoint=str(path)):
-            if path.exists():
+            if path.read_bytes():
                 assert path.read_text().count("\n") == 1
                 rows.append(read_checkpoint(str(path)))
         assert rows == [(end, len(oracle_members(end)))
@@ -792,10 +794,48 @@ class TestCheckpoint:
         chunks = sieve_text_chunks(10_000, checkpoint=str(path))
         end, chunk = next(chunks)
         assert (end, chunk) == (1000, text(oracle_members(1000)))
-        assert not path.exists()
+        assert path.read_bytes() == b""  # opened, no record yet
         next(chunks)
         assert read_checkpoint(str(path)) == (end, len(oracle_members(end)))
         chunks.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("how", ["directory-removed", "open-refused"])
+    def test_open_failure_raises_before_sieving(self, tmp_path, monkeypatch,
+                                                workers, how):
+        # The checkpoint is opened at the first next(), before any chunk
+        # is asked for: an open that fails there sieves nothing.
+        chunks_of(monkeypatch, 1000)
+        path = tmp_path / "run" / "ck.txt"
+        path.parent.mkdir()
+        calls = TestResumeKernelCalls.spy_text(monkeypatch)
+        chunks = sieve_text_chunks(10_000, workers, str(path))
+        if how == "directory-removed":
+            path.parent.rmdir()
+        else:
+            refuse_open(monkeypatch, path)
+
+        def start(thread):
+            raise AssertionError("a thread started before the open")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with pytest.raises(OSError) as exc:
+            next(chunks)
+        assert exc.value.filename == str(path)
+        assert calls == [] and not path.exists()
+
+    def test_short_write_raises_naming_the_checkpoint(self, tmp_path,
+                                                      monkeypatch):
+        # A pwrite that writes fewer bytes than the record is an error, not
+        # a record silently cut; here it writes none.
+        chunks_of(monkeypatch, 1000)
+        path = tmp_path / "ck.txt"
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+        chunks = sieve_text_chunks(10_000, checkpoint=str(path))
+        next(chunks)
+        with pytest.raises(OSError, match=re.escape(
+                f"checkpoint {path}: short write")):
+            next(chunks)
+        assert path.read_bytes() == b""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("taken", [3, 5000])

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -91,3 +92,21 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("name, args, message", [
+    pytest.param(name, args, message, id=name) for name, args, message in [
+        ("cross_binomial_sum", (0,), "k must be >= 1, got 0"),
+        ("alpha_limit", (0,), "k must be >= 1, got 0"),
+        ("weight_profile", (0,), "n must be positive, got 0"),
+        ("find_runs", (10, 1), "min_length must be >= 2, got 1"),
+        ("mult_mersenne", (0, 3), "n must be >= 1, got 0"),
+        ("affix_one", (0, 3), "n must be >= 1, got 0"),
+        ("subtract_mersenne", (4, 3, 7), "n must be odd positive, got 4"),
+        ("normalize_defect", (1,), "n must be odd and > 1, got 1"),
+        ("construct_one", (1,), "seed must be > 1, got 1"),
+    ]])
+def test_input_checks_raise_their_message(name, args, message):
+    # an input check that no other test reaches, one per function
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(isosquare, name)(*args)
