@@ -94,16 +94,16 @@ def _default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _require_writable(path: str, what: str) -> None:
-    """Raise ValueError, naming path as given, unless the file it names,
-    through any symbolic links, can be written: the file where it exists,
-    else its directory."""
+def _require_writable(path: str) -> None:
+    """Raise ValueError, naming the --out path as given, unless the file
+    it names, through any symbolic links, can be written: the file where it
+    exists, else its directory."""
     real = os.path.realpath(path)
     parent = os.path.dirname(real)
     target = real if os.path.exists(real) else parent
     if (os.path.isdir(real) or not os.path.isdir(parent)
             or not os.access(target, os.W_OK)):
-        raise ValueError(f"{what} location not writable: {path}")
+        raise ValueError(f"--out location not writable: {path}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -121,8 +121,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import enumeration
-    if args.checkpoint is not None:
-        _require_writable(args.checkpoint, "checkpoint")
     chunks = enumeration.sieve_text_chunks(args.limit, workers=args.workers,
                                            checkpoint=args.checkpoint)
     out = sys.stdout
@@ -169,7 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analysis, enumeration
     if args.limit < 1 << 12:
         raise ValueError(f"limit must be >= 2^12, got {args.limit}")
-    _require_writable(args.out, "--out")
+    _require_writable(args.out)
     grid = analysis.geometric_grid(1 << 10, args.limit)
     fit_from = (args.limit // DEFAULT_FIT_WINDOW if args.fit_from is None
                 else args.fit_from)

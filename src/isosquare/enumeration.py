@@ -182,22 +182,10 @@ def _members_text(lo: int, hi: int) -> str:
     return _kernel().members_text(lo, hi)
 
 
-def odd_counts_in_range(lo: int, hi: int, points: Sequence[int]) -> list[int]:
-    """Odd members m with lo <= m <= p, for each p of the sorted points,
-    which lie in [lo - 1, hi] (1 <= lo, hi < 2^63); zeros if hi < lo."""
-    _require_positive(lo=lo)
-    _require_below_top("hi", hi)
-    if (any(b < a for a, b in zip(points, points[1:]))
-            or points and (points[0] < lo - 1 or points[-1] > hi)):
-        raise ValueError(f"points must be sorted and lie in [lo - 1, hi] = "
-                         f"[{lo - 1}, {hi}]")
-    if hi < lo:
-        return [0] * len(points)
-    return _odd_counts(lo, hi, points)
-
-
 def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
-    """odd_counts_in_range, with its arguments taken as valid."""
+    """Odd members m with lo <= m <= p, for each p of the sorted points,
+    which lie in [lo - 1, hi], counted by one kernel call, with its
+    arguments taken as valid; zeros if hi < lo."""
     return _kernel().odd_counts(lo, hi, points)
 
 
@@ -239,26 +227,28 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     the text holding the chunk's members in decimal, one a line ("m\\n"),
     as the kernel writes them.
 
-    The arguments and the checkpoint are checked (read, not written) and
-    the kernel loaded at the call.  When the result is first advanced, the
-    checkpoint is opened, or created empty, and sieving starts; an open
-    that fails raises there, before any chunk is sieved.  Each chunk is
-    written by one _members_text call, through _chunk_loop at most
-    2 * workers + 1 chunks ahead of the consumer and none with one
-    worker: those chunks are all the run holds.  Chunks come in order, on
-    the module's grid of DEFAULT_CHUNK integers.  The checkpoint's one
-    record "chunk_end count" is overwritten in place (_recorded) only when
-    the consumer resumes after that chunk, so a recorded chunk was handed
-    out in full, and a kill leaves the old record or the new one.  A later
-    run resumes after it, at no cost per chunk skipped; a chunk handed out
-    but not recorded is produced again.
+    At the call the arguments are checked, the kernel loaded and the
+    checkpoint read, then opened, or created empty: an open that fails
+    raises its own OSError from the call, before any chunk is sieved.  The
+    result holds the file open until it is run out, closed or collected,
+    advanced or not.  Each chunk is written by one _members_text call,
+    through _chunk_loop at most 2 * workers + 1 chunks ahead of the
+    consumer and none with one worker: those chunks are all the run holds.
+    Chunks come in order, on the module's grid of DEFAULT_CHUNK integers.
+    The checkpoint's one record "chunk_end count" is overwritten in place
+    (_recorded) only when the consumer resumes after that chunk, so a
+    recorded chunk was handed out in full, and a kill leaves the old record
+    or the new one.  A later run resumes after it, at no cost per chunk
+    skipped; a chunk handed out but not recorded is produced again.
     """
     _start(limit, workers)
     if checkpoint is None:
         return _chunk_loop(_members_text, 1, limit, workers)
     done, count = read_checkpoint(checkpoint)
-    return _recorded(_chunk_loop(_members_text, done + 1, limit, workers),
-                     checkpoint, count)
+    chunks = _recorded(_chunk_loop(_members_text, done + 1, limit, workers),
+                       checkpoint, count)
+    next(chunks)  # opens the checkpoint
+    return chunks
 
 
 def sieve(limit: int, workers: int = 1) -> Iterator[int]:
@@ -341,23 +331,24 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
 
 
 def _recorded(chunks: Iterator[tuple[int, str]], checkpoint: str,
-              count: int) -> Iterator[tuple[int, str]]:
-    """The text chunks, each recorded in the checkpoint, with its lines
-    more members, once the consumer resumes after it.
+              count: int) -> Iterator[tuple[int, str] | None]:
+    """None, then the text chunks, each recorded in the checkpoint, with
+    its lines more members, once the consumer resumes after it.
 
-    The checkpoint is opened once, at the first next(), before any chunk
-    is asked for, and created empty if it is missing, which
-    read_checkpoint reads as no record; an existing record is left as it
-    is.  Each record overwrites the one before in place, with one pwrite
-    at offset 0.  A record never gets shorter, since chunk_end grows and
-    count never falls, and read_checkpoint takes only the canonical
-    record, so no stale byte is left past it.  A write of at most 40
-    bytes inside the first page lands whole or not at all when the
+    The checkpoint is opened once, at the first next(), which yields the
+    None before any chunk is asked for, and created empty if it is
+    missing, which read_checkpoint reads as no record; an existing record
+    is left as it is.  Each record overwrites the one before in place,
+    with one pwrite at offset 0.  A record never gets shorter, since
+    chunk_end grows and count never falls, and read_checkpoint takes only
+    the canonical record, so no stale byte is left past it.  A write of at
+    most 40 bytes inside the first page lands whole or not at all when the
     process is killed, so a kill leaves the old record or the new one.
     """
     fd = os.open(checkpoint, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         with closing(chunks):
+            yield None
             for hi, text in chunks:
                 yield hi, text
                 count += text.count("\n")

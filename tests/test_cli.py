@@ -39,6 +39,20 @@ def forbid_sieving(monkeypatch, message):
         monkeypatch.setattr(enumeration, name, fail)
 
 
+def forbid_chunks(monkeypatch, message):
+    """Make the member stream fail once it sieves a chunk: the chunk loop,
+    which is made before the checkpoint is opened, when it first runs, and
+    _members_text when it is called.  The kernel still loads."""
+    def loop(*args, **kwargs):
+        raise AssertionError(message)
+        yield
+
+    def fail(*args, **kwargs):
+        raise AssertionError(message)
+    monkeypatch.setattr(enumeration, "_chunk_loop", loop)
+    monkeypatch.setattr(enumeration, "_members_text", fail)
+
+
 class CountingStdout(io.StringIO):
     """A stdout that counts its write calls."""
     writes = 0
@@ -206,37 +220,49 @@ class TestEnumerate:
         assert "limit must be >= 1, got 0" in err
 
     def test_unwritable_checkpoint(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--limit", "10",
-                           "--checkpoint", "/nonexistent/dir/ck.txt")
-        assert code == 2 and "checkpoint" in err
-
-    def test_unwritable_checkpoint_reported_before_limit(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--limit", "0",
-                             "--format", "csv",
+        code, out, err = run(capsys, "enumerate", "--limit", "10",
                              "--checkpoint", "/nonexistent/dir/ck.txt")
-        assert code == 2 and out == ""
-        assert "checkpoint location not writable" in err
+        assert (code, out) == (2, "")
+        assert err == ("error: [Errno 2] No such file or directory: "
+                       "'/nonexistent/dir/ck.txt'\n")
+
+    def test_unwritable_checkpoint_reported_before_limit(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # The arguments are checked before the checkpoint is opened, so a
+        # bad limit is reported first, and the checkpoint is not created.
+        path = tmp_path / "ck.txt"
+        refuse_open(monkeypatch, path)
+        code, out, err = run(capsys, "enumerate", "--limit", "0",
+                             "--format", "csv", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: limit must be >= 1, got 0\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("exists", [False, True])
     def test_unwritable_checkpoint_directory(self, capsys, tmp_path,
                                              monkeypatch, exists):
         # The record is written in place, so a read-only directory refuses
         # a checkpoint that does not exist yet and takes one that does.  As
-        # root every write is allowed, so os.access is told the directory
-        # is read-only.
+        # root every write is allowed, so the open of the missing file is
+        # refused as a read-only directory would refuse it.
         path = tmp_path / "ck.txt"
         if exists:
             path.write_text("100 5\n")
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda target, mode: (
-            access(target, mode) and str(target) != str(tmp_path)))
+        else:
+            refuse_open(monkeypatch, path)
+            forbid_chunks(monkeypatch, "sieved with an unwritable checkpoint")
+        mode = tmp_path.stat().st_mode
+        tmp_path.chmod(0o555)
+        try:
+            code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                                 "--format", "csv", "--checkpoint", str(path))
+        finally:
+            tmp_path.chmod(mode)
         if not exists:
-            forbid_sieving(monkeypatch, "sieved with an unwritable checkpoint")
-        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
-                             "--format", "csv", "--checkpoint", str(path))
-        if not exists:
-            assert code == 2 and out == ""
-            assert f"error: checkpoint location not writable: {path}" in err
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+            assert not path.exists()
             return
         rest = [m for m in enumeration.sieve(10**6) if m > 100]
         assert (code, err) == (0, "")
@@ -249,12 +275,13 @@ class TestEnumerate:
         # The link's own directory exists; the checkpoint's does not.
         link = tmp_path / "ck"
         link.symlink_to("/nonexistent/dir/ck")
-        forbid_sieving(monkeypatch, "sieved with a dangling checkpoint link")
+        forbid_chunks(monkeypatch, "sieved with a dangling checkpoint link")
         code, out, err = run(capsys, "enumerate", "--limit", "10^7",
                              "--workers", "1", "--format", fmt,
                              "--checkpoint", str(link))
         assert (code, out) == (2, "")
-        assert err == f"error: checkpoint location not writable: {link}\n"
+        assert err == f"error: [Errno 2] No such file or directory: '{link}'\n"
+        assert link.is_symlink() and not os.path.exists(link)
 
     @pytest.mark.parametrize("exists", [False, True])
     def test_link_records_in_its_target(self, capsys, tmp_path, exists):
@@ -273,14 +300,17 @@ class TestEnumerate:
 
     def test_checkpoint_open_failure_prints_nothing(self, capsys, tmp_path,
                                                     monkeypatch):
-        # the open comes before the first chunk is sieved
+        # the open comes at the call that makes the chunk stream, before
+        # the first chunk is sieved and before the csv header is written
         path = tmp_path / "ck.txt"
         refuse_open(monkeypatch, path)
-        code, out, err = run(capsys, "enumerate", "--limit", "10^6",
-                             "--checkpoint", str(path))
-        assert (code, out) == (2, "")
-        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
-        assert not path.exists()
+        forbid_chunks(monkeypatch, "sieved with a refused checkpoint")
+        for fmt in ("plain", "csv"):
+            code, out, err = run(capsys, "enumerate", "--limit", "10^6",
+                                 "--format", fmt, "--checkpoint", str(path))
+            assert (code, out) == (2, ""), fmt
+            assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+            assert not path.exists()
 
     def test_short_write_is_an_error(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "ck.txt"
@@ -457,7 +487,7 @@ RECORDS = {"dataclasses", "inspect"}
 CLI = "from isosquare import cli; "
 
 
-class TestNumpyLoading:
+class TestModuleLoading:
     """Each command loads only the modules it runs, only the sieve loads
     its kernel, and nothing loads numpy; each case runs in a fresh
     interpreter."""
@@ -865,7 +895,8 @@ class TestProps:
 
 class TestKernelBuild:
     SIEVING = pytest.mark.parametrize("argv", [
-        ["enumerate", "--limit", "10^5", "--format", "csv"],
+        ["enumerate", "--limit", "10^5", "--format", "csv",
+         "--checkpoint", "ck.txt"],
         ["count", "--limit", "10^5", "--grid", "1000,10^5"],
         ["analyze", "--limit", "2^14", "--out", "profile.csv"],
     ], ids=["enumerate", "count", "analyze"])
@@ -874,7 +905,7 @@ class TestKernelBuild:
     def test_compiler_failure_is_an_error(self, capsys, monkeypatch,
                                           tmp_path, fresh_kernel, argv):
         # The kernel is built before anything is written: no csv header,
-        # no profile, no library and no traceback.
+        # no checkpoint, no profile, no library and no traceback.
         compiler = tmp_path / "cc"
         compiler.write_text("#!/bin/sh\necho 'cc: cannot build' >&2\n"
                             "exit 1\n")
@@ -894,7 +925,7 @@ class TestKernelBuild:
                                            tmp_path, unloaded_kernel, argv):
         # The load checks the selected path against is_isosquare; a path
         # that disagrees, even in its text entry point alone, stops the
-        # command before it writes anything.
+        # command before it writes anything, a checkpoint included.
         for fault in ("answers", "text"):
             if fault == "answers":
                 monkeypatch.setattr(enumeration, "is_isosquare",

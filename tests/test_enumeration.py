@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import gc
 import os
 import random
 import re
@@ -22,8 +24,7 @@ from isosquare import enumeration
 from isosquare.constructions import scan_gap
 from isosquare.enumeration import (DEFAULT_CHUNK, CountSample, RunRecord,
                                    counting, find_runs, members_in_range,
-                                   odd_counts_in_range, read_checkpoint,
-                                   sieve, sieve_text_chunks)
+                                   read_checkpoint, sieve, sieve_text_chunks)
 from isosquare.membership import is_isosquare
 
 from conftest import (NON_CANONICAL, check_record, kernel_block,
@@ -130,8 +131,6 @@ class TestSieve:
     def test_non_positive_lo_rejected(self, lo):
         with pytest.raises(ValueError, match="lo must be >= 1"):
             members_in_range(lo, 5)
-        with pytest.raises(ValueError, match="lo must be >= 1"):
-            odd_counts_in_range(lo, 5, [])
         assert members_in_range(5, 4) == []
 
     # an empty window reaches no kernel, which refuses a negative hi
@@ -144,9 +143,6 @@ class TestSieve:
             raise AssertionError("an empty window called the kernel")
         monkeypatch.setattr(enumeration, "_kernel", fail)
         assert members_in_range(lo, hi) == []
-        assert odd_counts_in_range(lo, hi, []) == []
-        if hi == lo - 1:
-            assert odd_counts_in_range(lo, hi, [hi, hi]) == [0, 0]
 
     def test_bad_workers(self, tmp_path):
         path = tmp_path / "ck.txt"
@@ -200,13 +196,13 @@ class TestSieve:
 
 
 def check_odd_counts(lo, hi, odd):
-    """odd_counts_in_range on [lo, hi] against its sorted odd members, at
+    """_odd_counts on [lo, hi] against its sorted odd members, at
     points 32 apart (16 odd integers, two vectors of 8) from each start
     lo - 1, lo + 1, ..., lo + 29: so every odd integer is tested in a full
     vector in most calls, and together the counts pin down each one."""
     for start in range(lo - 1, lo + 31, 2):
         points = sorted({lo - 1, hi, *range(start, hi + 1, 32)})
-        assert odd_counts_in_range(lo, hi, points) == [
+        assert enumeration._odd_counts(lo, hi, points) == [
             bisect_left(odd, p + 1) for p in points]
 
 
@@ -377,7 +373,7 @@ class TestBlockKernel:
 
     @staticmethod
     def check(kernel_paths, lo, hi, points, member=oracle_is_member):
-        """members_in_range, its text, odd_counts_in_range at the points
+        """members_in_range, its text, _odd_counts at the points
         and check_odd_counts, on each path, against the member
         predicate."""
         members = [m for m in range(lo, hi + 1) if member(m)]
@@ -386,7 +382,7 @@ class TestBlockKernel:
         for path in kernel_paths():
             assert members_in_range(lo, hi) == members, path
             assert enumeration._members_text(lo, hi) == text(members), path
-            assert odd_counts_in_range(lo, hi, points) == counts, path
+            assert enumeration._odd_counts(lo, hi, points) == counts, path
             check_odd_counts(lo, hi, odd)
 
     @pytest.mark.parametrize("lo, hi", WINDOWS)
@@ -453,7 +449,7 @@ class TestPathsAgree:
         points = sorted(rng.sample(range(lo - 1, hi + 1), 200))
         results = {path: (members_in_range(lo, hi),
                           enumeration._members_text(lo, hi),
-                          odd_counts_in_range(lo, hi, points))
+                          enumeration._odd_counts(lo, hi, points))
                    for path in kernel_paths()}
         members, lines, counts = results.pop("scalar")
         for path, result in results.items():
@@ -708,7 +704,7 @@ class TestKernel:
         lo, hi = (1 << 32) - 3000, (1 << 32) + 3000
         members = [m for m in range(lo, hi + 1) if oracle_is_member(m)]
         assert members_in_range(lo, hi) == members
-        assert odd_counts_in_range(lo, hi, [hi]) == [
+        assert enumeration._odd_counts(lo, hi, [hi]) == [
             sum(m % 2 for m in members)]
         assert list(private.iterdir()) == []
         if how == "read-only":
@@ -803,25 +799,50 @@ class TestCheckpoint:
     @pytest.mark.parametrize("how", ["directory-removed", "open-refused"])
     def test_open_failure_raises_before_sieving(self, tmp_path, monkeypatch,
                                                 workers, how):
-        # The checkpoint is opened at the first next(), before any chunk
-        # is asked for: an open that fails there sieves nothing.
+        # The checkpoint is opened at the call, before any chunk is asked
+        # for: an open that fails raises from the call and sieves nothing.
         chunks_of(monkeypatch, 1000)
         path = tmp_path / "run" / "ck.txt"
-        path.parent.mkdir()
-        calls = TestResumeKernelCalls.spy_text(monkeypatch)
-        chunks = sieve_text_chunks(10_000, workers, str(path))
-        if how == "directory-removed":
-            path.parent.rmdir()
-        else:
+        if how == "open-refused":
+            path.parent.mkdir()
             refuse_open(monkeypatch, path)
+        calls = TestResumeKernelCalls.spy_text(monkeypatch)
 
         def start(thread):
             raise AssertionError("a thread started before the open")
         monkeypatch.setattr(threading.Thread, "start", start)
         with pytest.raises(OSError) as exc:
-            next(chunks)
+            sieve_text_chunks(10_000, workers, str(path))
         assert exc.value.filename == str(path)
         assert calls == [] and not path.exists()
+
+    @pytest.mark.parametrize("how", ["close", "collect"])
+    def test_unadvanced_result_closes_the_checkpoint(self, tmp_path,
+                                                     monkeypatch, how):
+        # The result owns the descriptor opened at the call: it is closed
+        # with the result, which was never advanced.
+        path = tmp_path / "ck.txt"
+        opened, real_open = [], os.open
+
+        def spy(file, *args, **kwargs):
+            fd = real_open(file, *args, **kwargs)
+            if os.fspath(file) == str(path):
+                opened.append(fd)
+            return fd
+        monkeypatch.setattr(os, "open", spy)
+        calls = TestResumeKernelCalls.spy_text(monkeypatch)
+        chunks = sieve_text_chunks(10**6, 2, str(path))
+        [fd] = opened
+        os.fstat(fd)  # open until the result is closed
+        if how == "close":
+            chunks.close()
+        else:
+            del chunks
+            gc.collect()
+        with pytest.raises(OSError) as exc:
+            os.fstat(fd)
+        assert exc.value.errno == errno.EBADF
+        assert calls == [] and path.read_bytes() == b""
 
     def test_short_write_raises_naming_the_checkpoint(self, tmp_path,
                                                       monkeypatch):
@@ -1065,6 +1086,7 @@ class TestCheckpoint:
                 try:
                     end, lines = read_checkpoint(path)
                     chunks = enumeration._recorded(halves(end), path, lines)
+                    next(chunks)  # opened, as sieve_text_chunks does
                     for taken, _ in enumerate(chunks):
                         if taken == 1:  # the first record is written
                             os.write(ready, b"1")
@@ -1278,29 +1300,13 @@ class TestOddCounts:
         assert hi == lo or {p % 2 for p in points} == {0, 1}
         expected = self.expected(lo, hi, points)
         for path in kernel_paths():
-            assert odd_counts_in_range(lo, hi, points) == expected, path
+            assert enumeration._odd_counts(lo, hi, points) == expected, path
 
     def test_repeated_points_and_empty_range(self):
-        assert odd_counts_in_range(6, 15, [5, 7, 7, 15, 15]) == [0, 1, 1, 2, 2]
-        assert odd_counts_in_range(5, 4, [4]) == [0]
-        assert odd_counts_in_range(1, 1000, [0, 100, 1000]) == [0, 8, 36]
-
-    # Unsorted points counted [36, 36] for [1000, 100]; a negative point
-    # wrapped to 2^64 - 1 and was clamped to hi, as was one above hi.
-    @pytest.mark.parametrize("lo, points", [
-        (1, [1000, 100]), (1, [7, 6, 1000]), (1, [-1]), (1, [-1, 9]),
-        (1, [5, 1001]), (10, [8])])
-    def test_points_unsorted_or_outside_rejected(self, lo, points):
-        with pytest.raises(ValueError, match=re.escape(
-                f"points must be sorted and lie in [lo - 1, hi] = "
-                f"[{lo - 1}, 1000]")):
-            odd_counts_in_range(lo, 1000, points)
-
-    @pytest.mark.parametrize("hi", [1 << 63, (1 << 63) + 1, 1 << 64])
-    def test_hi_from_2_63_rejected(self, hi):
-        with pytest.raises(ValueError, match=re.escape(
-                f"hi must be below 2^63, got {hi}")):
-            odd_counts_in_range((1 << 63) - 5, hi, [])
+        odd_counts = enumeration._odd_counts
+        assert odd_counts(6, 15, [5, 7, 7, 15, 15]) == [0, 1, 1, 2, 2]
+        assert odd_counts(5, 4, [4]) == [0]
+        assert odd_counts(1, 1000, [0, 100, 1000]) == [0, 8, 36]
 
 
 class TestFindRuns:

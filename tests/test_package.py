@@ -94,6 +94,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_uncalled_public_definitions():
+    # A public top-level def or class that the package does not export and
+    # that src/ names nowhere else, as a name, an attribute or an import,
+    # has no caller: delete it, or export it.
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted((SRC / "isosquare").glob("*.py"))}
+    named = {name for tree in trees.values() for node in ast.walk(tree)
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          node.name if isinstance(node, ast.alias) else None)}
+    uncalled = [f"{module}.{node.name}"
+                for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in isosquare._MODULE_OF
+                and node.name not in named]
+    assert uncalled == []
+
+
 @pytest.mark.parametrize("name, args, message", [
     pytest.param(name, args, message, id=name) for name, args, message in [
         ("cross_binomial_sum", (0,), "k must be >= 1, got 0"),
