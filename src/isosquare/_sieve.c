@@ -1,14 +1,17 @@
 /* The sieve's kernel, an extension module that enumeration.py compiles on
    first use and loads as isosquare._sieve.  members(lo, hi) lists the m
-   with B(m) = B(m^2), lo <= m <= hi < 2^63, members_text(lo, hi) writes
-   them as decimal lines and odd_counts(lo, hi, points) counts the odd ones
-   up to each point, each call over its whole window with the GIL released.
-   The scalar loops test one m at a time; on x86-64 the loader picks the
-   POPCNT build of each scan where the CPU has that instruction.  The vector
-   loops (x86-64 with AVX-512F and VPOPCNTDQ) test 16 at a time below 2^32
-   and 8 at a time above, and leave the last fewer than 8 to the scalar
-   loops.  isq_select picks the path once, before any scan runs; the loader
-   then checks every entry point against is_isosquare. */
+   with B(m) = B(m^2), lo <= m <= hi < 2^63, odd_members(lo, hi) lists the
+   odd ones and odd_counts(lo, hi, points) counts them up to each point,
+   each call over its whole window with the GIL released.  Since m is a
+   member iff 2m is, merge_text(lo, hi, odd, half) makes the members of
+   [lo, hi] from its odd ones and those of [ceil(lo/2), hi/2], and writes
+   them as decimal lines.  The scalar loops test one m at a time; on x86-64
+   the loader picks the POPCNT build of each scan where the CPU has that
+   instruction.  The vector loops (x86-64 with AVX-512F and VPOPCNTDQ) test
+   16 at a time below 2^32 and 8 at a time above, and leave the last fewer
+   than 8 to the scalar loops.  isq_select picks the path once, before any
+   scan runs; the loader then checks every entry point against
+   is_isosquare. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #define W(x) __builtin_popcountll(x)
@@ -132,8 +135,7 @@ DISPATCH static void count_odd(uint64_t lo, uint64_t hi, uint64_t *p,
     }
 }
 
-#define BLOCK 65536  /* integers listed per check of the buffer's room */
-#define LINE 20      /* bytes of the longest line: 19 digits below 2^63, \n */
+#define BLOCK 65536  /* integers tested per check of the buffer's room */
 
 /* Two decimal digits for each of 00, ..., 99. */
 static const char PAIRS[] =
@@ -163,6 +165,18 @@ static size_t write_lines(const uint64_t *members, size_t n, char *text)
     return (size_t)(p - text);
 }
 
+/* The bytes write_lines writes for the n increasing members: a newline
+   each, and a digit for each power of ten up to the member. */
+static size_t text_size(const uint64_t *members, size_t n)
+{
+    size_t size = n, i = 0;
+    for (uint64_t p = 1; p <= 1000000000000000000ull; p *= 10) {
+        while (i < n && members[i] < p) i++;
+        size += n - i;
+    }
+    return size;
+}
+
 /* Memory from PyMem_Raw*, which needs no GIL: size bytes, used of them. */
 typedef struct { char *at; size_t used, size; } Buffer;
 
@@ -178,22 +192,50 @@ static int room(Buffer *b, size_t need)
     return at != NULL;
 }
 
-/* Appends the members among lo, ..., hi < 2^63 to b, BLOCK integers at a
-   time: as uint64s, or with as_text as decimal lines, each BLOCK's members
-   listed first at the top of its room, past the room for their lines.
-   Returns 0 when out of memory. */
-DISPATCH static int list_members(uint64_t lo, uint64_t hi, Buffer *b,
-                                 int as_text)
+/* Appends the members among m = lo, lo + step, ... <= hi < 2^63 to b as
+   uint64s, BLOCK of those m at a time.  Returns 0 when out of memory. */
+DISPATCH static int list_members(uint64_t lo, uint64_t hi, uint64_t step,
+                                 Buffer *b)
 {
     while (lo <= hi) {
-        size_t len = hi - lo < BLOCK ? hi - lo + 1 : BLOCK;
-        if (!room(b, (as_text ? 8 + LINE : 8) * len)) return 0;
-        uint64_t *found = (uint64_t *)(b->at + (as_text ? b->size - 8 * len
-                                                : b->used));
-        size_t n = scan_path(&lo, lo + (len - 1), 1, found);
-        b->used += as_text ? write_lines(found, n, b->at + b->used) : 8 * n;
+        size_t len = (hi - lo) / step < BLOCK ? (hi - lo) / step + 1 : BLOCK;
+        if (!room(b, 8 * len)) return 0;
+        b->used += 8 * scan_path(&lo, lo + (len - 1) * step, step,
+                                 (uint64_t *)(b->at + b->used));
     }
     return 1;
+}
+
+/* The i-th uint64 at p, which need not be aligned. */
+static inline uint64_t load(const char *p, size_t i)
+{
+    uint64_t v;
+    memcpy(&v, p + 8 * i, 8);
+    return v;
+}
+
+/* Writes to out the n odd integers at odd merged with twice each of the k
+   at half, in one pass that checks both: returns 0 unless odd increases
+   through odd integers of [lo, hi] and half through [ceil(lo/2), hi/2], so
+   that out increases through [lo, hi]. */
+static int merge(uint64_t lo, uint64_t hi, const char *odd, size_t n,
+                 const char *half, size_t k, uint64_t *out)
+{
+    uint64_t o = lo - 1, h = (lo - 1) / 2;  /* the last taken of each */
+    for (size_t i = 0, j = 0; i < n || j < k;) {
+        uint64_t next_o = i < n ? load(odd, i) : 0;
+        uint64_t next_h = j < k ? load(half, j) : 0;
+        if (j == k || (i < n && next_o < 2 * next_h)) {
+            if (next_o <= o || !(next_o & 1)) return 0;
+            *out++ = o = next_o;
+            i++;
+        } else {
+            if (next_h <= h) return 0;
+            *out++ = 2 * (h = next_h);
+            j++;
+        }
+    }
+    return (!n || o <= hi) && (!k || h <= hi / 2);
 }
 
 /* The binding.  Each window bound and point is an int in [0, 2^64), else
@@ -208,9 +250,10 @@ static int u64(PyObject *o, void *out)
 }
 
 static int window(PyObject *args, const char *format, uint64_t *lo,
-                  uint64_t *hi, PyObject **points)
+                  uint64_t *hi, void *more, void *last)
 {
-    if (!PyArg_ParseTuple(args, format, u64, lo, u64, hi, points)) return 0;
+    if (!PyArg_ParseTuple(args, format, u64, lo, u64, hi, more, last))
+        return 0;
     if (*lo && *lo <= 1ull << 63 && !(*hi >> 63)) return 1;
     PyErr_Format(PyExc_ValueError, "the sieve kernel takes 1 <= lo <= 2^63 "
                  "and hi < 2^63, got lo = %llu, hi = %llu",
@@ -230,19 +273,20 @@ static PyObject *int_list(const uint64_t *values, size_t n)
     return list;
 }
 
-/* members(lo, hi) -> list[int] and members_text(lo, hi) -> str. */
-static PyObject *listing(PyObject *args, int as_text)
+/* members(lo, hi) -> list[int] and odd_members(lo, hi) -> bytes, the odd
+   members as native uint64s. */
+static PyObject *listing(PyObject *args, int odd)
 {
     uint64_t lo, hi;
     Buffer b = {0};
     PyObject *found = NULL;
     int done;
-    if (window(args, "O&O&", &lo, &hi, NULL)) {
+    if (window(args, "O&O&", &lo, &hi, NULL, NULL)) {
         Py_BEGIN_ALLOW_THREADS
-        done = list_members(lo, hi, &b, as_text);
+        done = list_members(odd ? lo | 1 : lo, hi, odd ? 2 : 1, &b);
         Py_END_ALLOW_THREADS
         found = !done ? PyErr_NoMemory()
-            : as_text ? PyUnicode_DecodeASCII(b.at, (Py_ssize_t)b.used, NULL)
+            : odd ? PyBytes_FromStringAndSize(b.at, (Py_ssize_t)b.used)
             : int_list((uint64_t *)b.at, b.used / 8);
     }
     PyMem_RawFree(b.at);
@@ -254,9 +298,51 @@ static PyObject *members(PyObject *Py_UNUSED(self), PyObject *args)
     return listing(args, 0);
 }
 
-static PyObject *members_text(PyObject *Py_UNUSED(self), PyObject *args)
+static PyObject *odd_members(PyObject *Py_UNUSED(self), PyObject *args)
 {
     return listing(args, 1);
+}
+
+/* merge_text(lo, hi, odd, half) -> (str, bytes): the members of [lo, hi]
+   as decimal lines and as native uint64s, from odd, its odd members, and
+   half, the members of [ceil(lo/2), hi/2], each a bytes-like object of
+   increasing native uint64s, else ValueError.  The results are written in
+   place, with the GIL released, before any other thread can see them. */
+static PyObject *merge_text(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    uint64_t lo, hi;
+    Py_buffer odd = {0}, half = {0};
+    PyObject *members = NULL, *text = NULL, *found = NULL;
+    if (window(args, "O&O&y*y*", &lo, &hi, &odd, &half)) {
+        size_t n = (size_t)odd.len / 8, k = (size_t)half.len / 8;
+        uint64_t *m;
+        int merged;
+        if ((odd.len | half.len) % 8)
+            PyErr_Format(PyExc_ValueError, "odd and half must hold whole "
+                         "uint64s, got %zd and %zd bytes", odd.len, half.len);
+        else if ((members = PyBytes_FromStringAndSize(NULL, 8 * (n + k)))) {
+            m = (uint64_t *)PyBytes_AS_STRING(members);
+            Py_BEGIN_ALLOW_THREADS
+            merged = merge(lo, hi, odd.buf, n, half.buf, k, m);
+            Py_END_ALLOW_THREADS
+            if (!merged)
+                PyErr_SetString(PyExc_ValueError, "odd must increase through "
+                                "odd integers of [lo, hi] and half through "
+                                "[ceil(lo/2), hi/2]");
+            else if ((text = PyUnicode_New(
+                          (Py_ssize_t)text_size(m, n + k), 127))) {
+                Py_BEGIN_ALLOW_THREADS
+                write_lines(m, n + k, (char *)PyUnicode_1BYTE_DATA(text));
+                Py_END_ALLOW_THREADS
+                found = PyTuple_Pack(2, text, members);
+            }
+        }
+    }
+    Py_XDECREF(text);
+    Py_XDECREF(members);
+    PyBuffer_Release(&odd);
+    PyBuffer_Release(&half);
+    return found;
 }
 
 /* odd_counts(lo, hi, points) -> list[int], for a sequence of points. */
@@ -264,7 +350,7 @@ static PyObject *odd_counts(PyObject *Py_UNUSED(self), PyObject *args)
 {
     uint64_t lo, hi;
     PyObject *points;
-    if (!window(args, "O&O&O", &lo, &hi, &points)
+    if (!window(args, "O&O&O", &lo, &hi, &points, NULL)
         || !(points = PySequence_Fast(points, "points must be a sequence")))
         return NULL;
     size_t n = (size_t)PySequence_Fast_GET_SIZE(points), i = 0;
@@ -296,7 +382,8 @@ static PyObject *isq_select(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyMethodDef METHODS[] = {
     {"members", members, METH_VARARGS, NULL},
-    {"members_text", members_text, METH_VARARGS, NULL},
+    {"odd_members", odd_members, METH_VARARGS, NULL},
+    {"merge_text", merge_text, METH_VARARGS, NULL},
     {"odd_counts", odd_counts, METH_VARARGS, NULL},
     {"isq_select", isq_select, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL}};

@@ -13,17 +13,20 @@ OSError on any mismatch.  A chunk loop runs a kernel over chunks on
 min(workers, chunks) threads, or in the calling thread where that is
 one, and hands the results out in order, so output is the same for any
 worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
-1 + 2 * DEFAULT_CHUNK and so on.  The sieve tests every integer of each
-chunk and hands out its members one by one (sieve) or as the decimal
-text the kernel writes (sieve_text_chunks, the one producer that keeps a
-checkpoint, one record that each chunk overwrites in place); counting
-tests only the odd ones, since m is a member iff 2m is.  Of the package,
-this module imports membership alone.
+1 + 2 * DEFAULT_CHUNK and so on.  sieve tests every integer of each chunk
+and hands out its members one by one.  Since m is a member iff 2m is,
+sieve_text_chunks (the one producer that keeps a checkpoint, one record
+that each chunk overwrites in place) and counting test only the odd
+integers: sieve_text_chunks hands out each chunk as the decimal text the
+kernel writes when it merges the chunk's odd members with twice the
+members of its half window, and counting sums odd counts.  Of the
+package, this module imports membership alone.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import ExitStack, closing
@@ -147,15 +150,23 @@ def _check(lib: ModuleType) -> None:
     for lo, hi in _CHECKED:
         members = [m for m in range(lo, hi + 1) if is_isosquare(m)]
         odd = [m for m in members if m % 2]
+        half = [m for m in range((lo + 1) // 2, hi // 2 + 1)
+                if is_isosquare(m)]
         points = [lo - 1, (lo + hi) // 2, hi]
         if (lib.members(lo, hi) != members
                 or lib.odd_counts(lo, hi, points)
                 != [bisect_right(odd, p) for p in points]
-                or lib.members_text(lo, hi)
-                != "".join(f"{m}\n" for m in members)):
+                or lib.odd_members(lo, hi) != _uint64s(odd)
+                or lib.merge_text(lo, hi, _uint64s(odd), _uint64s(half))
+                != ("".join(f"{m}\n" for m in members), _uint64s(members))):
             path = "vector" if lib.isq_select(-1) else "scalar"
             raise OSError(f"the sieve kernel's {path} path disagrees with "
                           f"is_isosquare on [{lo}, {hi}]")
+
+
+def _uint64s(values: Sequence[int]) -> bytes:
+    """The values as native uint64s, the kernel's member arrays."""
+    return b"".join(v.to_bytes(8, sys.byteorder) for v in values)
 
 
 def _writable(directory: str) -> bool:
@@ -176,10 +187,10 @@ def members_in_range(lo: int, hi: int) -> list[int]:
     return _kernel().members(lo, hi)
 
 
-def _members_text(lo: int, hi: int) -> str:
-    """members_in_range(lo, hi) as decimal text, one member a line, written
-    by one kernel call, with its arguments taken as valid."""
-    return _kernel().members_text(lo, hi)
+def _odd_members(lo: int, hi: int) -> bytes:
+    """The odd members m with lo <= m <= hi, as native uint64s, listed by
+    one kernel call, with its arguments taken as valid."""
+    return _kernel().odd_members(lo, hi)
 
 
 def _odd_counts(lo: int, hi: int, points: Sequence[int]) -> list[int]:
@@ -231,31 +242,73 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     checkpoint read, then opened, or created empty: an open that fails
     raises its own OSError from the call, before any chunk is sieved.  The
     result holds the file open until it is run out, closed or collected,
-    advanced or not.  Each chunk is written by one _members_text call,
-    through _chunk_loop at most 2 * workers + 1 chunks ahead of the
-    consumer and none with one worker: those chunks are all the run holds.
-    Chunks come in order, on the module's grid of DEFAULT_CHUNK integers.
-    The checkpoint's one record "chunk_end count" is overwritten in place
-    (_recorded) only when the consumer resumes after that chunk, so a
-    recorded chunk was handed out in full, and a kill leaves the old record
-    or the new one.  A later run resumes after it, at no cost per chunk
-    skipped; a chunk handed out but not recorded is produced again.
+    advanced or not.  Each chunk's odd members are listed by one
+    _odd_members call, through _chunk_loop at most 2 * workers + 1 chunks
+    ahead of the consumer and none with one worker, and its text is
+    written in order by _merged.  Chunks come in order, on the module's
+    grid of DEFAULT_CHUNK integers.  The checkpoint's one record
+    "chunk_end count" is overwritten in place (_recorded) only when the
+    consumer resumes after that chunk, so a recorded chunk was handed out
+    in full, and a kill leaves the old record or the new one.  A later run
+    resumes after it, at no cost per chunk skipped; a chunk handed out but
+    not recorded is produced again.
     """
     _start(limit, workers)
     if checkpoint is None:
-        return _chunk_loop(_members_text, 1, limit, workers)
+        return _merged(1, limit, workers)
     done, count = read_checkpoint(checkpoint)
-    chunks = _recorded(_chunk_loop(_members_text, done + 1, limit, workers),
-                       checkpoint, count)
+    chunks = _recorded(_merged(done + 1, limit, workers), checkpoint, count)
     next(chunks)  # opens the checkpoint
     return chunks
 
 
+def _merged(first: int, last: int,
+            workers: int) -> Iterator[tuple[int, str]]:
+    """(chunk_end, text) for the chunks of _chunk_loop over [first, last],
+    each chunk [lo, hi] written by the kernel's merge_text from its odd
+    members and the members of its half window [ceil(lo/2), hi/2].
+
+    On the grid the half window of chunk k lies in chunk k // 2, so it is
+    read from the members of the chunks merged so far, kept from the chunk
+    that holds the half window's start on, and only where they start at or
+    below last // 2: 8 bytes a member of the chunks that overlap
+    [ceil(lo/2), lo).  A half window that this run did not merge, that of
+    the first chunk and those below 2 * first, is listed by _listed.
+    """
+    merge, kept = _kernel().merge_text, deque()  # (lo, hi, members)
+    lo = first
+    with closing(_chunk_loop(_odd_members, first, last, workers)) as chunks:
+        for hi, odd in chunks:
+            a, b = (lo + 1) // 2, hi // 2
+            while kept and kept[0][1] < a:
+                kept.popleft()
+            if kept and kept[0][0] <= a:
+                view = memoryview(kept[0][2]).cast("Q")
+                half = view[bisect_left(view, a):bisect_right(view, b)]
+            else:
+                half = _listed(a, b)
+            text, members = merge(lo, hi, odd, half)
+            if lo <= last // 2:  # else no half window of this run is in it
+                kept.append((lo, hi, members))
+            yield hi, text
+            lo = hi + 1
+
+
+def _listed(lo: int, hi: int) -> bytes:
+    """The members m with lo <= m <= hi, as native uint64s: the odd ones
+    merged with twice those of [ceil(lo/2), hi/2], listed the same way,
+    which is as many tests as listing [lo, hi] at step 1."""
+    if lo > hi:
+        return b""
+    return _kernel().merge_text(lo, hi, _odd_members(lo, hi),
+                                _listed((lo + 1) // 2, hi // 2))[1]
+
+
 def sieve(limit: int, workers: int = 1) -> Iterator[int]:
     """Yield every member m <= limit in increasing order, each chunk of
-    sieve_text_chunks listed by one call of the members_in_range this
-    module holds at the call, where arguments are checked and the kernel
-    loaded, as there."""
+    the module's grid listed, every integer of it tested, by one call of
+    the members_in_range this module holds at the call, where arguments
+    are checked and the kernel loaded, as in sieve_text_chunks."""
     _start(limit, workers)
     chunks = _chunk_loop(members_in_range, 1, limit, workers)
     return (m for _, members in chunks for m in members)

@@ -63,18 +63,21 @@ def kernel_block() -> int:
 
 
 def short_kernel(monkeypatch, call: str) -> None:
-    """Make each load of the sieve kernel check a kernel whose listing entry
-    point, members_text ("text") or members ("list"), returns one byte or
-    one member fewer than it wrote, the other entry points left sound."""
+    """Make each load of the sieve kernel check a kernel whose text entry
+    point merge_text ("text") returns one byte fewer than it wrote, or
+    whose listing entry point members ("list") or odd_members ("odd") one
+    member fewer, the other entry points left sound."""
     from types import SimpleNamespace
 
     from isosquare import enumeration
     check = enumeration._check
-    name = {"text": "members_text", "list": "members"}[call]
+    name, cut = {"text": ("merge_text", lambda r: (r[0][:-1], r[1])),
+                 "list": ("members", lambda r: r[:-1]),
+                 "odd": ("odd_members", lambda r: r[:-8])}[call]
 
     def short(lib):
         listed, kernel = getattr(lib, name), SimpleNamespace(**vars(lib))
-        setattr(kernel, name, lambda lo, hi: listed(lo, hi)[:-1])
+        setattr(kernel, name, lambda *args: cut(listed(*args)))
         check(kernel)
     monkeypatch.setattr(enumeration, "_check", short)
 

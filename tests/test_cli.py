@@ -42,7 +42,7 @@ def forbid_sieving(monkeypatch, message):
 def forbid_chunks(monkeypatch, message):
     """Make the member stream fail once it sieves a chunk: the chunk loop,
     which is made before the checkpoint is opened, when it first runs, and
-    _members_text when it is called.  The kernel still loads."""
+    _odd_members when it is called.  The kernel still loads."""
     def loop(*args, **kwargs):
         raise AssertionError(message)
         yield
@@ -50,7 +50,7 @@ def forbid_chunks(monkeypatch, message):
     def fail(*args, **kwargs):
         raise AssertionError(message)
     monkeypatch.setattr(enumeration, "_chunk_loop", loop)
-    monkeypatch.setattr(enumeration, "_members_text", fail)
+    monkeypatch.setattr(enumeration, "_odd_members", fail)
 
 
 class CountingStdout(io.StringIO):
@@ -226,9 +226,8 @@ class TestEnumerate:
         assert err == ("error: [Errno 2] No such file or directory: "
                        "'/nonexistent/dir/ck.txt'\n")
 
-    def test_unwritable_checkpoint_reported_before_limit(self, capsys,
-                                                         tmp_path,
-                                                         monkeypatch):
+    def test_bad_limit_reported_before_checkpoint(self, capsys, tmp_path,
+                                                  monkeypatch):
         # The arguments are checked before the checkpoint is opened, so a
         # bad limit is reported first, and the checkpoint is not created.
         path = tmp_path / "ck.txt"

@@ -357,6 +357,28 @@ def chunks_of(monkeypatch, size):
     monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", size)
 
 
+def uint64s(values):
+    """The values as native uint64s, as the kernel lists members."""
+    return b"".join(v.to_bytes(8, sys.byteorder) for v in values)
+
+
+def merged(lo, hi):
+    """merge_text's (text, members) of [lo, hi], from _odd_members and the
+    members of the half window, which _listed lists."""
+    return enumeration._kernel().merge_text(
+        lo, hi, enumeration._odd_members(lo, hi),
+        enumeration._listed((lo + 1) // 2, hi // 2))
+
+
+def halvings(lo, hi):
+    """The half windows that _listed lists below the window [lo, hi]: its
+    half window, that one's, and so on while they are not empty."""
+    windows = []
+    while (lo := (lo + 1) // 2) <= (hi := hi // 2):
+        windows.append((lo, hi))
+    return windows
+
+
 class TestBlockKernel:
     """Every entry point on each path of the kernel this CPU has."""
 
@@ -373,15 +395,19 @@ class TestBlockKernel:
 
     @staticmethod
     def check(kernel_paths, lo, hi, points, member=oracle_is_member):
-        """members_in_range, its text, _odd_counts at the points
-        and check_odd_counts, on each path, against the member
-        predicate."""
+        """members_in_range, _odd_members, merge_text of the odd members
+        and those of the half window, _odd_counts at the points and
+        check_odd_counts, on each path, against the member predicate."""
         members = [m for m in range(lo, hi + 1) if member(m)]
         odd = [m for m in members if m % 2]
+        half = [m for m in range((lo + 1) // 2, hi // 2 + 1) if member(m)]
         counts = [bisect_left(odd, p + 1) for p in points]
+        kernel = enumeration._kernel()
         for path in kernel_paths():
             assert members_in_range(lo, hi) == members, path
-            assert enumeration._members_text(lo, hi) == text(members), path
+            assert enumeration._odd_members(lo, hi) == uint64s(odd), path
+            assert kernel.merge_text(lo, hi, uint64s(odd), uint64s(half)) \
+                == (text(members), uint64s(members)), path
             assert enumeration._odd_counts(lo, hi, points) == counts, path
             check_odd_counts(lo, hi, odd)
 
@@ -447,14 +473,13 @@ class TestPathsAgree:
         hi = lo + self.SIZE - 1
         rng = random.Random(lo)
         points = sorted(rng.sample(range(lo - 1, hi + 1), 200))
-        results = {path: (members_in_range(lo, hi),
-                          enumeration._members_text(lo, hi),
+        results = {path: (members_in_range(lo, hi), merged(lo, hi),
                           enumeration._odd_counts(lo, hi, points))
                    for path in kernel_paths()}
-        members, lines, counts = results.pop("scalar")
+        members, (lines, listed), counts = results.pop("scalar")
         for path, result in results.items():
-            assert result == (members, lines, counts), path
-        assert lines == text(members)
+            assert result == (members, (lines, listed), counts), path
+        assert lines == text(members) and listed == uint64s(members)
         odd = [m for m in members if m % 2]
         assert counts == [bisect_left(odd, p + 1) for p in points]
         # an oracle sample: listed members, and integers listed or not
@@ -498,7 +523,9 @@ class TestThreadBuffers:
             for lo, hi in self.WINDOWS])
 
     def test_threads_at_once_each_get_the_oracle_text(self):
-        self.list_at_once(enumeration._members_text, [
+        # each text is merged from the window's odd members, listed into
+        # buffers of the call's own, and its half window's members
+        self.list_at_once(lambda lo, hi: merged(lo, hi)[0], [
             text(m for m in range(lo, hi + 1) if oracle_is_member(m))
             for lo, hi in self.WINDOWS])
 
@@ -522,30 +549,41 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_kernel_call_per_chunk(self, monkeypatch, workers):
-        # chunks of 2.5 BLOCKs: 4 of them up to 10 BLOCKs
+        # chunks of 2.5 BLOCKs: 4 of them up to 10 BLOCKs; each chunk's odd
+        # members are listed by one call and merged by one more, and the
+        # first chunk's half window, which the run has not merged, by one
+        # pair of calls for it and each of its halvings
         chunks_of(monkeypatch, 5 * BLOCK // 2)
         limit = 10 * BLOCK
         members = oracle_members(limit)
         calls = self.counted(monkeypatch)
         assert joined(sieve_text_chunks(limit, workers)) == text(members)
-        assert calls == ["members_text"] * 4
+        pairs = 4 + len(halvings(1, 5 * BLOCK // 2))
+        assert sorted(calls) == (["merge_text"] * pairs
+                                 + ["odd_members"] * pairs)
         calls.clear()
         assert list(sieve(limit, workers)) == members
         assert calls == ["members"] * 4
         calls.clear()
         assert members_in_range(1, limit) == members
-        assert enumeration._members_text(1, limit) == text(members)
-        assert calls == ["members", "members_text"]
+        assert enumeration._odd_members(1, limit) == uint64s(
+            m for m in members if m % 2)
+        assert calls == ["members", "odd_members"]
 
     def test_text_outgrows_the_first_buffer(self, kernel_paths):
-        # A call's buffer first has room for one BLOCK's members and lines,
-        # so the second BLOCK grows it, keeping the lines (or, listing
-        # ints, the members) of the first; then come a BLOCK and a tail.
+        # A call's buffer first has room for one BLOCK's members, so the
+        # second BLOCK grows it, keeping the members of the first; then
+        # come a BLOCK and a tail.  odd_members takes BLOCK odd integers
+        # at a time.
         lo, hi = 1, 3 * BLOCK + 99
-        members = oracle_members(hi)
+        members = oracle_members(2 * hi)
         for path in kernel_paths():
-            assert members_in_range(lo, hi) == members, path
-            assert enumeration._members_text(lo, hi) == text(members), path
+            assert members_in_range(lo, hi) == members[:bisect_left(
+                members, hi + 1)], path
+            assert enumeration._odd_members(lo, 2 * hi) == uint64s(
+                m for m in members if m % 2), path
+            assert merged(lo, 2 * hi) == (text(members),
+                                          uint64s(members)), path
 
     # Each argument of each entry point: below 0 and from 2^64 on an
     # OverflowError, not an int a TypeError, where ctypes' c_uint64 turned
@@ -553,8 +591,10 @@ class TestKernelCalls:
     ARGUMENTS = {
         "members-lo": lambda k, x: k.members(x, 10),
         "members-hi": lambda k, x: k.members(1, x),
-        "members_text-lo": lambda k, x: k.members_text(x, 10),
-        "members_text-hi": lambda k, x: k.members_text(1, x),
+        "odd_members-lo": lambda k, x: k.odd_members(x, 10),
+        "odd_members-hi": lambda k, x: k.odd_members(1, x),
+        "merge_text-lo": lambda k, x: k.merge_text(x, 10, b"", b""),
+        "merge_text-hi": lambda k, x: k.merge_text(1, x, b"", b""),
         "odd_counts-lo": lambda k, x: k.odd_counts(x, 10, [5]),
         "odd_counts-hi": lambda k, x: k.odd_counts(1, x, [5]),
         "odd_counts-point": lambda k, x: k.odd_counts(1, 10, [5, x]),
@@ -573,6 +613,39 @@ class TestKernelCalls:
         with pytest.raises(error):
             self.ARGUMENTS[call](enumeration._kernel(), value)
         assert members_in_range(1, 16) == oracle_members(16)
+
+    # odd and half must be whole native uint64s, odd increasing through
+    # odd integers of [lo, hi] and half through [ceil(lo/2), hi/2], else
+    # merge_text raises ValueError, with nothing wrapped or written.  On
+    # [5, 20] the odd members are 7 and 15, those of [3, 10] 3, 4, 6, 7, 8.
+    MERGE_REFUSED = {
+        "odd-cut": (uint64s([7, 15]) + b"\0", uint64s([3, 4, 6, 7, 8])),
+        "half-cut": (uint64s([7, 15]), uint64s([3, 4, 6, 7, 8])[:-1]),
+        "odd-repeated": (uint64s([7, 7, 15]), uint64s([3, 4])),
+        "odd-decreasing": (uint64s([15, 7]), uint64s([3, 4])),
+        "half-repeated": (uint64s([7]), uint64s([3, 4, 4, 6])),
+        "half-decreasing": (uint64s([7]), uint64s([4, 3])),
+        "odd-even": (uint64s([7, 8, 15]), uint64s([3])),
+        "odd-below-lo": (uint64s([3, 7]), uint64s([3])),
+        "odd-above-hi": (uint64s([7, 21]), uint64s([3])),
+        "half-below-ceil-lo/2": (uint64s([7]), uint64s([2, 3])),
+        "half-above-hi/2": (uint64s([7]), uint64s([3, 11])),
+        "half-doubled-wraps": (uint64s([7]), uint64s([3, 1 << 63])),
+        "odd-2^64-1": (uint64s([7, (1 << 64) - 1]), b""),
+    }
+
+    @pytest.mark.parametrize("case", MERGE_REFUSED)
+    def test_merge_refuses_malformed_members(self, case):
+        kernel = enumeration._kernel()
+        members = [6, 7, 8, 12, 14, 15, 16]
+        assert kernel.merge_text(5, 20, uint64s([7, 15]),
+                                 uint64s([3, 4, 6, 7, 8])) == (
+            text(members), uint64s(members))
+        with pytest.raises(ValueError, match="uint64s|increase through"):
+            kernel.merge_text(5, 20, *self.MERGE_REFUSED[case])
+        for bad in ("7", [7], 7):  # not a bytes-like object
+            with pytest.raises(TypeError):
+                kernel.merge_text(5, 20, bad, b"")
 
     def test_select_argument(self):
         # a path below -2^31 or from 2^31 on is an OverflowError, one that
@@ -593,7 +666,8 @@ class TestKernelCalls:
     def test_window_outside_the_kernel_range(self, lo, hi):
         kernel = enumeration._kernel()
         for call in (lambda: kernel.members(lo, hi),
-                     lambda: kernel.members_text(lo, hi),
+                     lambda: kernel.odd_members(lo, hi),
+                     lambda: kernel.merge_text(lo, hi, b"", b""),
                      lambda: kernel.odd_counts(lo, hi, [])):
             with pytest.raises(ValueError, match=re.escape(
                     f"1 <= lo <= 2^63 and hi < 2^63, got lo = {lo}, "
@@ -601,7 +675,8 @@ class TestKernelCalls:
                 call()
         # a lo past hi, up to 2^63, lists and counts nothing
         assert kernel.members(1 << 63, 10) == []
-        assert kernel.members_text(1 << 63, (1 << 63) - 1) == ""
+        assert kernel.odd_members(1 << 63, (1 << 63) - 1) == b""
+        assert kernel.merge_text(1 << 63, 10, b"", b"") == ("", b"")
         assert kernel.odd_counts(1 << 63, (1 << 63) - 1, [5, 7]) == [0, 0]
 
     def test_calls_keep_no_memory(self):
@@ -609,12 +684,17 @@ class TestKernelCalls:
         # traced size (PyMem_Raw buffers as well as objects) where it was
         kernel = enumeration._kernel()
         points = list(range(0, 2 * BLOCK, 1000))
+        odd, half = (enumeration._odd_members(1, 2 * BLOCK),
+                     enumeration._listed(1, BLOCK))
         calls = [lambda: kernel.members(1, 2 * BLOCK),
-                 lambda: kernel.members_text(1, 2 * BLOCK),
+                 lambda: kernel.odd_members(1, 2 * BLOCK),
+                 lambda: kernel.merge_text(1, 2 * BLOCK, odd, half),
                  lambda: kernel.odd_counts(1, 2 * BLOCK, points),
                  lambda: kernel.isq_select(-1),
                  lambda: kernel.members(-1, 10),
-                 lambda: kernel.members_text(0, 10),
+                 lambda: kernel.odd_members(0, 10),
+                 lambda: kernel.merge_text(1, 2 * BLOCK, half, odd),
+                 lambda: kernel.merge_text(1, 2 * BLOCK, odd[:-1], half),
                  lambda: kernel.odd_counts(1, 2 * BLOCK, [*points, "x"])]
 
         def repeat(call, times):
@@ -729,10 +809,10 @@ class TestKernel:
 
     def test_load_check_mismatch_raises(self, monkeypatch, unloaded_kernel):
         # Each load compares every entry point of the selected path with
-        # is_isosquare; told other answers, or given a byte of text or a
-        # member of the list-only call short from the listing entry point
-        # alone, it refuses the kernel.
-        for fault in ("answers", "text", "list"):
+        # is_isosquare; told other answers, or given a byte of text short
+        # from merge_text alone, or a member short from members or
+        # odd_members alone, it refuses the kernel.
+        for fault in ("answers", "text", "list", "odd"):
             if fault == "answers":
                 monkeypatch.setattr(enumeration, "is_isosquare",
                                     lambda m: not is_isosquare(m))
@@ -745,7 +825,32 @@ class TestKernel:
                     enumeration._kernel()
             monkeypatch.undo()
         assert members_in_range(1, 16) == oracle_members(16)
-        assert enumeration._members_text(1, 16) == text(oracle_members(16))
+        assert joined(sieve_text_chunks(16)) == text(oracle_members(16))
+
+    def test_load_check_calls_every_entry_point(self, monkeypatch,
+                                                unloaded_kernel):
+        # Every entry point in _sieve.c's METHODS table but isq_select,
+        # which selects the path, is checked against is_isosquare when the
+        # kernel loads, so one added to the table cannot go unchecked.
+        with open(enumeration._SOURCE) as fh:
+            table = re.search(r"PyMethodDef METHODS\[\] = \{(.*?)\{NULL",
+                              fh.read(), re.S)[1]
+        entries = set(re.findall(r'\{"(\w+)", \w+, METH_VARARGS', table))
+        assert {"members", "odd_members", "merge_text", "odd_counts",
+                "isq_select"} <= entries
+        check, called = enumeration._check, set()
+
+        class Recording:
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, name):
+                called.add(name)
+                return getattr(self.lib, name)
+        monkeypatch.setattr(enumeration, "_check",
+                            lambda lib: check(Recording(lib)))
+        enumeration._kernel()
+        assert called == entries - {"isq_select"}
 
     def test_compiles_without_warnings(self, tmp_path):
         # the loader's own command, Python's include directory included
@@ -806,7 +911,7 @@ class TestCheckpoint:
         if how == "open-refused":
             path.parent.mkdir()
             refuse_open(monkeypatch, path)
-        calls = TestResumeKernelCalls.spy_text(monkeypatch)
+        calls = TestResumeKernelCalls.spy_odd(monkeypatch)
 
         def start(thread):
             raise AssertionError("a thread started before the open")
@@ -830,7 +935,7 @@ class TestCheckpoint:
                 opened.append(fd)
             return fd
         monkeypatch.setattr(os, "open", spy)
-        calls = TestResumeKernelCalls.spy_text(monkeypatch)
+        calls = TestResumeKernelCalls.spy_odd(monkeypatch)
         chunks = sieve_text_chunks(10**6, 2, str(path))
         [fd] = opened
         os.fstat(fd)  # open until the result is closed
@@ -1110,11 +1215,11 @@ class TestCheckpoint:
         limit = 1 << 40
         path = tmp_path / "ck.txt"
         path.write_text(f"{limit - 100} 0\n")
-        # the 2^18 chunks skipped hold under 1 MiB beyond what one kernel
-        # call's buffers take
+        # the 2^18 chunks skipped hold under 1 MiB beyond what the kernel
+        # calls that list the one chunk sieved, and its halvings, take
         tracemalloc.start()
         try:
-            enumeration._members_text(limit - 99, limit)
+            enumeration._listed(limit - 99, limit)
             kernel_call = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             chunks = list(sieve_text_chunks(limit, checkpoint=str(path)))
@@ -1137,23 +1242,25 @@ class TestCheckpoint:
 
 
 class TestResumeKernelCalls:
-    """A resumed run writes each chunk's text with one kernel call, from
-    the record on, whatever the resume point."""
+    """A resumed run lists each chunk's odd members with one kernel call,
+    from the record on, whatever the resume point, and lists the half
+    window of a chunk with _listed, which lists its halvings too, only
+    where the run has not merged it: below twice the first integer."""
 
     @staticmethod
-    def spy_text(monkeypatch):
-        calls = []  # (lo, hi) of every _members_text call
-        members = enumeration._members_text
+    def spy_odd(monkeypatch):
+        calls = []  # (lo, hi) of every _odd_members call
+        odd_members = enumeration._odd_members
 
         def spy(lo, hi):
             calls.append((lo, hi))
-            return members(lo, hi)
-        monkeypatch.setattr(enumeration, "_members_text", spy)
+            return odd_members(lo, hi)
+        monkeypatch.setattr(enumeration, "_odd_members", spy)
         return calls
 
     # Chunks of 101 start at 910 and 1011.  Resumed after 454, 504 or 505
     # (first = 455, 505, 506), a chunk has lo at, just above or just below
-    # 2 * first; each chunk is still written by one call.
+    # 2 * first; each chunk is still listed by one call.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("done, lo", [(454, 910), (504, 1011),
                                           (505, 1011)])
@@ -1164,15 +1271,97 @@ class TestResumeKernelCalls:
         count = bisect_left(full, done + 1)
         path = tmp_path / "ck.txt"
         path.write_text(f"{done} {count}\n")
-        calls = self.spy_text(monkeypatch)
+        calls = self.spy_odd(monkeypatch)
         chunks = list(sieve_text_chunks(3000, workers, str(path)))
         assert joined(chunks) == text(full[count:])
         assert path.read_text() == f"3000 {len(full)}\n"
         ends = [hi for hi, _ in chunks]
-        assert sorted(calls) == list(zip([done + 1] + [e + 1 for e in ends],
-                                         ends))
+        windows = list(zip([done + 1] + [e + 1 for e in ends], ends))
+        below = [w for w in windows if (w[0] + 1) // 2 <= done]
+        assert sorted(calls) == sorted(
+            windows + [h for w in below for h in halvings(*w)])
         assert (lo, lo + 100) in calls
+        assert all(w[0] <= 2 * done for w in below)
+        assert any(w[0] == lo - 101 for w in below)
+        assert lo not in (w[0] for w in below)
 
+
+class TestHalfWindows:
+    """sieve_text_chunks lists only the odd members of each chunk [lo, hi]
+    and merges them with twice the members of its half window
+    [ceil(lo/2), hi/2]: read from a chunk merged before, whose members the
+    run keeps, or listed afresh below twice the first integer."""
+
+    LIMIT = 4000
+    MEMBERS = oracle_members(LIMIT)
+
+    # Chunks of even and odd sizes (with an odd size the half windows of
+    # two chunks in a row share an integer), fresh runs and runs resumed
+    # after d, where a chunk starts at 2d - 1, 2d or 2d + 1, so its half
+    # window starts just below, at or just past the first integer sieved.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 300), st.integers(1, 3), st.data())
+    def test_text_matches_oracle(self, kernel_paths, size, workers, data):
+        full = self.MEMBERS
+        if data.draw(st.booleans(), label="resumed"):
+            start = 1 + size * data.draw(
+                st.integers(1, min(40, (self.LIMIT - 1) // size)),
+                label="chunk index")
+            shift = data.draw(st.sampled_from([-1, 1] if start % 2 else [0]),
+                              label="start - 2d")
+            done = (start - shift) // 2
+            limit = data.draw(st.integers(start, min(self.LIMIT,
+                                                     start + 30 * size)),
+                              label="limit")
+        else:
+            done = 0
+            limit = data.draw(st.integers(1, min(self.LIMIT, 60 * size)),
+                              label="limit")
+        count = bisect_left(full, done + 1)
+        expected = text(full[count:bisect_left(full, limit + 1)])
+        with (tempfile.TemporaryDirectory() as tmp,
+              pytest.MonkeyPatch.context() as patch):
+            chunks_of(patch, size)
+            path = Path(tmp) / "ck.txt"
+            for kernel in kernel_paths():
+                if done:
+                    path.write_text(f"{done} {count}\n")
+                    chunks = sieve_text_chunks(limit, workers, str(path))
+                else:
+                    chunks = sieve_text_chunks(limit, workers)
+                assert joined(chunks) == expected, kernel
+                if done:
+                    assert path.read_text() == (
+                        f"{limit} {bisect_left(full, limit + 1)}\n")
+
+    @pytest.mark.parametrize("limit", [1 << 22, (1 << 22) + 12345])
+    def test_kept_members_bounded(self, monkeypatch, limit):
+        # Handing out chunk [lo, hi] of 2^22 in chunks of 2^16, the run
+        # holds the chunk's text and odd members and keeps 8 bytes a
+        # member of the chunks from the one that holds ceil(lo/2), that is
+        # of [ceil(lo/2) - 2^16, hi], and little more (the first chunk
+        # also holds its half window's 10 kB): a run that kept every chunk
+        # would hold some 140 kB more by the end.
+        size = 1 << 16
+        chunks_of(monkeypatch, size)
+        members = members_in_range(1, limit)
+        enumeration._listed(1, size // 2)  # the first chunk's calls
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            over = []
+            for hi, chunk in sieve_text_chunks(limit):
+                lo = (hi - 1) // size * size + 1
+                kept = (bisect_left(members, hi + 1)
+                        - bisect_left(members, (lo + 1) // 2 - size))
+                odd = sum(m % 2 for m in members_in_range(lo, hi))
+                used = tracemalloc.get_traced_memory()[0] - base
+                over.append(used - 8 * kept - len(chunk) - 8 * odd)
+        finally:
+            tracemalloc.stop()
+        assert len(over) == -(-limit // size)
+        assert max(over) < 16_384, over
 
 class TestCounting:
     def test_p2(self):
