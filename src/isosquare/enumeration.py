@@ -10,9 +10,10 @@ VPOPCNTDQ, a vector path that tests 16 integers at a time below 2^32 and
 before any sieve thread starts, then checks every entry point against
 is_isosquare on windows at the kernel's range boundaries and raises
 OSError on any mismatch.  A chunk loop runs a kernel over chunks on
-min(workers, chunks) threads, or in the calling thread where that is
-one, and hands the results out in order, so output is the same for any
-worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
+min(workers, chunks) threads, each bound to its own allowed CPU where
+there are enough, or in the calling thread where that is one, and hands
+the results out in order, so output is the same for any worker count.
+Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
 1 + 2 * DEFAULT_CHUNK and so on.  sieve tests every integer of each chunk
 and hands out its members one by one.  Since m is a member iff 2m is,
 sieve_text_chunks (the one producer that keeps a checkpoint, one record
@@ -29,7 +30,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from functools import cache
 from itertools import islice
 from stat import S_ISREG
@@ -244,8 +245,9 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     result holds the file open until it is run out, closed or collected,
     advanced or not.  Each chunk's odd members are listed by one
     _odd_members call, through _chunk_loop at most 2 * workers + 1 chunks
-    ahead of the consumer and none with one worker, and its text is
-    written in order by _merged.  Chunks come in order, on the module's
+    ahead of the consumer and none with one worker, on worker threads
+    bound round-robin to the allowed CPUs, and its text is written in
+    order by _merged.  Chunks come in order, on the module's
     grid of DEFAULT_CHUNK integers.  The checkpoint's one record
     "chunk_end count" is overwritten in place (_recorded) only when the
     consumer resumes after that chunk, so a recorded chunk was handed out
@@ -273,7 +275,11 @@ def _merged(first: int, last: int,
     that holds the half window's start on, and only where they start at or
     below last // 2: 8 bytes a member of the chunks that overlap
     [ceil(lo/2), lo).  A half window that this run did not merge, that of
-    the first chunk and those below 2 * first, is listed by _listed.
+    the first chunk and those below 2 * first, is listed by _listed, but
+    for a chunk from 1: its half window [1, hi/2] lies in the chunk, so it
+    is merged the same way, from the bottom up, with the odd members of it
+    and of each of its halvings cut from the chunk's own, and no integer
+    is tested twice.
     """
     merge, kept = _kernel().merge_text, deque()  # (lo, hi, members)
     lo = first
@@ -285,6 +291,10 @@ def _merged(first: int, last: int,
             if kept and kept[0][0] <= a:
                 view = memoryview(kept[0][2]).cast("Q")
                 half = view[bisect_left(view, a):bisect_right(view, b)]
+            elif lo == 1:  # the members of [1, b >> k], k = ..., 1, 0
+                view, half = memoryview(odd).cast("Q"), b""
+                for h in reversed([b >> k for k in range(b.bit_length())]):
+                    half = merge(1, h, view[:bisect_right(view, h)], half)[1]
             else:
                 half = _listed(a, b)
             text, members = merge(lo, hi, odd, half)
@@ -330,7 +340,14 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     chunk's exception is raised in the consumer.  On close the chunks not
     yet started are dropped and every thread is joined.  Chunks keep the
     grid 1, 1 + DEFAULT_CHUNK, and so on, with DEFAULT_CHUNK read when the
-    loop starts; the first chunk starts at `first`."""
+    loop starts; the first chunk starts at `first`.
+
+    Before its first chunk, worker thread i binds itself to the i % n-th
+    of the n CPUs the process may use when the loop starts, since the OS
+    may otherwise keep short-lived threads on one CPU, and two workers
+    then take as long as one.  The binding is a hint: where the affinity
+    calls are missing or refuse, the thread runs unbound.  The consumer
+    is never bound."""
     if first > last:
         return
     size = DEFAULT_CHUNK
@@ -345,8 +362,15 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     from threading import Thread
     tasks: SimpleQueue = SimpleQueue()  # (lo, hi, result box), None: stop
     closed = False
+    try:
+        cpus, bind = sorted(os.sched_getaffinity(0)), os.sched_setaffinity
+    except (AttributeError, OSError):  # no affinity calls: run unbound
+        cpus = []
 
-    def work() -> None:
+    def work(i: int) -> None:
+        if cpus:  # pid 0 is this thread; a refused bind leaves it unbound
+            with suppress(OSError):
+                bind(0, {cpus[i % len(cpus)]})
         while (task := tasks.get()) is not None:
             lo, hi, box = task
             if closed:
@@ -358,7 +382,8 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
 
     queued: deque = deque()
     # daemon: a chunk loop that is never closed cannot hold up exit
-    threads = [Thread(target=work, daemon=True) for _ in range(workers)]
+    threads = [Thread(target=work, args=(i,), daemon=True)
+               for i in range(workers)]
     try:
         for thread in threads:
             thread.start()

@@ -322,6 +322,90 @@ class TestChunkLoop:
         assert len(alive) == 4 and max(alive) <= 2
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two allowed CPUs")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_bound_round_robin(self, workers):
+        # Worker i runs on the i % n-th of the n CPUs the process may use,
+        # so two workers run on two different CPUs.  The first chunks wait
+        # for each other, so every worker runs one.
+        cpus = sorted(os.sched_getaffinity(0))
+        met, seen = threading.Barrier(workers, timeout=30), {}
+
+        def kernel(lo, hi):
+            if lo <= 10 * workers:
+                met.wait()
+            seen[threading.get_ident()] = os.sched_getaffinity(0)
+
+        list(enumeration._chunk_loop(kernel, 1, 100, workers))
+        assert len(seen) == workers
+        assert sorted(min(s) for s in seen.values()) == sorted(
+            cpus[i % len(cpus)] for i in range(workers))
+        assert all(len(s) == 1 for s in seen.values())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_consumer_stays_unbound(self):
+        before, during = os.sched_getaffinity(0), []
+        for _ in enumeration._chunk_loop(lambda lo, hi: lo, 1, 100, 2):
+            during.append(os.sched_getaffinity(0))
+        assert during == [before] * 10
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("case", ["refused", "no-setaffinity",
+                                      "no-affinity-calls"])
+    def test_binding_is_a_hint(self, monkeypatch, workers, case):
+        # A bind that raises OSError, or affinity calls that do not exist,
+        # leave the threads unbound: the loop ends with the same chunks.
+        # It runs in a thread of its own, so a hang fails the test.
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(cpus)
+            raise OSError(errno.EINVAL, "refused")
+        if case == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse,
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        if case == "no-affinity-calls":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        before, result = threading.active_count(), []
+        run = threading.Thread(target=lambda: result.extend(
+            enumeration._chunk_loop(lambda lo, hi: (lo, hi), 5, 100,
+                                    workers)), daemon=True)
+        run.start()
+        run.join(timeout=60)
+        assert not run.is_alive(), "the chunk loop hung"
+        assert result == list(enumeration._chunk_loop(
+            lambda lo, hi: (lo, hi), 5, 100, 1))
+        assert threading.active_count() == before
+        tried = case == "refused" and hasattr(os, "sched_getaffinity")
+        assert len(refused) == (workers if tried else 0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    @pytest.mark.parametrize("argv", [
+        ["count", "--limit", "10^7", "--grid", "geometric:1024:1.189"],
+        ["enumerate", "--limit", "10^7"]], ids=["count", "enumerate"])
+    def test_one_allowed_cpu_same_output(self, argv):
+        # In a process that may use one CPU, both workers bind to it, and
+        # the 3 chunks of 10^7 come out as with one worker.
+        script = ("import os\n"
+                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "from isosquare import cli\n"
+                  "cli.run()\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = [subprocess.run([sys.executable, "-c", script, *argv,
+                               "--workers", workers], env=env,
+                              capture_output=True, timeout=120)
+               for workers in ("1", "2")]
+        assert [(p.returncode, p.stderr) for p in out] == [(0, b"")] * 2
+        assert out[1].stdout == out[0].stdout
+        assert out[0].stdout.count(b"\n") > 30
+
 
 class TestSquareWeight:
     VALUES = [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 7,
@@ -552,15 +636,16 @@ class TestKernelCalls:
         # chunks of 2.5 BLOCKs: 4 of them up to 10 BLOCKs; each chunk's odd
         # members are listed by one call and merged by one more, and the
         # first chunk's half window, which the run has not merged, by one
-        # pair of calls for it and each of its halvings
+        # merge for it and each of its halvings, their odd members cut from
+        # the first chunk's, so no more odd_members call
         chunks_of(monkeypatch, 5 * BLOCK // 2)
         limit = 10 * BLOCK
         members = oracle_members(limit)
         calls = self.counted(monkeypatch)
         assert joined(sieve_text_chunks(limit, workers)) == text(members)
-        pairs = 4 + len(halvings(1, 5 * BLOCK // 2))
-        assert sorted(calls) == (["merge_text"] * pairs
-                                 + ["odd_members"] * pairs)
+        merges = 4 + len(halvings(1, 5 * BLOCK // 2))
+        assert sorted(calls) == (["merge_text"] * merges
+                                 + ["odd_members"] * 4)
         calls.clear()
         assert list(sieve(limit, workers)) == members
         assert calls == ["members"] * 4
@@ -1245,7 +1330,8 @@ class TestResumeKernelCalls:
     """A resumed run lists each chunk's odd members with one kernel call,
     from the record on, whatever the resume point, and lists the half
     window of a chunk with _listed, which lists its halvings too, only
-    where the run has not merged it: below twice the first integer."""
+    where the run has not merged it: below twice the first integer.  A
+    run from 1 makes no call but one a chunk."""
 
     @staticmethod
     def spy_odd(monkeypatch):
@@ -1284,6 +1370,22 @@ class TestResumeKernelCalls:
         assert all(w[0] <= 2 * done for w in below)
         assert any(w[0] == lo - 101 for w in below)
         assert lo not in (w[0] for w in below)
+
+    # A record of nothing, or an empty file, runs from 1: the first chunk's
+    # half window and its halvings take their odd members from the chunk's.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("record", ["", "0 0\n"],
+                             ids=["empty", "zero-record"])
+    def test_run_from_1_lists_each_chunk_once(self, tmp_path, monkeypatch,
+                                              workers, record):
+        chunks_of(monkeypatch, 101)
+        path = tmp_path / "ck.txt"
+        path.write_text(record)
+        calls = self.spy_odd(monkeypatch)
+        chunks = list(sieve_text_chunks(3000, workers, str(path)))
+        assert joined(chunks) == text(oracle_members(3000))
+        ends = [hi for hi, _ in chunks]
+        assert sorted(calls) == list(zip([1] + [e + 1 for e in ends], ends))
 
 
 class TestHalfWindows:

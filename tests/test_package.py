@@ -94,6 +94,26 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_threads_started_only_by_the_chunk_loop():
+    # enumeration._chunk_loop binds each thread it starts to one allowed
+    # CPU; a thread started anywhere else in src/ would run unbound.
+    starters = {"Thread", "Timer", "start_new_thread", "ThreadPoolExecutor"}
+    inside, outside = [], []
+    for path in sorted((SRC / "isosquare").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loop = {id(node) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "_chunk_loop"
+                for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None)
+                         or getattr(node.func, "attr", None)) in starters):
+                (inside if id(node) in loop else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside  # the check still sees the loop's own Thread call
+
+
 def test_no_uncalled_public_definitions():
     # A public top-level def or class that the package does not export and
     # that src/ names nowhere else, as a name, an attribute or an import,
