@@ -10,10 +10,10 @@ VPOPCNTDQ, a vector path that tests 16 integers at a time below 2^32 and
 before any sieve thread starts, then checks every entry point against
 is_isosquare on windows at the kernel's range boundaries and raises
 OSError on any mismatch.  A chunk loop runs a kernel over chunks on
-min(workers, chunks) threads, each bound to its own allowed CPU where
-there are enough, or in the calling thread where that is one, and hands
-the results out in order, so output is the same for any worker count.
-Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
+min(workers, chunks) threads, bound round-robin to the allowed CPUs
+where they are at least as many, or in the calling thread where that is
+one, and hands the results out in order, so output is the same for any
+worker count.  Chunks lie on one grid, 1, 1 + DEFAULT_CHUNK,
 1 + 2 * DEFAULT_CHUNK and so on.  sieve tests every integer of each chunk
 and hands out its members one by one.  Since m is a member iff 2m is,
 sieve_text_chunks (the one producer that keeps a checkpoint, one record
@@ -245,10 +245,10 @@ def sieve_text_chunks(limit: int, workers: int = 1,
     result holds the file open until it is run out, closed or collected,
     advanced or not.  Each chunk's odd members are listed by one
     _odd_members call, through _chunk_loop at most 2 * workers + 1 chunks
-    ahead of the consumer and none with one worker, on worker threads
-    bound round-robin to the allowed CPUs, and its text is written in
-    order by _merged.  Chunks come in order, on the module's
-    grid of DEFAULT_CHUNK integers.  The checkpoint's one record
+    ahead of the consumer and none with one worker, on threads bound
+    round-robin to the allowed CPUs where they are at least as many, and
+    its text is written in order by _merged.  Chunks come in order, on
+    the module's grid of DEFAULT_CHUNK integers.  The checkpoint's one record
     "chunk_end count" is overwritten in place (_recorded) only when the
     consumer resumes after that chunk, so a recorded chunk was handed out
     in full, and a kill leaves the old record or the new one.  A later run
@@ -275,11 +275,10 @@ def _merged(first: int, last: int,
     that holds the half window's start on, and only where they start at or
     below last // 2: 8 bytes a member of the chunks that overlap
     [ceil(lo/2), lo).  A half window that this run did not merge, that of
-    the first chunk and those below 2 * first, is listed by _listed, but
-    for a chunk from 1: its half window [1, hi/2] lies in the chunk, so it
-    is merged the same way, from the bottom up, with the odd members of it
-    and of each of its halvings cut from the chunk's own, and no integer
-    is tested twice.
+    the first chunk and those below 2 * first, is listed by _listed; for a
+    chunk from 1 it lies in the chunk, so _listed cuts its odd members,
+    and those of its halvings, from the chunk's own, and no integer is
+    tested twice.
     """
     merge, kept = _kernel().merge_text, deque()  # (lo, hi, members)
     lo = first
@@ -291,12 +290,9 @@ def _merged(first: int, last: int,
             if kept and kept[0][0] <= a:
                 view = memoryview(kept[0][2]).cast("Q")
                 half = view[bisect_left(view, a):bisect_right(view, b)]
-            elif lo == 1:  # the members of [1, b >> k], k = ..., 1, 0
-                view, half = memoryview(odd).cast("Q"), b""
-                for h in reversed([b >> k for k in range(b.bit_length())]):
-                    half = merge(1, h, view[:bisect_right(view, h)], half)[1]
-            else:
-                half = _listed(a, b)
+            else:  # from 1, the chunk's own odd members cover its half window
+                half = _listed(a, b, memoryview(odd).cast("Q")
+                               if lo == 1 else None)
             text, members = merge(lo, hi, odd, half)
             if lo <= last // 2:  # else no half window of this run is in it
                 kept.append((lo, hi, members))
@@ -304,14 +300,19 @@ def _merged(first: int, last: int,
             lo = hi + 1
 
 
-def _listed(lo: int, hi: int) -> bytes:
+def _listed(lo: int, hi: int, odd: memoryview | None = None) -> bytes:
     """The members m with lo <= m <= hi, as native uint64s: the odd ones
     merged with twice those of [ceil(lo/2), hi/2], listed the same way,
-    which is as many tests as listing [lo, hi] at step 1."""
+    which is as many tests as listing [lo, hi] at step 1.  Where `odd`,
+    the odd members of some [1, h] with h >= hi as native uint64s, is
+    given, the odd members of [lo, hi] and its halvings are cut from it,
+    and no integer is tested."""
     if lo > hi:
         return b""
-    return _kernel().merge_text(lo, hi, _odd_members(lo, hi),
-                                _listed((lo + 1) // 2, hi // 2))[1]
+    own = (_odd_members(lo, hi) if odd is None
+           else odd[bisect_left(odd, lo):bisect_right(odd, hi)])
+    return _kernel().merge_text(lo, hi, own,
+                                _listed((lo + 1) // 2, hi // 2, odd))[1]
 
 
 def sieve(limit: int, workers: int = 1) -> Iterator[int]:
@@ -342,12 +343,14 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     grid 1, 1 + DEFAULT_CHUNK, and so on, with DEFAULT_CHUNK read when the
     loop starts; the first chunk starts at `first`.
 
-    Before its first chunk, worker thread i binds itself to the i % n-th
-    of the n CPUs the process may use when the loop starts, since the OS
-    may otherwise keep short-lived threads on one CPU, and two workers
-    then take as long as one.  The binding is a hint: where the affinity
-    calls are missing or refuse, the thread runs unbound.  The consumer
-    is never bound."""
+    Where the t threads cover the n CPUs the process may use when the
+    loop starts (t >= n), worker thread i binds itself to the i % n-th of
+    them before its first chunk: on some hosts the OS keeps short-lived
+    threads on one CPU, and t workers then take as long as one.  Where
+    t < n the threads run unbound, so loops in concurrent processes do
+    not all pile onto the same first t CPUs.  The binding is a hint:
+    where the affinity calls are missing or refuse, the thread runs
+    unbound.  The consumer is never bound."""
     if first > last:
         return
     size = DEFAULT_CHUNK
@@ -365,6 +368,8 @@ def _chunk_loop(kernel: Callable[[int, int], T], first: int, last: int,
     try:
         cpus, bind = sorted(os.sched_getaffinity(0)), os.sched_setaffinity
     except (AttributeError, OSError):  # no affinity calls: run unbound
+        cpus = []
+    if workers < len(cpus):  # the threads cannot cover every CPU
         cpus = []
 
     def work(i: int) -> None:

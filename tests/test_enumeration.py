@@ -323,14 +323,15 @@ class TestChunkLoop:
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                        or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs CPU affinity and two allowed CPUs")
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_bound_round_robin(self, workers):
-        # Worker i runs on the i % n-th of the n CPUs the process may use,
-        # so two workers run on two different CPUs.  The first chunks wait
-        # for each other, so every worker runs one.
+                        or not 2 <= len(os.sched_getaffinity(0)) <= 16,
+                        reason="needs CPU affinity and 2 to 16 allowed CPUs")
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_workers_bound_round_robin(self, extra):
+        # As many workers as the n CPUs the process may use, or one more:
+        # worker i runs on the i % n-th of them, so each CPU runs one.  The
+        # first chunks wait for each other, so every worker runs one.
         cpus = sorted(os.sched_getaffinity(0))
+        workers = len(cpus) + extra
         met, seen = threading.Barrier(workers, timeout=30), {}
 
         def kernel(lo, hi):
@@ -338,11 +339,32 @@ class TestChunkLoop:
                 met.wait()
             seen[threading.get_ident()] = os.sched_getaffinity(0)
 
-        list(enumeration._chunk_loop(kernel, 1, 100, workers))
+        list(enumeration._chunk_loop(kernel, 1, 10 * workers + 100,
+                                     workers))
         assert len(seen) == workers
         assert sorted(min(s) for s in seen.values()) == sorted(
             cpus[i % len(cpus)] for i in range(workers))
         assert all(len(s) == 1 for s in seen.values())
+
+    @pytest.mark.parametrize("workers", [2, 7, 8, 9])
+    def test_fewer_workers_than_cpus_run_unbound(self, monkeypatch, workers):
+        # On 8 allowed CPUs, 8 or more workers bind round-robin; fewer stay
+        # unbound, so loops in concurrent processes do not all bind to the
+        # same first CPUs.
+        binds, lock = [], threading.Lock()
+
+        def bind(pid, cpus):
+            with lock:
+                binds.append((pid, cpus))
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(10, 18)), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", bind, raising=False)
+        chunks = list(enumeration._chunk_loop(lambda lo, hi: lo, 1, 100,
+                                              workers))
+        assert [lo for _, lo in chunks] == list(range(1, 100, 10))
+        assert all(pid == 0 and len(cpus) == 1 for pid, cpus in binds)
+        assert sorted(min(cpus) for _, cpus in binds) == sorted(
+            10 + i % 8 for i in range(workers) if workers >= 8)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
